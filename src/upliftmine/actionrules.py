@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .casetable import NUMERIC, CaseTable
+from .casetable import CaseTable
 from .errors import ConfigError, SchemaError
 
 
@@ -92,21 +92,20 @@ class Treatment:
 
 
 def _check_discretized(table: CaseTable) -> None:
-    if not table.rows:
+    if len(table) == 0:
         raise SchemaError("empty case table")
-    for attr in table.schema:
-        if attr.kind == NUMERIC and attr.name not in table.bins:
-            raise SchemaError(f"numeric attribute {attr.name!r} is not discretized")
+    for name in table.attribute_names:
+        table.coded(name)  # raises for a numeric attribute without bins
 
 
-def _item_masks(table: CaseTable) -> dict[str, dict[str, np.ndarray]]:
-    masks: dict[str, dict[str, np.ndarray]] = {}
-    for attr in table.schema:
-        column = np.array(table.column(attr.name), dtype=object)
-        masks[attr.name] = {
-            label: column == label for label in table.labels(attr.name)
-        }
-    return masks
+def _item_masks(table: CaseTable) -> list[tuple[tuple[str, str], np.ndarray]]:
+    """Every (attribute, label) item with its row mask, attributes ascending
+    and labels ascending within each."""
+    items = []
+    for name in sorted(table.attribute_names):
+        codes, labels = table.coded(name)
+        items += [((name, label), codes == code) for code, label in enumerate(labels)]
+    return items
 
 
 def mine_classification_rules(
@@ -129,8 +128,7 @@ def mine_classification_rules(
         raise ConfigError(f"target_class must be 0 or 1, got {target_class}")
 
     n = len(table)
-    class_mask = np.array(table.outcomes()) == target_class
-    masks = _item_masks(table)
+    class_mask = table.outcome == target_class
 
     rules: list[ClassificationRule] = []
 
@@ -150,13 +148,8 @@ def mine_classification_rules(
     emit((), np.ones(n, dtype=bool))
 
     # Levelwise growth; an itemset survives if P(cond and class) >= min_support.
-    items = [
-        ((attr, label), masks[attr][label])
-        for attr in sorted(masks)
-        for label in sorted(masks[attr])
-    ]
     frontier: list[tuple[tuple[tuple[str, str], ...], np.ndarray]] = []
-    for item, mask in items:
+    for item, mask in _item_masks(table):
         if emit((item,), mask):
             frontier.append(((item,), mask))
 
@@ -284,19 +277,15 @@ def extract_treatments(rules: Iterable[ActionRule]) -> list[Treatment]:
 
 def measure(rule: ActionRule, table: CaseTable) -> tuple[float, float]:
     """Recompute (support, confidence) of an action rule from scratch."""
-    if not table.rows:
-        raise SchemaError("empty case table")
-    for term in rule.terms:
-        table.attribute(term.attribute)
-
     n = len(table)
-    outcomes = np.array(table.outcomes())
+    if n == 0:
+        raise SchemaError("empty case table")
+    outcomes = table.outcome
     cond0 = np.ones(n, dtype=bool)
     cond1 = np.ones(n, dtype=bool)
     for term in rule.terms:
-        column = np.array(table.column(term.attribute), dtype=object)
-        cond0 &= column == term.from_value
-        cond1 &= column == term.to_value
+        cond0 &= table.equals(term.attribute, term.from_value)
+        cond1 &= table.equals(term.attribute, term.to_value)
 
     joint0 = int((cond0 & (outcomes == 0)).sum())
     joint1 = int((cond1 & (outcomes == 1)).sum())

@@ -1,20 +1,23 @@
 """Case-level encoding: one fixed-width feature record per trace.
 
-Each trace collapses to a CaseRecord: raw attributes take their last
-observed value, derived features count activity occurrences or pull the
-final value of a named event attribute, and the outcome becomes {0,1}.
-Numeric features can then be discretized into interval labels, which is
-what the rule miner works on; the original numeric values are kept
-alongside so the tree can still split at raw thresholds.
+Each trace collapses to one case: raw attributes take their last observed
+value, derived features count activity occurrences or pull the final value
+of a named event attribute, and the outcome becomes {0,1}. The cases are
+stored column by column. Numeric features can then be discretized into
+interval labels, which is what the rule miner works on; the original
+numeric values are kept alongside so the tree can still split at raw
+thresholds.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import floor
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError, SchemaError
 from .logparse import EventLog, format_attr_value
@@ -61,49 +64,75 @@ class AttributeSchema:
             )
 
 
-@dataclass
-class CaseRecord:
-    case_id: str
-    features: dict[str, object]
-    outcome: int
+class Coded(NamedTuple):
+    """A label column: int32 codes into the sorted observed labels, with -1
+    where the value is missing."""
 
-    def __post_init__(self):
-        if self.outcome not in (0, 1):
-            raise ValueError(f"case {self.case_id!r}: outcome must be 0 or 1")
+    codes: np.ndarray
+    labels: tuple[str, ...]
 
 
-@dataclass
 class CaseTable:
-    """Immutable-by-convention table of encoded cases.
+    """Column store of encoded cases, immutable by convention.
 
-    bins maps a discretized attribute to its interior interval boundaries
-    (strictly increasing; together with the open ends they partition the
-    real line). raw_numeric keeps the pre-discretization values, aligned
-    with rows, for attributes that have been discretized.
+    Categorical and binned attributes are Coded columns (a binned attribute's
+    missing values carry the real label "missing"); unbinned numerics, and
+    the raw values behind binned ones, are float64 with NaN for missing. bins
+    maps a binned attribute to its interior interval boundaries (strictly
+    increasing; with the open ends they partition the real line).
+
+    The constructor is the one place values are encoded and checked: columns
+    maps each attribute to its decoded values (labels, numbers, None), or to
+    another table's Coded column or float array; raw_numeric gives the
+    pre-binning values of each binned attribute.
     """
 
-    schema: list[AttributeSchema]
-    rows: list[CaseRecord]
-    outcome_name: str
-    bins: dict[str, list[float]] = field(default_factory=dict)
-    raw_numeric: dict[str, list[float | None]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        names = [a.name for a in self.schema]
+    def __init__(
+        self,
+        schema: list[AttributeSchema],
+        outcome_name: str,
+        case_ids: list[str],
+        outcomes,
+        columns: dict,
+        bins: dict[str, list[float]] | None = None,
+        raw_numeric: dict | None = None,
+    ):
+        names = [a.name for a in schema]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate attribute names in schema")
-        expected = set(names)
-        for rec in self.rows:
-            if set(rec.features) != expected:
-                raise SchemaError(
-                    f"case {rec.case_id!r}: feature keys do not match schema"
-                )
-        for attr, bounds in self.bins.items():
-            if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-                raise ConfigError(f"bins for {attr!r} are not strictly increasing")
+        if set(columns) != set(names):
+            raise SchemaError("columns do not match the schema's attributes")
+        self.schema = list(schema)
+        self.outcome_name = outcome_name
+        self.case_ids = list(case_ids)
+        self.bins = {name: list(bounds) for name, bounds in (bins or {}).items()}
+        raw_numeric = raw_numeric or {}
+        if set(raw_numeric) != set(self.bins) or not set(self.bins) <= set(names):
+            raise SchemaError("bins and raw values must cover the same attributes")
+        n = len(self.case_ids)
+        outcome = np.asarray(outcomes)
+        if outcome.shape != (n,):
+            raise SchemaError("the table needs exactly one outcome per case")
+        bad = np.flatnonzero((outcome != 0) & (outcome != 1))
+        if bad.size:
+            raise SchemaError(f"case {self.case_ids[bad[0]]!r}: outcome must be 0 or 1")
+        self.outcome = outcome.astype(np.uint8)
+        self._columns: dict[str, Coded | np.ndarray] = {}
+        self._raw: dict[str, np.ndarray] = {}
+        for attr in self.schema:
+            name = attr.name
+            if name in self.bins:
+                bounds = self.bins[name]
+                if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+                    raise ConfigError(f"bins for {name!r} are not strictly increasing")
+                self._raw[name] = _encode_floats(name, raw_numeric[name], n)
+            if attr.kind == NUMERIC and name not in self.bins:
+                self._columns[name] = _encode_floats(name, columns[name], n)
+            else:
+                self._columns[name] = _encode_labels(name, columns[name], n)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.case_ids)
 
     def attribute(self, name: str) -> AttributeSchema:
         for a in self.schema:
@@ -115,23 +144,75 @@ class CaseTable:
     def attribute_names(self) -> list[str]:
         return [a.name for a in self.schema]
 
-    def column(self, name: str) -> list:
-        self.attribute(name)
-        return [rec.features[name] for rec in self.rows]
+    def coded(self, name: str) -> Coded:
+        """Codes and labels of a categorical or binned attribute."""
+        column = self._columns[self.attribute(name).name]
+        if not isinstance(column, Coded):
+            raise SchemaError(f"numeric attribute {name!r} is not discretized")
+        return column
 
-    def outcomes(self) -> list[int]:
-        return [rec.outcome for rec in self.rows]
+    def numeric(self, name: str) -> np.ndarray:
+        """Values of a numeric attribute (raw ones if binned), NaN if missing."""
+        if self.attribute(name).kind != NUMERIC:
+            raise SchemaError(f"attribute {name!r} is not numeric")
+        return self._raw.get(name, self._columns[name])
+
+    def equals(self, name: str, label: str) -> np.ndarray:
+        """Row mask of the cases whose label for name equals label."""
+        codes, labels = self.coded(name)
+        # len(labels) is no row's code, so an unobserved label matches nothing.
+        return codes == (labels.index(label) if label in labels else len(labels))
 
     def labels(self, name: str) -> list[str]:
         """Distinct observed labels of a discretized/categorical column."""
-        seen = []
-        for value in self.column(name):
-            if value is not None and value not in seen:
-                seen.append(value)
-        return sorted(seen)
+        return list(self.coded(name).labels)
 
-    def is_discretized(self, name: str) -> bool:
-        return self.attribute(name).kind == CATEGORICAL or name in self.bins
+    def column(self, name: str) -> list:
+        """Decoded values: labels or floats, None where missing."""
+        column = self._columns[self.attribute(name).name]
+        if isinstance(column, Coded):
+            decode = column.labels + (None,)  # code -1 picks the None
+            return [decode[code] for code in column.codes.tolist()]
+        return _decode_floats(column)
+
+    def outcomes(self) -> list[int]:
+        return self.outcome.tolist()
+
+    @property
+    def raw_numeric(self) -> dict[str, list[float | None]]:
+        """Decoded pre-binning values of every binned attribute."""
+        return {name: _decode_floats(values) for name, values in self._raw.items()}
+
+
+def _encode_labels(name: str, values, n: int) -> Coded:
+    if isinstance(values, Coded):
+        column = values
+    else:
+        distinct = set(values) - {None}
+        if not all(isinstance(label, str) for label in distinct):
+            raise SchemaError(f"attribute {name!r}: labels must be strings")
+        labels = tuple(sorted(distinct))
+        index = {label: code for code, label in enumerate(labels)}
+        index[None] = -1
+        codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
+        column = Coded(codes, labels)
+    if len(column.codes) != n:
+        raise SchemaError(f"attribute {name!r}: column length differs from cases")
+    return column
+
+
+def _encode_floats(name: str, values, n: int) -> np.ndarray:
+    try:
+        column = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SchemaError(f"attribute {name!r}: non-numeric values") from None
+    if column.shape != (n,):
+        raise SchemaError(f"attribute {name!r}: column length differs from cases")
+    return column
+
+
+def _decode_floats(values: np.ndarray) -> list[float | None]:
+    return [None if v != v else v for v in values.tolist()]
 
 
 def _coerce_outcome(value, positive_labels: frozenset[str], attr: str, case_id: str) -> int:
@@ -162,7 +243,7 @@ def encode_cases(
     outcome_name: str,
     positive_labels: frozenset[str] | None = None,
 ) -> CaseTable:
-    """Collapse each trace to one CaseRecord; cases without the outcome drop."""
+    """Collapse each trace to one case; cases without the outcome drop."""
     positive_labels = positive_labels or DEFAULT_POSITIVE_LABELS
     positive_labels = frozenset(s.lower() for s in positive_labels)
     by_name = {a.name: a for a in schema}
@@ -175,8 +256,9 @@ def encode_cases(
         raise SchemaError(f"outcome attribute {outcome_name!r} must not be controllable")
     feature_schema = [a for a in schema if a.name != outcome_name]
 
-    rows: list[CaseRecord] = []
-    outcome_seen = False
+    case_ids: list[str] = []
+    outcomes: list[int] = []
+    columns: dict[str, list] = {a.name: [] for a in feature_schema}
     n_dropped = 0
     for trace in event_log.traces:
         last_values: dict[str, object] = {}
@@ -192,33 +274,28 @@ def encode_cases(
             return last_values.get(key)
 
         raw_outcome = observe(outcome_attr)
-        if raw_outcome is not None:
-            outcome_seen = True
-        else:
+        if raw_outcome is None:
             n_dropped += 1
             continue
-        outcome = _coerce_outcome(
-            raw_outcome, positive_labels, outcome_name, trace.case_id
+        outcomes.append(
+            _coerce_outcome(raw_outcome, positive_labels, outcome_name, trace.case_id)
         )
-
-        features: dict[str, object] = {}
+        case_ids.append(trace.case_id)
         for attr in feature_schema:
             value = observe(attr)
-            if value is None:
-                features[attr.name] = None
-            elif attr.kind == NUMERIC:
-                features[attr.name] = _coerce_numeric(value, attr.name, trace.case_id)
-            else:
-                features[attr.name] = format_attr_value(value)
-        rows.append(CaseRecord(trace.case_id, features, outcome))
+            if value is not None and attr.kind == NUMERIC:
+                value = _coerce_numeric(value, attr.name, trace.case_id)
+            elif value is not None:
+                value = format_attr_value(value)
+            columns[attr.name].append(value)
 
-    if not outcome_seen:
+    if not case_ids:
         raise SchemaError(
             f"outcome attribute {outcome_name!r} never observed in any case"
         )
     if n_dropped:
         log.info("dropped %d cases with missing outcome %r", n_dropped, outcome_name)
-    return CaseTable(schema=feature_schema, rows=rows, outcome_name=outcome_name)
+    return CaseTable(feature_schema, outcome_name, case_ids, outcomes, columns)
 
 
 def _is_integral(values: list[float]) -> bool:
@@ -260,8 +337,9 @@ def _bin_labels(bounds: list[float], values: list[float]) -> list[str]:
 def equal_frequency_bounds(values: list[float], k: int) -> list[float]:
     """Interior boundaries splitting the distinct values into k runs of
     near-equal size (each run holds floor(n/k) or ceil(n/k) distinct values).
-    Boundaries sit at midpoints between adjacent runs, so they never collide
-    with observed values.
+    Boundaries sit at midpoints between adjacent runs; two adjacent floats
+    with no float strictly between them get the lower one as boundary, which
+    still separates them under right-closed bins.
     """
     if k < 2:
         raise ConfigError(f"equal-frequency binning needs k >= 2, got {k}")
@@ -275,25 +353,23 @@ def equal_frequency_bounds(values: list[float], k: int) -> list[float]:
     idx = 0
     for run in range(k_eff - 1):
         idx += base + (1 if run < rem else 0)
-        bounds.append((distinct[idx - 1] + distinct[idx]) / 2.0)
+        lower, upper = distinct[idx - 1], distinct[idx]
+        mid = (lower + upper) / 2.0
+        bounds.append(mid if lower <= mid < upper else lower)
     return bounds
-
-
-def bin_index(bounds: list[float], value: float) -> int:
-    """Bin of a value under right-closed intervals: bin i is (b[i-1], b[i]]."""
-    return bisect_left(bounds, value)
 
 
 def discretize(table: CaseTable, spec: dict[str, int | list[float]]) -> CaseTable:
     """Replace numeric feature values by interval labels; returns a new table.
 
     spec maps attribute name to either an equal-frequency bin count or an
-    explicit strictly increasing list of interior boundaries. Missing values
-    map to the dedicated "missing" label.
+    explicit strictly increasing list of interior boundaries. Bin i is the
+    right-closed interval (b[i-1], b[i]]. Missing values map to the dedicated
+    "missing" label.
     """
-    new_bins = dict(table.bins)
-    new_raw = {k: list(v) for k, v in table.raw_numeric.items()}
-    replacements: dict[str, list[str]] = {}
+    columns = {name: table._columns[name] for name in table.attribute_names}
+    bins = dict(table.bins)
+    raw = dict(table._raw)
 
     for attr_name, how in spec.items():
         attr = table.attribute(attr_name)
@@ -301,8 +377,9 @@ def discretize(table: CaseTable, spec: dict[str, int | list[float]]) -> CaseTabl
             raise ConfigError(f"attribute {attr_name!r} is not numeric")
         if attr_name in table.bins:
             raise ConfigError(f"attribute {attr_name!r} is already discretized")
-        column = table.column(attr_name)
-        present = [float(v) for v in column if v is not None]
+        values = table.numeric(attr_name)
+        missing = np.isnan(values)
+        present = values[~missing].tolist()
         if isinstance(how, int):
             if not present:
                 warnings.warn(
@@ -324,23 +401,13 @@ def discretize(table: CaseTable, spec: dict[str, int | list[float]]) -> CaseTabl
                     f"boundaries for {attr_name!r} are not strictly increasing"
                 )
         labels = _bin_labels(bounds, present) if present else []
-        replacements[attr_name] = [
-            MISSING_LABEL if v is None else labels[bin_index(bounds, float(v))]
-            for v in column
-        ]
-        new_bins[attr_name] = bounds
-        new_raw[attr_name] = [None if v is None else float(v) for v in column]
+        labels.append(MISSING_LABEL)
+        bin_of = np.searchsorted(np.asarray(bounds, dtype=np.float64), values)
+        bin_of[missing] = len(labels) - 1
+        columns[attr_name] = [labels[i] for i in bin_of.tolist()]
+        bins[attr_name] = bounds
+        raw[attr_name] = values
 
-    new_rows = []
-    for i, rec in enumerate(table.rows):
-        features = dict(rec.features)
-        for attr_name, labels in replacements.items():
-            features[attr_name] = labels[i]
-        new_rows.append(CaseRecord(rec.case_id, features, rec.outcome))
     return CaseTable(
-        schema=list(table.schema),
-        rows=new_rows,
-        outcome_name=table.outcome_name,
-        bins=new_bins,
-        raw_numeric=new_raw,
+        table.schema, table.outcome_name, table.case_ids, table.outcome, columns, bins, raw
     )

@@ -69,15 +69,11 @@ class EventLog:
     traces: list[Trace]
 
     def __post_init__(self):
-        ids = [t.case_id for t in self.traces]
-        if len(set(ids)) != len(ids):
-            seen, dup = set(), None
-            for cid in ids:
-                if cid in seen:
-                    dup = cid
-                    break
-                seen.add(cid)
-            raise ValueError(f"duplicate case_id in event log: {dup!r}")
+        seen: set[str] = set()
+        for trace in self.traces:
+            if trace.case_id in seen:
+                raise ValueError(f"duplicate case_id in event log: {trace.case_id!r}")
+            seen.add(trace.case_id)
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -151,6 +147,7 @@ class _XesBuilder:
         # because the trace's concept:name may come after its events.
         self._trace_events: list[tuple[str, datetime, dict[str, AttrValue]]] | None = None
         self._trace_index = 0
+        self._case_ids: set[str] = set()
         self._event_attrs: dict[str, AttrValue] | None = None
         self._event_activity: str | None = None
         self._event_timestamp: datetime | None = None
@@ -191,9 +188,10 @@ class _XesBuilder:
         self._depth_stack.pop()
         if local == "event":
             trace_name = self._trace_attrs.get(XES_ACTIVITY_KEY, f"#{self._trace_index}")
-            if self._event_activity is None:
+            if not self._event_activity:
                 raise LogParseError(
-                    f"event without {XES_ACTIVITY_KEY!r} in trace {trace_name!r}"
+                    f"event without {XES_ACTIVITY_KEY!r} or with an empty one "
+                    f"in trace {trace_name!r}"
                 )
             if self._event_timestamp is None:
                 raise LogParseError(
@@ -205,6 +203,11 @@ class _XesBuilder:
             self._event_attrs = None
         elif local == "trace":
             case_id = str(self._trace_attrs.get(XES_ACTIVITY_KEY, f"trace_{self._trace_index}"))
+            if not case_id or case_id in self._case_ids:
+                raise LogParseError(
+                    f"trace #{self._trace_index}: empty or duplicate case id {case_id!r}"
+                )
+            self._case_ids.add(case_id)
             pending = sorted(self._trace_events, key=lambda item: item[1])
             events = [
                 Event(activity=act, case_id=case_id, timestamp=ts, attributes=attrs)
@@ -318,10 +321,15 @@ def parse_csv(source, columns: CsvColumns | None = None) -> EventLog:
             if name not in index:
                 raise SchemaError(f"mapped CSV column not found: {name!r}")
 
+    n_cells = 1 + max(index[c] for c in (columns.case_id, columns.activity, columns.timestamp))
     by_case: dict[str, list[Event]] = {}
     for row_no, row in enumerate(reader, start=1):
         if not row or all(cell == "" for cell in row):
             continue
+        if len(row) < n_cells:
+            raise LogParseError(
+                f"row {row_no}: {len(row)} cells, expected at least {n_cells}", row=row_no
+            )
         case_id = row[index[columns.case_id]].strip()
         if not case_id:
             raise LogParseError(f"row {row_no}: empty case id", row=row_no)

@@ -12,8 +12,9 @@ import json
 import logging
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+
+import numpy as np
 
 from . import __version__
 from .actionrules import (
@@ -23,10 +24,10 @@ from .actionrules import (
     mine_action_rules,
     save_rules,
 )
-from .casetable import MISSING_LABEL, NUMERIC, AttributeSchema, CaseRecord, CaseTable
+from .casetable import MISSING_LABEL, NUMERIC, AttributeSchema, CaseTable
 from .casetable import discretize, encode_cases
 from .config import PipelineConfig, config_to_dict, save_config
-from .errors import ConfigError, LogParseError, PositivityError
+from .errors import ConfigError, LogParseError, PositivityError, SchemaError
 from .logparse import parse_csv, parse_xes, write_csv
 from .ranking import rank, write_recommendations
 from .synthetic import OUTCOME, SyntheticScenario, generate, naive_pooled_uplift
@@ -80,12 +81,14 @@ def _update_manifest(config: PipelineConfig, stage: str, info: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def table_to_dict(table: CaseTable) -> dict:
+    names = table.attribute_names
+    columns = [table.column(name) for name in names]
     return {
         "schema": [asdict(a) for a in table.schema],
         "outcome": table.outcome_name,
         "rows": [
-            {"case_id": r.case_id, "features": r.features, "outcome": r.outcome}
-            for r in table.rows
+            {"case_id": case_id, "features": dict(zip(names, values)), "outcome": y}
+            for case_id, y, *values in zip(table.case_ids, table.outcomes(), *columns)
         ],
         "bins": table.bins,
         "raw_numeric": table.raw_numeric,
@@ -94,36 +97,44 @@ def table_to_dict(table: CaseTable) -> dict:
 
 def table_from_dict(payload: dict) -> CaseTable:
     schema = [AttributeSchema(**entry) for entry in payload["schema"]]
-    rows = [
-        CaseRecord(r["case_id"], r["features"], r["outcome"]) for r in payload["rows"]
-    ]
+    rows = payload["rows"]
+    features = [r["features"] for r in rows]
+    try:
+        columns = {a.name: [f[a.name] for f in features] for a in schema}
+    except KeyError as exc:
+        raise SchemaError(f"case table rows lack attribute {exc.args[0]!r}") from None
     return CaseTable(
-        schema=schema,
-        rows=rows,
-        outcome_name=payload["outcome"],
-        bins={name: list(bounds) for name, bounds in payload["bins"].items()},
-        raw_numeric=payload["raw_numeric"],
+        schema,
+        payload["outcome"],
+        [r["case_id"] for r in rows],
+        [r["outcome"] for r in rows],
+        columns,
+        payload["bins"],
+        payload["raw_numeric"],
     )
 
 
 def _summarize_table(table: CaseTable) -> str:
-    positives = sum(table.outcomes())
+    positives = int(table.outcome.sum())
     lines = [
         f"cases: {len(table)}",
         f"outcome {table.outcome_name}: {positives} positive, "
         f"{len(table) - positives} negative",
     ]
     for attr in table.schema:
-        column = table.column(attr.name)
-        missing = sum(1 for v in column if v is None or v == MISSING_LABEL)
-        if attr.kind == NUMERIC and attr.name not in table.bins:
+        name = attr.name
+        if name in table.bins:
+            shape = f"numeric, {len(table.bins[name]) + 1} bins"
+            missing = table.equals(name, MISSING_LABEL).sum()
+        elif attr.kind == NUMERIC:
             shape = "numeric (not binned)"
-        elif attr.name in table.bins:
-            shape = f"numeric, {len(table.bins[attr.name]) + 1} bins"
+            missing = np.isnan(table.numeric(name)).sum()
         else:
-            shape = f"categorical, {len(table.labels(attr.name))} labels"
+            codes, labels = table.coded(name)
+            shape = f"categorical, {len(labels)} labels"
+            missing = (codes == -1).sum()
         role = "controllable" if attr.controllable else "stable"
-        lines.append(f"  {attr.name}: {shape}, {role}, {missing} missing")
+        lines.append(f"  {name}: {shape}, {role}, {missing} missing")
     return "\n".join(lines) + "\n"
 
 
@@ -163,24 +174,44 @@ def stage_ingest(config: PipelineConfig) -> dict:
     return info
 
 
+# treatments.txt holds one treatment per line, written as Treatment.key but
+# with a backslash before every "\", ":", "&" and "->" inside a name or label,
+# and line breaks written as \n and \r.
+_KEY_SPECIAL = re.compile(r"[\\:&\n\r]|->")
+_KEY_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+_LINE_BREAKS = {"\n": "n", "\r": "r"}
+_UNESCAPES = {"n": "\n", "r": "\r"}
+_KEY_FIELD = r"((?:\\.|[^\\:&-]|-(?!>))+)"
+_KEY_TERM = re.compile(f"{_KEY_FIELD}:{_KEY_FIELD}->{_KEY_FIELD}", re.DOTALL)
+_KEY = re.compile(f"{_KEY_TERM.pattern}(?:&{_KEY_TERM.pattern})*", re.DOTALL)
+
+
+def _escape(text: str) -> str:
+    return _KEY_SPECIAL.sub(lambda m: "\\" + _LINE_BREAKS.get(m[0], m[0]), text)
+
+
+def _unescape(text: str) -> str:
+    return _KEY_ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[1]), text)
+
+
 def save_treatments(treatments, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for treatment in treatments:
-            fh.write(treatment.key + "\n")
+            terms = (
+                f"{_escape(t.attribute)}:{_escape(t.from_value)}->{_escape(t.to_value)}"
+                for t in treatment.changes
+            )
+            fh.write("&".join(terms) + "\n")
 
 
 def parse_treatment_key(key: str) -> Treatment:
-    """Inverse of Treatment.key; ':', '->' and '&' act as delimiters, so
-    they cannot occur inside attribute names or labels here."""
-    changes = []
-    for part in key.split("&"):
-        attr, colon, change = part.partition(":")
-        from_value, arrow, to_value = change.partition("->")
-        if not (attr and colon and arrow and from_value and to_value):
-            raise ConfigError(
-                f"malformed treatment term {part!r}; expected attribute:from->to"
-            )
-        changes.append(AtomicActionTerm(attr, from_value, to_value))
+    """Inverse of a save_treatments line: only unescaped ':', '->' and '&'
+    delimit, so any attribute name or label reads back unchanged."""
+    if not _KEY.fullmatch(key):
+        raise ConfigError(f"malformed treatment {key!r}; expected attribute:from->to")
+    changes = [
+        AtomicActionTerm(*map(_unescape, m.groups())) for m in _KEY_TERM.finditer(key)
+    ]
     try:
         return Treatment(tuple(changes))
     except ValueError as exc:
@@ -188,13 +219,8 @@ def parse_treatment_key(key: str) -> Treatment:
 
 
 def load_treatments(path) -> list[Treatment]:
-    treatments = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                treatments.append(parse_treatment_key(line))
-    return treatments
+        return [parse_treatment_key(line.rstrip("\n")) for line in fh if line.strip()]
 
 
 def stage_mine(config: PipelineConfig) -> dict:
@@ -234,51 +260,29 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
         if name.endswith(".dot"):
             os.remove(os.path.join(trees_dir, name))
 
-    def grow(treatment: Treatment):
-        assignment = assign_groups(table, treatment)
-        tree = build_tree(table, assignment, config.tree)
-        return tree, extract_segments(tree, table, config.min_uplift)
-
-    grown = []
-    skipped = []
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(treatments)))) as pool:
-        futures = [(t, pool.submit(grow, t)) for t in treatments]
-        for treatment, future in futures:
-            try:
-                tree, segments = future.result()
-            except PositivityError as exc:
-                log.warning("skipping treatment %s: %s", treatment.key, exc)
-                skipped.append(treatment.key)
-                continue
-            grown.append((treatment, tree, segments))
-
     entries = []
-    for index, (treatment, tree, segments) in enumerate(grown):
-        dot_name = f"tree_{index:03d}_{_slug(treatment.key)}.dot"
+    skipped = []
+    for treatment in treatments:
+        try:
+            assignment = assign_groups(table, treatment)
+            tree = build_tree(table, assignment, config.tree)
+            segments = extract_segments(tree, table, config.min_uplift)
+        except PositivityError as exc:
+            log.warning("skipping treatment %s: %s", treatment.key, exc)
+            skipped.append(treatment.key)
+            continue
+        dot_name = f"tree_{len(entries):03d}_{_slug(treatment.key)}.dot"
         with open(os.path.join(trees_dir, dot_name), "w", encoding="utf-8") as fh:
             fh.write(to_dot(tree, title=treatment.key))
         entries.append(
             {
                 "key": treatment.key,
                 "changes": [
-                    {
-                        "attribute": term.attribute,
-                        "from": term.from_value,
-                        "to": term.to_value,
-                    }
-                    for term in treatment.changes
+                    {"attribute": t.attribute, "from": t.from_value, "to": t.to_value}
+                    for t in treatment.changes
                 ],
                 "tree_file": f"{TREES_DIR}/{dot_name}",
-                "segments": [
-                    {
-                        "conditions": [list(c) for c in seg.conditions],
-                        "uplift": seg.uplift,
-                        "n_treat": seg.n_treat,
-                        "n_ctrl": seg.n_ctrl,
-                        "n_reachable": seg.n_reachable,
-                    }
-                    for seg in segments
-                ],
+                "segments": [asdict(seg) for seg in segments],
             }
         )
     _write_json(
@@ -286,7 +290,7 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
         {"treatments": entries, "skipped": skipped},
     )
     info = {
-        "n_treatments": len(grown),
+        "n_treatments": len(entries),
         "n_skipped": len(skipped),
         "n_segments": sum(len(e["segments"]) for e in entries),
     }
@@ -312,15 +316,7 @@ def stage_rank(config: PipelineConfig) -> dict:
             )
         )
         segments = [
-            Segment(
-                conditions=tuple(
-                    (attr, op, value) for attr, op, value in s["conditions"]
-                ),
-                uplift=s["uplift"],
-                n_treat=s["n_treat"],
-                n_ctrl=s["n_ctrl"],
-                n_reachable=s["n_reachable"],
-            )
+            Segment(**{**s, "conditions": tuple(map(tuple, s["conditions"]))})
             for s in entry["segments"]
         ]
         pairs.append((treatment, segments))

@@ -67,17 +67,15 @@ def rank(
             raise ConfigError(f"no cost model for treatment {treatment.key}")
         for segment in segments:
             n = segment.n_reachable
-            value = n * segment.uplift * model.outcome_value
-            cost = n * model.impression_cost
-            net = value - cost
+            net = net_value(n, segment.uplift, model)
             out.append(
                 Recommendation(
                     treatment=treatment,
                     segment=segment,
                     n=n,
                     uplift=segment.uplift,
-                    incremental_value=value,
-                    incremental_cost=cost,
+                    incremental_value=n * segment.uplift * model.outcome_value,
+                    incremental_cost=n * model.impression_cost,
                     net=net,
                     unprofitable=net < 0,
                 )

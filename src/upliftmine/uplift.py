@@ -10,9 +10,9 @@ source values act as control, everything else is excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,14 +85,8 @@ def assign_groups(table: CaseTable, treatment: Treatment) -> TreatmentAssignment
     to_mask = np.ones(n, dtype=bool)
     from_mask = np.ones(n, dtype=bool)
     for term in treatment.changes:
-        attr = table.attribute(term.attribute)
-        if attr.kind == NUMERIC and term.attribute not in table.bins:
-            raise SchemaError(
-                f"treatment attribute {term.attribute!r} is not discretized"
-            )
-        column = np.array(table.column(term.attribute), dtype=object)
-        to_mask &= column == term.to_value
-        from_mask &= column == term.from_value
+        to_mask &= table.equals(term.attribute, term.to_value)
+        from_mask &= table.equals(term.attribute, term.from_value)
     # from_mask and to_mask are disjoint: every change has from != to.
     treated = np.flatnonzero(to_mask)
     control = np.flatnonzero(from_mask)
@@ -269,16 +263,6 @@ def normalization_from_counts(
     )
 
 
-def normalization(split: Split, parent: NodeStats, kind: str) -> float:
-    return normalization_from_counts(
-        len(split.left_treat),
-        len(split.left_ctrl),
-        parent.n_treat,
-        parent.n_ctrl,
-        kind,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Split search
 # ---------------------------------------------------------------------------
@@ -300,37 +284,6 @@ def _numeric_thresholds(values: np.ndarray) -> np.ndarray:
     return np.unique(picked)
 
 
-@dataclass
-class _NodeColumns:
-    """Per-feature value arrays for the node's treated and control rows."""
-
-    numeric: dict[str, tuple[np.ndarray, np.ndarray]]
-    categorical: dict[str, tuple[np.ndarray, np.ndarray]]
-
-
-def _feature_columns(
-    table: CaseTable, feature_names: list[str]
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Full-table value arrays: numeric features as float arrays with NaN for
-    missing (preferring pre-discretization values), others as object arrays."""
-    numeric: dict[str, np.ndarray] = {}
-    categorical: dict[str, np.ndarray] = {}
-    for name in feature_names:
-        attr = table.attribute(name)
-        if attr.kind == NUMERIC:
-            source = (
-                table.raw_numeric[name]
-                if name in table.raw_numeric
-                else table.column(name)
-            )
-            numeric[name] = np.array(
-                [np.nan if v is None else float(v) for v in source], dtype=float
-            )
-        else:
-            categorical[name] = np.array(table.column(name), dtype=object)
-    return numeric, categorical
-
-
 def best_split(
     table: CaseTable,
     treat_idx: np.ndarray,
@@ -338,7 +291,6 @@ def best_split(
     parent: NodeStats,
     params: TreeParams,
     feature_names: list[str],
-    columns: Optional[tuple[dict, dict]] = None,
 ) -> Optional[tuple[Split, float]]:
     """Deterministic scan over candidates, maximizing normalized gain.
 
@@ -348,12 +300,8 @@ def best_split(
     Returns None when no candidate clears the positivity and size
     constraints with a normalized gain above GAIN_EPS.
     """
-    numeric_cols, categorical_cols = (
-        columns if columns is not None else _feature_columns(table, feature_names)
-    )
-    outcomes = np.array(table.outcomes())
-    y_treat = outcomes[treat_idx]
-    y_ctrl = outcomes[ctrl_idx]
+    y_treat = table.outcome[treat_idx]
+    y_ctrl = table.outcome[ctrl_idx]
     kind = params.divergence
     best: Optional[tuple[Split, float]] = None
 
@@ -397,8 +345,8 @@ def best_split(
         best = (split, score)
 
     for attribute in sorted(feature_names):
-        if attribute in numeric_cols:
-            col = numeric_cols[attribute]
+        if table.attribute(attribute).kind == NUMERIC:
+            col = table.numeric(attribute)
             vt, vc = col[treat_idx], col[ctrl_idx]
             observed = np.concatenate([vt, vc])
             observed = observed[~np.isnan(observed)]
@@ -412,15 +360,15 @@ def best_split(
                         vt <= threshold, vc <= threshold,
                     )
         else:
-            col = categorical_cols[attribute]
-            vt, vc = col[treat_idx], col[ctrl_idx]
-            labels = sorted(
-                {v for v in vt if v is not None} | {v for v in vc if v is not None}
-            )
-            if len(labels) < 2:
+            codes, labels = table.coded(attribute)
+            ct, cc = codes[treat_idx], codes[ctrl_idx]
+            # Codes ascend with labels; -1 (missing) is no candidate.
+            present = np.unique(np.concatenate([ct, cc]))
+            present = present[present >= 0]
+            if present.size < 2:
                 continue
-            for label in labels:
-                consider(attribute, None, label, vt == label, vc == label)
+            for code in present.tolist():
+                consider(attribute, None, labels[code], ct == code, cc == code)
     return best
 
 
@@ -482,24 +430,21 @@ def build_tree(
         else set()
     )
     feature_names = [a.name for a in table.schema if a.name not in excluded_attrs]
-    columns = _feature_columns(table, feature_names)
-    outcomes = np.array(table.outcomes())
+    outcome = table.outcome
 
     def grow(treat_idx, ctrl_idx, parent: Optional[NodeStats], depth: int) -> Node:
         stats = node_stats(
             len(treat_idx),
-            int(outcomes[treat_idx].sum()),
+            int(outcome[treat_idx].sum()),
             len(ctrl_idx),
-            int(outcomes[ctrl_idx].sum()),
+            int(outcome[ctrl_idx].sum()),
             parent,
             params.n_reg,
         )
         node = Node(stats=stats, depth=depth)
         if depth >= params.max_depth or stats.n < params.min_samples_split:
             return node
-        found = best_split(
-            table, treat_idx, ctrl_idx, stats, params, feature_names, columns
-        )
+        found = best_split(table, treat_idx, ctrl_idx, stats, params, feature_names)
         if found is None:
             return node
         split, score = found
@@ -547,20 +492,15 @@ class Segment:
         return " and ".join(parts)
 
 
-def _condition_mask(
-    table: CaseTable, conditions, columns: tuple[dict, dict]
-) -> np.ndarray:
-    numeric_cols, categorical_cols = columns
+def _condition_mask(table: CaseTable, conditions) -> np.ndarray:
     mask = np.ones(len(table), dtype=bool)
     for attr, op, value in conditions:
         if op in ("<=", ">"):
-            col = numeric_cols[attr]
             with np.errstate(invalid="ignore"):
-                left = col <= value
+                left = table.numeric(attr) <= value
             mask &= left if op == "<=" else ~left
         else:
-            col = categorical_cols[attr]
-            eq = col == value
+            eq = table.equals(attr, value)
             mask &= eq if op == "==" else ~eq
     return mask
 
@@ -572,14 +512,13 @@ def extract_segments(
     counts every table row (treated, control, or excluded) the predicate
     matches, mirroring the tree's routing semantics (missing numeric values
     fall on the > side, missing labels on the != side)."""
-    columns = _feature_columns(table, tree.feature_names)
     segments = []
     for node, path in tree.leaves():
         uplift = node.stats.uplift
         if uplift < min_uplift:
             continue
         conditions = tuple(path)
-        reachable = int(_condition_mask(table, conditions, columns).sum())
+        reachable = int(_condition_mask(table, conditions).sum())
         segments.append(
             Segment(
                 conditions=conditions,

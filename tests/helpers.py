@@ -3,23 +3,21 @@
 import numpy as np
 
 from upliftmine.actionrules import AtomicActionTerm, Treatment
-from upliftmine.casetable import AttributeSchema, CaseRecord, CaseTable
+from upliftmine.casetable import AttributeSchema, CaseTable
 from upliftmine.uplift import TreeParams
 
 
 def make_table(attrs, rows, outcome_name="Y", bins=None, raw_numeric=None):
     """attrs: iterable of (name, kind, controllable); rows: (features, y)."""
     schema = [AttributeSchema(name, kind, controllable) for name, kind, controllable in attrs]
-    records = [
-        CaseRecord(f"c{i}", dict(features), outcome)
-        for i, (features, outcome) in enumerate(rows)
-    ]
     return CaseTable(
-        schema=schema,
-        rows=records,
-        outcome_name=outcome_name,
-        bins=bins or {},
-        raw_numeric=raw_numeric or {},
+        schema,
+        outcome_name,
+        [f"c{i}" for i in range(len(rows))],
+        [outcome for _, outcome in rows],
+        {a.name: [features[a.name] for features, _ in rows] for a in schema},
+        bins,
+        raw_numeric,
     )
 
 

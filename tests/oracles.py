@@ -21,7 +21,12 @@ def brute_force_classification_rules(
     max_len: int = 4,
 ):
     """All condition sets up to max_len meeting the minima, no pruning."""
-    rows = [(rec.features, rec.outcome) for rec in table.rows]
+    names = table.attribute_names
+    columns = [table.column(name) for name in names]
+    rows = [
+        (dict(zip(names, values)), outcome)
+        for outcome, *values in zip(table.outcomes(), *columns)
+    ]
     n = len(rows)
     attrs = sorted(table.attribute_names)
     values = {

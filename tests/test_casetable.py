@@ -2,12 +2,11 @@ import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from upliftmine.casetable import (
     AttributeSchema,
-    CaseRecord,
     CaseTable,
     MISSING_LABEL,
     discretize,
@@ -49,19 +48,18 @@ def test_encode_last_observed_value_and_count():
     )
     table = encode_cases(EventLog([trace]), BASE_SCHEMA, "Selected")
     assert len(table) == 1
-    rec = table.rows[0]
-    assert rec.features["LoanGoal"] == "Car"
-    assert rec.features["RequestedAmount"] == 12000.0
-    assert rec.features["NumberOfOffers"] == 3
-    assert rec.outcome == 1
-    assert "Selected" not in rec.features
+    assert table.column("LoanGoal") == ["Car"]
+    assert table.column("RequestedAmount") == [12000.0]
+    assert table.column("NumberOfOffers") == [3]
+    assert table.outcomes() == [1]
+    assert "Selected" not in table.attribute_names
 
 
 def test_encode_drops_cases_with_missing_outcome():
     with_outcome = make_trace("c1", ["A"], [{"Selected": "true"}])
     without = make_trace("c2", ["A"], [{"LoanGoal": "Car"}])
     table = encode_cases(EventLog([with_outcome, without]), BASE_SCHEMA, "Selected")
-    assert [r.case_id for r in table.rows] == ["c1"]
+    assert table.case_ids == ["c1"]
 
 
 def test_encode_all_outcomes_present_keeps_all_rows():
@@ -111,20 +109,31 @@ def test_encode_derived_last_value():
         [{"MonthlyCost": 250, "Selected": False}, {"MonthlyCost": 199}],
     )
     table = encode_cases(EventLog([trace]), schema, "Selected")
-    assert table.rows[0].features["FinalCost"] == 199.0
+    assert table.column("FinalCost") == [199.0]
+
+
+def test_literal_nan_cell_is_missing():
+    traces = [
+        make_trace("c1", ["A"], [{"RequestedAmount": "nan", "Selected": True}]),
+        make_trace("c2", ["A"], [{"RequestedAmount": 5, "Selected": False}]),
+    ]
+    table = encode_cases(EventLog(traces), BASE_SCHEMA, "Selected")
+    assert table.column("RequestedAmount") == [None, 5.0]
+    out = discretize(table, {"RequestedAmount": [3.0]})
+    assert out.column("RequestedAmount") == [MISSING_LABEL, ">3"]
+    assert out.raw_numeric["RequestedAmount"] == [None, 5.0]
 
 
 def _numeric_table(values, extra_attr=False):
     schema = [AttributeSchema("x", "numeric")]
     if extra_attr:
         schema.append(AttributeSchema("color", "categorical"))
-    rows = []
-    for i, v in enumerate(values):
-        features = {"x": v}
-        if extra_attr:
-            features["color"] = "red"
-        rows.append(CaseRecord(f"c{i}", features, i % 2))
-    return CaseTable(schema=schema, rows=rows, outcome_name="Selected")
+    columns = {"x": list(values)}
+    if extra_attr:
+        columns["color"] = ["red"] * len(values)
+    case_ids = [f"c{i}" for i in range(len(values))]
+    outcomes = [i % 2 for i in range(len(values))]
+    return CaseTable(schema, "Selected", case_ids, outcomes, columns)
 
 
 def test_equal_frequency_quartiles_split_evenly():
@@ -187,8 +196,8 @@ def test_discretize_preserves_rows_and_case_ids():
     table = _numeric_table([3.0, 1.0, None, 9.5, 2.25])
     out = discretize(table, {"x": 2})
     assert len(out) == len(table)
-    assert [r.case_id for r in out.rows] == [r.case_id for r in table.rows]
-    assert [r.outcome for r in out.rows] == [r.outcome for r in table.rows]
+    assert out.case_ids == table.case_ids
+    assert out.outcomes() == table.outcomes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -198,6 +207,7 @@ def test_discretize_preserves_rows_and_case_ids():
     ),
     k=st.integers(min_value=2, max_value=8),
 )
+@example(values=[0.0, -5e-324], k=2)
 def test_equal_frequency_distinct_value_balance(values, k):
     distinct = sorted(set(values))
     bounds = equal_frequency_bounds(values, k)
@@ -253,7 +263,7 @@ def test_encoding_survives_csv_round_trip(tmp_path_factory, event_log):
     write_csv(event_log, path)
     again = encode_cases(parse_csv(path.read_bytes()), RT_SCHEMA, "Won")
     assert len(again) == len(direct)
-    for a, b in zip(direct.rows, again.rows):
-        assert a.case_id == b.case_id
-        assert a.outcome == b.outcome
-        assert a.features == b.features
+    assert again.case_ids == direct.case_ids
+    assert again.outcomes() == direct.outcomes()
+    for name in direct.attribute_names:
+        assert again.column(name) == direct.column(name)

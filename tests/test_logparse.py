@@ -106,6 +106,30 @@ def test_parse_xes_bad_timestamp_reports_literal_text():
         parse_xes(doc)
 
 
+def test_parse_xes_empty_activity_names_trace():
+    doc = b"""<log><trace>
+      <string key="concept:name" value="c7"/>
+      <event>
+        <string key="concept:name" value=""/>
+        <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
+      </event>
+    </trace></log>"""
+    with pytest.raises(LogParseError, match="c7"):
+        parse_xes(doc)
+
+
+def test_parse_xes_duplicate_case_id_names_trace():
+    trace = b"""<trace>
+      <string key="concept:name" value="c3"/>
+      <event>
+        <string key="concept:name" value="A"/>
+        <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
+      </event>
+    </trace>"""
+    with pytest.raises(LogParseError, match="trace #2.*'c3'"):
+        parse_xes(b"<log>" + trace + trace + b"</log>")
+
+
 def test_parse_timestamp_accepts_z_suffix_and_offsets():
     z = parse_timestamp("2016-01-01T09:51:15.304Z")
     off = parse_timestamp("2016-01-01T10:51:15.304+01:00")
@@ -166,6 +190,17 @@ def test_parse_csv_empty_case_id_reports_row_number():
         b",apply,2020-05-01T00:00:00Z\n"
     )
     with pytest.raises(LogParseError) as err:
+        parse_csv(data)
+    assert err.value.row == 2
+
+
+def test_parse_csv_short_row_reports_row_and_cell_count():
+    data = (
+        b"case_id,activity,timestamp\n"
+        b"c1,apply,2020-05-01T00:00:00Z\n"
+        b"c2,apply\n"
+    )
+    with pytest.raises(LogParseError, match="expected at least 3") as err:
         parse_csv(data)
     assert err.value.row == 2
 

@@ -1,11 +1,16 @@
+import logging
 import os
 import shutil
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import make_table
 from upliftmine.actionrules import AtomicActionTerm, Treatment
+from upliftmine.casetable import MISSING_LABEL, AttributeSchema, CaseTable, discretize
 from upliftmine.cli import main
 from upliftmine.config import (
     PipelineConfig,
@@ -22,14 +27,19 @@ from upliftmine.pipeline import (
     SEGMENTS_FILE,
     TREATMENTS_FILE,
     TREES_DIR,
+    _summarize_table,
+    load_treatments,
     parse_treatment_key,
     run,
+    save_treatments,
     stage_ingest,
     stage_mine,
     stage_rank,
     stage_uplift,
+    table_from_dict,
+    table_to_dict,
 )
-from upliftmine.pipeline import _read_json
+from upliftmine.pipeline import _read_json, _write_json
 
 EIGHT_ROW_CSV = "case_id,activity,timestamp,S,F,Y\n" + "".join(
     f"c{i},apply,2020-01-01T00:00:{i:02d}Z,{s},{f},{y}\n"
@@ -249,6 +259,98 @@ def test_parse_treatment_key_round_trips():
             parse_treatment_key(bad)
 
 
+_text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+
+
+@st.composite
+def treatments(draw):
+    changes = []
+    for attr in draw(st.lists(_text, min_size=1, max_size=3, unique=True)):
+        from_value = draw(_text)
+        to_value = draw(_text.filter(lambda v: v != from_value))
+        changes.append(AtomicActionTerm(attr, from_value, to_value))
+    return Treatment(tuple(changes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(treatments(), max_size=4))
+def test_treatments_file_round_trips_any_treatment(tmp_path_factory, written):
+    path = tmp_path_factory.mktemp("treatments") / TREATMENTS_FILE
+    save_treatments(written, path)
+    assert load_treatments(path) == written
+
+
+def test_treatments_file_escapes_xes_names(tmp_path):
+    treatment = Treatment((AtomicActionTerm("org:resource", "User_1", "User_2"),))
+    path = tmp_path / TREATMENTS_FILE
+    save_treatments([treatment], path)
+    assert path.read_text(encoding="utf-8") == "org\\:resource:User_1->User_2\n"
+    assert load_treatments(path) == [treatment]
+    plain = Treatment((AtomicActionTerm("G", "[6-48]", "(1.5,2]"),))
+    save_treatments([plain], path)
+    assert path.read_text(encoding="utf-8") == plain.key + "\n"
+
+
+_label = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+_number = st.floats(allow_nan=False)
+
+
+@st.composite
+def case_tables(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))  # noqa: E731
+    schema = [
+        AttributeSchema("c", "categorical", controllable=True),
+        AttributeSchema("b", "numeric"),
+        AttributeSchema("x", "numeric", source="count", source_arg="act"),
+    ]
+    bounds = sorted(draw(st.sets(st.floats(allow_nan=False, allow_infinity=False), max_size=3)))
+    return CaseTable(
+        schema,
+        "Y",
+        column(_label),
+        column(st.integers(min_value=0, max_value=1)),
+        {
+            "c": column(st.one_of(st.none(), _label)),
+            "b": column(st.sampled_from([MISSING_LABEL, "[1-5]", ">5"])),
+            "x": column(st.one_of(st.none(), _number)),
+        },
+        {"b": bounds},
+        {"b": column(st.one_of(st.none(), _number))},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case_tables())
+def test_case_table_json_round_trip(tmp_path_factory, table):
+    out = tmp_path_factory.mktemp("case_table")
+    _write_json(out / "first.json", table_to_dict(table))
+    again = table_from_dict(_read_json(out / "first.json"))
+    for name in table.attribute_names:
+        assert again.column(name) == table.column(name)
+    assert again.case_ids == table.case_ids
+    assert again.outcomes() == table.outcomes()
+    assert again.bins == table.bins
+    assert again.raw_numeric == table.raw_numeric
+    _write_json(out / "second.json", table_to_dict(again))
+    assert (out / "second.json").read_bytes() == (out / "first.json").read_bytes()
+
+
+def test_summary_counts_missing_values_not_missing_labels():
+    table = make_table(
+        [("c", "categorical", False), ("b", "numeric", False), ("x", "numeric", False)],
+        [
+            ({"c": MISSING_LABEL, "b": 1.0, "x": None}, 0),
+            ({"c": None, "b": None, "x": 2.0}, 1),
+            ({"c": "a", "b": 3.0, "x": 3.0}, 0),
+        ],
+    )
+    summary = _summarize_table(discretize(table, {"b": 2}))
+    assert "  c: categorical, 2 labels, stable, 1 missing\n" in summary
+    assert "  b: numeric, 2 bins, stable, 1 missing\n" in summary
+    assert "  x: numeric (not binned), stable, 1 missing\n" in summary
+
+
 SCENARIO_YAML = """\
 n_cases: 2000
 seed: 11
@@ -314,3 +416,17 @@ def test_cli_exit_codes(tmp_path, eight_row_config):
     assert (tmp_path / "cli_out" / CASE_TABLE_FILE).exists()
 
     assert main(["mine", "--config", str(ok_config), "--out", str(tmp_path / "empty")]) == 1
+
+
+def test_cli_short_csv_row_is_a_data_error(tmp_path, caplog):
+    (tmp_path / "log.csv").write_text(
+        "case_id,activity,timestamp,S,F,Y\nc1,apply\n", encoding="utf-8"
+    )
+    raw = minimal_raw(tmp_path)
+    raw["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["ingest", "--config", str(config)]) == 2
+    assert "row 1" in caplog.text
+    assert "unexpected failure" not in caplog.text

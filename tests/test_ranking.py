@@ -82,6 +82,17 @@ def test_rank_breaks_net_ties_by_uplift():
     assert recs[0].net == recs[1].net == 60.0
 
 
+def test_rank_net_is_net_value_bit_for_bit():
+    rng = random.Random(20261017)
+    for _ in range(2000):
+        n = rng.randrange(0, 100_000)
+        model = CostModel(
+            outcome_value=rng.uniform(0.0, 100.0), impression_cost=rng.uniform(0.0, 10.0)
+        )
+        (rec,) = rank([(treat("F"), [seg(rng.uniform(-1.0, 1.0), n)])], default_model=model)
+        assert rec.net.hex() == net_value(n, rec.uplift, model).hex()
+
+
 def test_rank_requires_a_cost_model():
     with pytest.raises(ConfigError, match="F:a->b"):
         rank([(treat("F"), [seg(0.1, 10)])])

@@ -120,5 +120,5 @@ def test_generated_log_encodes_cleanly():
     assert table.attribute(TREATMENT_ATTR).controllable
     assert not table.attribute(CONFOUNDER).controllable
     assert set(table.labels(SUBGROUP)) == {"0", "1"}
-    treated = sum(1 for row in table.rows if row.features[TREATMENT_ATTR] == "1")
+    treated = sum(1 for value in table.column(TREATMENT_ATTR) if value == "1")
     assert 0.4 < treated / 500 < 0.6
