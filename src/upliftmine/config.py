@@ -3,12 +3,13 @@ into the run manifest so a run can be reproduced from its artifacts."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
 import yaml
 
-from .casetable import DEFAULT_POSITIVE_LABELS, AttributeSchema
+from .casetable import DEFAULT_POSITIVE_LABELS, NUMERIC, AttributeSchema
 from .errors import ConfigError, SchemaError
 from .logparse import CsvColumns
 from .ranking import CostModel
@@ -64,9 +65,28 @@ class PipelineConfig:
             raise ConfigError(
                 f"outcome {self.outcome!r} is not among the declared attributes"
             )
-        for attr in self.bins:
-            if attr not in names:
-                raise ConfigError(f"bins configured for undeclared attribute {attr!r}")
+        numeric = {a.name for a in self.attributes if a.kind == NUMERIC} - {self.outcome}
+        for attr, how in self.bins.items():
+            if attr not in numeric:
+                raise ConfigError(
+                    f"bins configured for {attr!r}, which is not a declared "
+                    "numeric feature"
+                )
+            if not _is_bin_spec(how):
+                raise ConfigError(
+                    f"bins for {attr!r} must be a bin count >= 2 or a list of "
+                    f"finite boundaries, got {how!r}"
+                )
+
+
+def _is_bin_spec(how) -> bool:
+    """An equal-frequency bin count (an int >= 2) or a list of finite boundaries."""
+    if isinstance(how, list):
+        return all(
+            isinstance(b, (int, float)) and not isinstance(b, bool) and math.isfinite(b)
+            for b in how
+        )
+    return isinstance(how, int) and not isinstance(how, bool) and how >= 2
 
 
 def _section(raw, name: str) -> dict:

@@ -8,6 +8,7 @@ either way. Artifacts are plain text or JSON to stay diff-able.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -50,14 +51,27 @@ PIPELINE_CONFIG_FILE = "pipeline.yaml"
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    """Write payload to a temporary file beside path, then rename it over
+    path: readers never see a partial file, and a failed write leaves the
+    old one untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _require_artifact(out_dir: str, filename: str, producer: str) -> str:
@@ -81,37 +95,33 @@ def _update_manifest(config: PipelineConfig, stage: str, info: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def table_to_dict(table: CaseTable) -> dict:
-    names = table.attribute_names
-    columns = [table.column(name) for name in names]
     return {
         "schema": [asdict(a) for a in table.schema],
         "outcome": table.outcome_name,
-        "rows": [
-            {"case_id": case_id, "features": dict(zip(names, values)), "outcome": y}
-            for case_id, y, *values in zip(table.case_ids, table.outcomes(), *columns)
-        ],
+        "case_ids": table.case_ids,
+        "outcomes": table.outcomes(),
+        "columns": {name: table.column(name) for name in table.attribute_names},
         "bins": table.bins,
         "raw_numeric": table.raw_numeric,
     }
 
 
 def table_from_dict(payload: dict) -> CaseTable:
-    schema = [AttributeSchema(**entry) for entry in payload["schema"]]
-    rows = payload["rows"]
-    features = [r["features"] for r in rows]
     try:
-        columns = {a.name: [f[a.name] for f in features] for a in schema}
-    except KeyError as exc:
-        raise SchemaError(f"case table rows lack attribute {exc.args[0]!r}") from None
-    return CaseTable(
-        schema,
-        payload["outcome"],
-        [r["case_id"] for r in rows],
-        [r["outcome"] for r in rows],
-        columns,
-        payload["bins"],
-        payload["raw_numeric"],
-    )
+        return CaseTable(
+            [AttributeSchema(**entry) for entry in payload["schema"]],
+            payload["outcome"],
+            payload["case_ids"],
+            payload["outcomes"],
+            payload["columns"],
+            payload["bins"],
+            payload["raw_numeric"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(
+            f"{CASE_TABLE_FILE} is not a case table of this version ({exc!r}); "
+            "re-run ingest"
+        ) from None
 
 
 def _summarize_table(table: CaseTable) -> str:

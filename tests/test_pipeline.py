@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 import shutil
@@ -18,7 +19,7 @@ from upliftmine.config import (
     config_to_dict,
     load_config,
 )
-from upliftmine.errors import ConfigError
+from upliftmine.errors import ConfigError, SchemaError
 from upliftmine.pipeline import (
     CASE_TABLE_FILE,
     MANIFEST_FILE,
@@ -109,6 +110,14 @@ def test_config_defaults(tmp_path):
     assert config.cost.impression_cost == 0.0
 
 
+def _bins_on_v(how):
+    def mutate(raw):
+        raw["attributes"].append({"name": "V", "kind": "numeric"})
+        raw["bins"] = {"V": how}
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -124,6 +133,16 @@ def test_config_defaults(tmp_path):
         lambda raw: raw.update(cost={"outcome_value": -2.0}),
         lambda raw: raw.update(min_uplift="lots"),
         lambda raw: raw.update(attributes=[]),
+        lambda raw: raw.update(bins={"S": 3}),
+        lambda raw: (raw["attributes"][2].update(kind="numeric"), raw.update(bins={"Y": 3})),
+        _bins_on_v("12"),
+        _bins_on_v(4.5),
+        _bins_on_v(True),
+        _bins_on_v(1),
+        _bins_on_v(None),
+        _bins_on_v([1.0, "2"]),
+        _bins_on_v([False, 1.0]),
+        _bins_on_v([1.0, float("nan")]),
     ],
 )
 def test_config_validation(tmp_path, mutate):
@@ -131,6 +150,13 @@ def test_config_validation(tmp_path, mutate):
     mutate(raw)
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("how", [2, 7, [], [1, 2.5]])
+def test_config_accepts_bin_counts_and_boundaries(tmp_path, how):
+    raw = minimal_raw(tmp_path)
+    _bins_on_v(how)(raw)
+    assert config_from_dict(raw).bins == {"V": how}
 
 
 def test_config_dict_round_trip(tmp_path):
@@ -168,7 +194,19 @@ def test_run_produces_all_artifacts(eight_row_config):
     info = run(eight_row_config)
     out = Path(eight_row_config.out_dir)
 
-    assert (out / CASE_TABLE_FILE).exists()
+    schema = {"controllable": False, "source": "raw", "source_arg": None}
+    assert _read_json(out / CASE_TABLE_FILE) == {
+        "schema": [
+            {**schema, "name": "S", "kind": "categorical"},
+            {**schema, "name": "F", "kind": "categorical", "controllable": True},
+        ],
+        "outcome": "Y",
+        "case_ids": [f"c{i}" for i in range(8)],
+        "outcomes": [0, 0, 0, 1, 1, 1, 1, 0],
+        "columns": {"S": list("xxxxxxyy"), "F": list("aaabbbab")},
+        "bins": {},
+        "raw_numeric": {},
+    }
     assert "cases: 8" in (out / "case_table_summary.txt").read_text(encoding="utf-8")
     assert (out / RULES_FILE).read_text(encoding="utf-8") == RULE_LINE + "\n"
     assert (out / TREATMENTS_FILE).read_text(encoding="utf-8") == "F:a->b\n"
@@ -336,6 +374,24 @@ def test_case_table_json_round_trip(tmp_path_factory, table):
     assert (out / "second.json").read_bytes() == (out / "first.json").read_bytes()
 
 
+def test_case_table_without_a_key_is_a_schema_error(tmp_path):
+    table = make_table([("c", "categorical", False)], [({"c": "a"}, 1)])
+    payload = table_to_dict(table)
+    for key in payload:
+        with pytest.raises(SchemaError, match="case_table.json.*re-run ingest"):
+            table_from_dict({k: v for k, v in payload.items() if k != key})
+
+
+def test_write_json_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "artifact.json"
+    _write_json(path, {"x": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        _write_json(path, {"x": object()})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact.json"]
+
+
 def test_summary_counts_missing_values_not_missing_labels():
     table = make_table(
         [("c", "categorical", False), ("b", "numeric", False), ("x", "numeric", False)],
@@ -429,4 +485,35 @@ def test_cli_short_csv_row_is_a_data_error(tmp_path, caplog):
     with caplog.at_level(logging.ERROR):
         assert main(["ingest", "--config", str(config)]) == 2
     assert "row 1" in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+def _row_layout(path: Path) -> bytes:
+    """The case table as versions before the columnar layout wrote it."""
+    payload = _read_json(path)
+    columns = payload.pop("columns")
+    payload["rows"] = [
+        {"case_id": case_id, "features": {n: v[i] for n, v in columns.items()}, "outcome": y}
+        for i, (case_id, y) in enumerate(zip(payload.pop("case_ids"), payload.pop("outcomes")))
+    ]
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_row_layout, lambda path: path.read_bytes()[:100], lambda path: b"\xff\xfe{}"],
+    ids=["row-layout", "truncated", "not-utf8"],
+)
+def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corrupt):
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    raw = minimal_raw(tmp_path)
+    raw["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 0
+    path = tmp_path / "out" / CASE_TABLE_FILE
+    path.write_bytes(corrupt(path))
+    with caplog.at_level(logging.ERROR):
+        assert main(["mine", "--config", str(config)]) == 2
+    assert CASE_TABLE_FILE in caplog.text
     assert "unexpected failure" not in caplog.text
