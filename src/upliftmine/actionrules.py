@@ -316,19 +316,20 @@ _LINE_RE = re.compile(
 def _check_printable(text: str, what: str, reserved: tuple[str, ...]) -> str:
     for token in reserved:
         if token in text:
-            raise ValueError(
-                f"{what} {text!r} contains the reserved sequence {token!r}"
+            raise SchemaError(
+                f"{what} {text!r} contains {token!r}, which the rule format reserves"
             )
     return text
 
 
 def format_term(term: AtomicActionTerm) -> str:
     attr = _check_printable(term.attribute, "attribute", _ATTR_RESERVED)
+    what = f"attribute {attr!r}: label"
     if term.is_stable:
-        return f"({attr}: {_check_printable(term.from_value, 'label', _LABEL_RESERVED)})"
+        return f"({attr}: {_check_printable(term.from_value, what, _LABEL_RESERVED)})"
     return (
-        f"({attr}: {_check_printable(term.from_value, 'label', _LABEL_RESERVED)}"
-        f" → {_check_printable(term.to_value, 'label', _LABEL_RESERVED)})"
+        f"({attr}: {_check_printable(term.from_value, what, _LABEL_RESERVED)}"
+        f" → {_check_printable(term.to_value, what, _LABEL_RESERVED)})"
     )
 
 

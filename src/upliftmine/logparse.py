@@ -151,7 +151,6 @@ class _XesBuilder:
         self._event_attrs: dict[str, AttrValue] | None = None
         self._event_activity: str | None = None
         self._event_timestamp: datetime | None = None
-        self._depth_stack: list[str] = []
 
     def start(self, name: str, attrs: dict[str, str]):
         local = name.rsplit(":", 1)[-1]
@@ -181,11 +180,9 @@ class _XesBuilder:
                     self._event_attrs[key] = _coerce_xes_value(local, value)
             else:
                 self._trace_attrs[key] = _coerce_xes_value(local, value)
-        self._depth_stack.append(local)
 
     def end(self, name: str):
         local = name.rsplit(":", 1)[-1]
-        self._depth_stack.pop()
         if local == "event":
             trace_name = self._trace_attrs.get(XES_ACTIVITY_KEY, f"#{self._trace_index}")
             if not self._event_activity:

@@ -50,20 +50,25 @@ GROUND_TRUTH_FILE = "ground_truth.json"
 PIPELINE_CONFIG_FILE = "pipeline.yaml"
 
 
-def _write_json(path, payload) -> None:
-    """Write payload to a temporary file beside path, then rename it over
-    path: readers never see a partial file, and a failed write leaves the
-    old one untouched."""
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temporary path beside path and rename it over path once the
+    block has written it: readers never see a partial artifact, and a failed
+    write leaves the old one untouched."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _write_json(path, payload) -> None:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
 
 
 def _read_json(path):
@@ -170,9 +175,8 @@ def stage_ingest(config: PipelineConfig) -> dict:
     if config.bins:
         table = discretize(table, config.bins)
     _write_json(os.path.join(config.out_dir, CASE_TABLE_FILE), table_to_dict(table))
-    with open(
-        os.path.join(config.out_dir, CASE_SUMMARY_FILE), "w", encoding="utf-8"
-    ) as fh:
+    summary_path = os.path.join(config.out_dir, CASE_SUMMARY_FILE)
+    with _replacing(summary_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(_summarize_table(table))
     info = {
         "n_events": event_log.n_events,
@@ -242,9 +246,11 @@ def stage_mine(config: PipelineConfig) -> dict:
         config.rules.min_confidence,
         config.rules.max_antecedent_len,
     )
-    save_rules(rules, os.path.join(config.out_dir, RULES_FILE))
+    with _replacing(os.path.join(config.out_dir, RULES_FILE)) as tmp:
+        save_rules(rules, tmp)
     treatments = extract_treatments(rules)
-    save_treatments(treatments, os.path.join(config.out_dir, TREATMENTS_FILE))
+    with _replacing(os.path.join(config.out_dir, TREATMENTS_FILE)) as tmp:
+        save_treatments(treatments, tmp)
     info = {"n_rules": len(rules), "n_treatments": len(treatments)}
     _update_manifest(config, "mine", info)
     log.info("mine: %d rules, %d treatments", len(rules), len(treatments))
@@ -282,7 +288,8 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
             skipped.append(treatment.key)
             continue
         dot_name = f"tree_{len(entries):03d}_{_slug(treatment.key)}.dot"
-        with open(os.path.join(trees_dir, dot_name), "w", encoding="utf-8") as fh:
+        dot_path = os.path.join(trees_dir, dot_name)
+        with _replacing(dot_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write(to_dot(tree, title=treatment.key))
         entries.append(
             {
@@ -333,9 +340,8 @@ def stage_rank(config: PipelineConfig) -> dict:
     recommendations = rank(
         pairs, cost_models=config.cost_overrides, default_model=config.cost
     )
-    write_recommendations(
-        recommendations, os.path.join(config.out_dir, RECOMMENDATIONS_FILE)
-    )
+    with _replacing(os.path.join(config.out_dir, RECOMMENDATIONS_FILE)) as tmp:
+        write_recommendations(recommendations, tmp)
     info = {
         "n_recommendations": len(recommendations),
         "n_unprofitable": sum(1 for r in recommendations if r.unprofitable),
@@ -364,7 +370,8 @@ def stage_simulate(scenario: SyntheticScenario, out_dir: str) -> dict:
     pipeline config, so `run` on that config consumes the simulated log."""
     os.makedirs(out_dir, exist_ok=True)
     event_log, effects = generate(scenario)
-    write_csv(event_log, os.path.join(out_dir, SCENARIO_LOG_FILE))
+    with _replacing(os.path.join(out_dir, SCENARIO_LOG_FILE)) as tmp:
+        write_csv(event_log, tmp)
     _write_json(
         os.path.join(out_dir, GROUND_TRUTH_FILE),
         {
@@ -379,7 +386,8 @@ def stage_simulate(scenario: SyntheticScenario, out_dir: str) -> dict:
         attributes=scenario.schema(),
         out_dir=".",
     )
-    save_config(config, os.path.join(out_dir, PIPELINE_CONFIG_FILE))
+    with _replacing(os.path.join(out_dir, PIPELINE_CONFIG_FILE)) as tmp:
+        save_config(config, tmp)
     info = {"n_cases": scenario.n_cases, "out_dir": out_dir}
     log.info("simulate: %d cases -> %s", scenario.n_cases, out_dir)
     return info

@@ -210,21 +210,37 @@ def node_stats(
 
 @dataclass(frozen=True)
 class Split:
-    """A binary test: numeric rows go left iff value <= threshold (missing
-    goes right); categorical rows go left iff label == category."""
+    """A binary test on one attribute, numeric (threshold) or categorical
+    (category); goes_left is the one place rows are routed."""
 
     attribute: str
     threshold: Optional[float]
     category: Optional[str]
-    left_treat: np.ndarray
-    right_treat: np.ndarray
-    left_ctrl: np.ndarray
-    right_ctrl: np.ndarray
+
+    def goes_left(self, table: CaseTable, rows: np.ndarray) -> np.ndarray:
+        """Numeric rows go left iff value <= threshold, so missing values go
+        right; categorical rows go left iff label == category, so missing
+        labels go right."""
+        if self.threshold is not None:
+            with np.errstate(invalid="ignore"):
+                return table.numeric(self.attribute)[rows] <= self.threshold
+        return table.equals(self.attribute, self.category)[rows]
+
+    def condition(self, left: bool) -> tuple[str, str, object]:
+        """The (attribute, op, value) condition of one side of the test."""
+        if self.threshold is not None:
+            return (self.attribute, "<=" if left else ">", self.threshold)
+        return (self.attribute, "==" if left else "!=", self.category)
 
     def describe(self) -> str:
-        if self.threshold is not None:
-            return f"{self.attribute} <= {self.threshold:g}"
-        return f"{self.attribute} == {self.category}"
+        return _condition_text(*self.condition(left=True))
+
+
+def _condition_text(attribute: str, op: str, value) -> str:
+    """One (attribute, op, value) condition as printed in DOT and segments."""
+    if op in ("<=", ">"):
+        return f"{attribute} {op} {value:g}"
+    return f"{attribute} {op} {value}"
 
 
 def gain(parent: NodeStats, left: NodeStats, right: NodeStats, kind: str) -> float:
@@ -284,6 +300,50 @@ def _numeric_thresholds(values: np.ndarray) -> np.ndarray:
     return np.unique(picked)
 
 
+def _numeric_counts(values: np.ndarray, outcome: np.ndarray, thresholds: np.ndarray):
+    """Rows with value <= t, and their positives, for every threshold t, read
+    off one sort and a prefix sum; NaN sorts last, so missing values are
+    never counted."""
+    order = np.argsort(values)
+    positives = np.concatenate(([0], np.cumsum(outcome[order], dtype=np.int64)))
+    n_left = np.searchsorted(values[order], thresholds, side="right")
+    return n_left, positives[n_left]
+
+
+def _label_counts(codes: np.ndarray, outcome: np.ndarray, n_labels: int):
+    """Rows with each label code, and their positives; missing (-1) rows are
+    never counted."""
+    shifted = codes + 1
+    n = np.bincount(shifted, minlength=n_labels + 1)[1:]
+    positives = np.bincount(shifted[outcome == 1], minlength=n_labels + 1)[1:]
+    return n, positives
+
+
+def _candidates(table: CaseTable, treat_idx, ctrl_idx, feature_names):
+    """(attribute, threshold, category, left treated, their positives, left
+    control, their positives) of every candidate split, in scan order."""
+    groups = [(rows, table.outcome[rows]) for rows in (treat_idx, ctrl_idx)]
+    for attribute in sorted(feature_names):
+        if table.attribute(attribute).kind == NUMERIC:
+            col = table.numeric(attribute)
+            observed = col[np.concatenate([treat_idx, ctrl_idx])]
+            thresholds = _numeric_thresholds(observed[~np.isnan(observed)])
+            tests = [(t, None) for t in thresholds.tolist()]
+            counts = [_numeric_counts(col[rows], y, thresholds) for rows, y in groups]
+        else:
+            codes, labels = table.coded(attribute)
+            counts = [_label_counts(codes[rows], y, len(labels)) for rows, y in groups]
+            # Codes ascend with labels.
+            present = np.flatnonzero(counts[0][0] + counts[1][0])
+            if present.size < 2:
+                continue
+            tests = [(None, labels[code]) for code in present.tolist()]
+            counts = [(n[present], positives[present]) for n, positives in counts]
+        (lt, pos_lt), (lc, pos_lc) = [(n.tolist(), pos.tolist()) for n, pos in counts]
+        for (threshold, category), *left in zip(tests, lt, pos_lt, lc, pos_lc):
+            yield (attribute, threshold, category, *left)
+
+
 def best_split(
     table: CaseTable,
     treat_idx: np.ndarray,
@@ -300,21 +360,15 @@ def best_split(
     Returns None when no candidate clears the positivity and size
     constraints with a normalized gain above GAIN_EPS.
     """
-    y_treat = table.outcome[treat_idx]
-    y_ctrl = table.outcome[ctrl_idx]
     kind = params.divergence
     best: Optional[tuple[Split, float]] = None
-
-    def consider(attribute, threshold, category, left_t_mask, left_c_mask):
-        nonlocal best
-        lt = int(left_t_mask.sum())
-        lc = int(left_c_mask.sum())
+    for attribute, threshold, category, lt, pos_lt, lc, pos_lc in _candidates(
+        table, treat_idx, ctrl_idx, feature_names
+    ):
         rt = len(treat_idx) - lt
         rc = len(ctrl_idx) - lc
         if min(lt, rt) < params.min_samples_treatment or min(lc, rc) < 1:
-            return
-        pos_lt = int(y_treat[left_t_mask].sum())
-        pos_lc = int(y_ctrl[left_c_mask].sum())
+            continue
         left = node_stats(lt, pos_lt, lc, pos_lc, parent, params.n_reg)
         right = node_stats(
             rt,
@@ -324,51 +378,14 @@ def best_split(
             parent,
             params.n_reg,
         )
-        g = gain(parent, left, right, kind)
-        norm = normalization_from_counts(
+        score = gain(parent, left, right, kind) / normalization_from_counts(
             lt, lc, parent.n_treat, parent.n_ctrl, kind
         )
-        score = g / norm
         if score <= GAIN_EPS:
-            return
+            continue
         if best is not None and score <= best[1] * (1.0 + TIE_REL_TOL):
-            return
-        split = Split(
-            attribute=attribute,
-            threshold=threshold,
-            category=category,
-            left_treat=treat_idx[left_t_mask],
-            right_treat=treat_idx[~left_t_mask],
-            left_ctrl=ctrl_idx[left_c_mask],
-            right_ctrl=ctrl_idx[~left_c_mask],
-        )
-        best = (split, score)
-
-    for attribute in sorted(feature_names):
-        if table.attribute(attribute).kind == NUMERIC:
-            col = table.numeric(attribute)
-            vt, vc = col[treat_idx], col[ctrl_idx]
-            observed = np.concatenate([vt, vc])
-            observed = observed[~np.isnan(observed)]
-            if observed.size == 0:
-                continue
-            for threshold in _numeric_thresholds(observed):
-                # NaN comparisons are False, so missing values go right.
-                with np.errstate(invalid="ignore"):
-                    consider(
-                        attribute, float(threshold), None,
-                        vt <= threshold, vc <= threshold,
-                    )
-        else:
-            codes, labels = table.coded(attribute)
-            ct, cc = codes[treat_idx], codes[ctrl_idx]
-            # Codes ascend with labels; -1 (missing) is no candidate.
-            present = np.unique(np.concatenate([ct, cc]))
-            present = present[present >= 0]
-            if present.size < 2:
-                continue
-            for code in present.tolist():
-                consider(attribute, None, labels[code], ct == code, cc == code)
+            continue
+        best = (Split(attribute, threshold, category), score)
     return best
 
 
@@ -406,15 +423,8 @@ class UpliftTree:
             if node.is_leaf:
                 out.append((node, path))
                 return
-            s = node.split
-            if s.threshold is not None:
-                left_cond = (s.attribute, "<=", s.threshold)
-                right_cond = (s.attribute, ">", s.threshold)
-            else:
-                left_cond = (s.attribute, "==", s.category)
-                right_cond = (s.attribute, "!=", s.category)
-            walk(node.left, path + [left_cond])
-            walk(node.right, path + [right_cond])
+            walk(node.left, path + [node.split.condition(left=True)])
+            walk(node.right, path + [node.split.condition(left=False)])
 
         walk(self.root, [])
         return out
@@ -447,11 +457,11 @@ def build_tree(
         found = best_split(table, treat_idx, ctrl_idx, stats, params, feature_names)
         if found is None:
             return node
-        split, score = found
-        node.split = split
-        node.score = score
-        node.left = grow(split.left_treat, split.left_ctrl, stats, depth + 1)
-        node.right = grow(split.right_treat, split.right_ctrl, stats, depth + 1)
+        node.split, node.score = found
+        left_t = node.split.goes_left(table, treat_idx)
+        left_c = node.split.goes_left(table, ctrl_idx)
+        node.left = grow(treat_idx[left_t], ctrl_idx[left_c], stats, depth + 1)
+        node.right = grow(treat_idx[~left_t], ctrl_idx[~left_c], stats, depth + 1)
         return node
 
     root = grow(assignment.treated, assignment.control, None, 0)
@@ -479,30 +489,18 @@ class Segment:
 
     @property
     def predicate_text(self) -> str:
-        if not self.conditions:
-            return "all cases"
-        parts = []
-        for attr, op, value in self.conditions:
-            if op in ("<=", ">"):
-                parts.append(f"{attr} {op} {value:g}")
-            elif op == "==":
-                parts.append(f"{attr} == {value}")
-            else:
-                parts.append(f"{attr} != {value}")
-        return " and ".join(parts)
+        return " and ".join(_condition_text(*c) for c in self.conditions) or "all cases"
 
 
-def _condition_mask(table: CaseTable, conditions) -> np.ndarray:
-    mask = np.ones(len(table), dtype=bool)
+def _matching_rows(table: CaseTable, conditions) -> np.ndarray:
+    """Rows that satisfy every (attribute, op, value) condition of a path."""
+    rows = np.arange(len(table))
     for attr, op, value in conditions:
-        if op in ("<=", ">"):
-            with np.errstate(invalid="ignore"):
-                left = table.numeric(attr) <= value
-            mask &= left if op == "<=" else ~left
-        else:
-            eq = table.equals(attr, value)
-            mask &= eq if op == "==" else ~eq
-    return mask
+        numeric = op in ("<=", ">")
+        split = Split(attr, value if numeric else None, None if numeric else value)
+        left = split.goes_left(table, rows)
+        rows = rows[left if op in ("<=", "==") else ~left]
+    return rows
 
 
 def extract_segments(
@@ -518,7 +516,7 @@ def extract_segments(
         if uplift < min_uplift:
             continue
         conditions = tuple(path)
-        reachable = int(_condition_mask(table, conditions).sum())
+        reachable = len(_matching_rows(table, conditions))
         segments.append(
             Segment(
                 conditions=conditions,

@@ -130,6 +130,21 @@ def test_parse_xes_duplicate_case_id_names_trace():
         parse_xes(b"<log>" + trace + trace + b"</log>")
 
 
+def test_parse_xes_skips_attributes_without_a_value():
+    doc = b"""<log><trace>
+      <string key="concept:name" value="c1"/>
+      <string key="note"/>
+      <event>
+        <string key="concept:name" value="A"/>
+        <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
+        <int value="3"/>
+      </event>
+    </trace></log>"""
+    (trace,) = parse_xes(doc).traces
+    assert trace.case_id == "c1"
+    assert [(e.activity, e.attributes) for e in trace.events] == [("A", {})]
+
+
 def test_parse_timestamp_accepts_z_suffix_and_offsets():
     z = parse_timestamp("2016-01-01T09:51:15.304Z")
     off = parse_timestamp("2016-01-01T10:51:15.304+01:00")

@@ -392,6 +392,22 @@ def test_write_json_failure_keeps_the_old_file(tmp_path):
     assert os.listdir(tmp_path) == ["artifact.json"]
 
 
+def test_failed_rules_write_keeps_the_old_file(eight_row_config, tmp_path):
+    stage_ingest(eight_row_config)
+    stage_mine(eight_row_config)
+    out = Path(eight_row_config.out_dir)
+    before = (out / RULES_FILE).read_bytes()
+    assert before
+    (tmp_path / "log.csv").write_text(
+        EIGHT_ROW_CSV.replace(",a,", ",a → b,"), encoding="utf-8"
+    )
+    stage_ingest(eight_row_config)
+    with pytest.raises(SchemaError, match="a → b"):
+        stage_mine(eight_row_config)
+    assert (out / RULES_FILE).read_bytes() == before
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
 def test_summary_counts_missing_values_not_missing_labels():
     table = make_table(
         [("c", "categorical", False), ("b", "numeric", False), ("x", "numeric", False)],
@@ -486,6 +502,22 @@ def test_cli_short_csv_row_is_a_data_error(tmp_path, caplog):
         assert main(["ingest", "--config", str(config)]) == 2
     assert "row 1" in caplog.text
     assert "unexpected failure" not in caplog.text
+
+
+def test_cli_reserved_rule_token_is_a_data_error(tmp_path, caplog):
+    (tmp_path / "log.csv").write_text(
+        EIGHT_ROW_CSV.replace(",a,", ",a → b,"), encoding="utf-8"
+    )
+    raw = minimal_raw(tmp_path)
+    raw["out_dir"] = str(tmp_path / "out")
+    raw["rules"] = {"min_support": 0.25, "min_confidence": 0.75}
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", "--config", str(config)]) == 2
+    assert "attribute 'F': label 'a → b'" in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert not (tmp_path / "out" / RULES_FILE).exists()
 
 
 def _row_layout(path: Path) -> bytes:

@@ -6,8 +6,10 @@ import pytest
 from helpers import EIGHT_ROW_TABLE, F_A_TO_B, make_table, random_split_table
 from oracles import oracle_best_split, oracle_score, oracle_root_prior
 from upliftmine.actionrules import AtomicActionTerm, Treatment
+from upliftmine.casetable import discretize
 from upliftmine.errors import ConfigError, PositivityError
 from upliftmine.uplift import (
+    MAX_NUMERIC_CANDIDATES,
     NodeStats,
     TreeParams,
     assign_groups,
@@ -285,6 +287,82 @@ def test_build_tree_partition_conservation():
 
     assert not tree.root.is_leaf
     walk(tree.root)
+
+
+def _random_routing_table(rng):
+    """Treated, control and excluded rows with missing numeric and categorical
+    values, a numeric column with more distinct values than
+    MAX_NUMERIC_CANDIDATES, and a binned column split on its raw values."""
+    n = int(rng.integers(300, 700))
+    rows = []
+    for _ in range(n):
+        group = str(rng.integers(0, 3))
+        x = None if rng.random() < 0.15 else float(rng.integers(0, 6))
+        c = None if rng.random() < 0.15 else str(rng.choice(["p", "q", "r"]))
+        wide = None if rng.random() < 0.1 else float(rng.normal())
+        b = None if rng.random() < 0.1 else float(rng.integers(0, 50))
+        p = 0.2 + 0.3 * (group == "1") * (x is not None and x > 2) + 0.2 * (c == "q")
+        p += 0.2 * (group == "1") * (wide is not None and wide > 0.5)
+        rows.append(({"T": group, "x": x, "c": c, "wide": wide, "b": b}, int(rng.random() < p)))
+    table = make_table(
+        [
+            ("T", "categorical", True),
+            ("x", "numeric", False),
+            ("c", "categorical", False),
+            ("wide", "numeric", False),
+            ("b", "numeric", False),
+        ],
+        rows,
+    )
+    return discretize(table, {"b": 3})
+
+
+def test_every_node_routes_its_rows_like_the_split_rule():
+    # Below the root no oracle checks the tree, so route each node's rows in
+    # plain Python from the decoded values and compare every child's counts.
+    rng = np.random.default_rng(41)
+    checked = {"numeric": 0, "categorical": 0}
+
+    def walk(table, node, treat, ctrl):
+        if node.is_leaf:
+            return
+        split = node.split
+        values = table.raw_numeric.get(split.attribute) or table.column(split.attribute)
+        if split.threshold is not None:
+            goes_left = lambda v: v is not None and v <= split.threshold  # noqa: E731
+            checked["numeric"] += 1
+        else:
+            goes_left = lambda v: v == split.category  # noqa: E731
+            checked["categorical"] += 1
+        left = {i for i in treat + ctrl if goes_left(values[i])}
+        outcome = table.outcomes()
+        sides = ((node.left, left.__contains__), (node.right, lambda i: i not in left))
+        for child, goes_here in sides:
+            child_treat = [i for i in treat if goes_here(i)]
+            child_ctrl = [i for i in ctrl if goes_here(i)]
+            assert child.stats.n_treat == len(child_treat)
+            assert child.stats.n_ctrl == len(child_ctrl)
+            assert child.stats.pos_treat == sum(outcome[i] for i in child_treat)
+            assert child.stats.pos_ctrl == sum(outcome[i] for i in child_ctrl)
+            walk(table, child, child_treat, child_ctrl)
+
+    for kind in ("KL", "Euclid", "ChiSq"):
+        for _ in range(3):
+            table = _random_routing_table(rng)
+            wide = {v for v in table.column("wide") if v is not None}
+            assert len(wide) > MAX_NUMERIC_CANDIDATES + 1
+            params = TreeParams(
+                max_depth=4,
+                min_samples_split=10,
+                min_samples_treatment=2,
+                n_reg=10.0,
+                divergence=kind,
+            )
+            tree, assignment = _build_with(
+                table, Treatment((AtomicActionTerm("T", "0", "1"),)), params
+            )
+            walk(table, tree.root, assignment.treated.tolist(), assignment.control.tolist())
+    assert checked["numeric"] >= 10 and checked["categorical"] >= 1
 
 
 def test_build_tree_deterministic():
