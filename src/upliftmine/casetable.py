@@ -1,10 +1,10 @@
-"""Case-level encoding: one fixed-width feature record per trace.
+"""Case-level encoding: one fixed-width feature record per case.
 
-Each trace collapses to one case: raw attributes take their last observed
-value, derived features count activity occurrences or pull the final value
-of a named event attribute, and the outcome becomes {0,1}. The cases are
-stored column by column. Numeric features can then be discretized into
-interval labels, which is what the rule miner works on; the original
+Each case of a CaseLog becomes one row: raw attributes take their last
+observed value, derived features count activity occurrences or pull the
+last value of a named event attribute, and the outcome becomes {0,1}. The
+cases are stored column by column. Numeric features can then be discretized
+into interval labels, which is what the rule miner works on; the original
 numeric values are kept alongside so the tree can still split at raw
 thresholds.
 """
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .logparse import EventLog, format_attr_value
+from .logparse import CaseLog
 
 log = logging.getLogger(__name__)
 
@@ -237,13 +237,21 @@ def _coerce_numeric(value, attr: str, case_id: str) -> float:
         ) from None
 
 
+def _label(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def encode_cases(
-    event_log: EventLog,
+    case_log: CaseLog,
     schema: list[AttributeSchema],
     outcome_name: str,
     positive_labels: frozenset[str] | None = None,
 ) -> CaseTable:
-    """Collapse each trace to one case; cases without the outcome drop."""
+    """One row per case of the log; cases without the outcome drop."""
     positive_labels = positive_labels or DEFAULT_POSITIVE_LABELS
     positive_labels = frozenset(s.lower() for s in positive_labels)
     by_name = {a.name: a for a in schema}
@@ -256,45 +264,37 @@ def encode_cases(
         raise SchemaError(f"outcome attribute {outcome_name!r} must not be controllable")
     feature_schema = [a for a in schema if a.name != outcome_name]
 
-    case_ids: list[str] = []
-    outcomes: list[int] = []
-    columns: dict[str, list] = {a.name: [] for a in feature_schema}
-    n_dropped = 0
-    for trace in event_log.traces:
-        last_values: dict[str, object] = {}
-        counts: dict[str, int] = {}
-        for ev in trace.events:
-            counts[ev.activity] = counts.get(ev.activity, 0) + 1
-            last_values.update(ev.attributes)
+    n = len(case_log)
 
-        def observe(attr: AttributeSchema):
-            if attr.source == SOURCE_COUNT:
-                return counts.get(attr.source_arg, 0)
-            key = attr.source_arg if attr.source == SOURCE_LAST else attr.name
-            return last_values.get(key)
+    def observe(attr: AttributeSchema) -> list:
+        if attr.source == SOURCE_COUNT:
+            return case_log.counts.get(attr.source_arg, [0] * n)
+        key = attr.source_arg if attr.source == SOURCE_LAST else attr.name
+        return case_log.last.get(key, [None] * n)
 
-        raw_outcome = observe(outcome_attr)
-        if raw_outcome is None:
-            n_dropped += 1
-            continue
-        outcomes.append(
-            _coerce_outcome(raw_outcome, positive_labels, outcome_name, trace.case_id)
-        )
-        case_ids.append(trace.case_id)
-        for attr in feature_schema:
-            value = observe(attr)
-            if value is not None and attr.kind == NUMERIC:
-                value = _coerce_numeric(value, attr.name, trace.case_id)
-            elif value is not None:
-                value = format_attr_value(value)
-            columns[attr.name].append(value)
-
-    if not case_ids:
+    raw_outcomes = observe(outcome_attr)
+    kept = [i for i, value in enumerate(raw_outcomes) if value is not None]
+    if not kept:
         raise SchemaError(
             f"outcome attribute {outcome_name!r} never observed in any case"
         )
-    if n_dropped:
-        log.info("dropped %d cases with missing outcome %r", n_dropped, outcome_name)
+    if len(kept) < n:
+        log.info("dropped %d cases with missing outcome %r", n - len(kept), outcome_name)
+    case_ids = [case_log.case_ids[i] for i in kept]
+    outcomes = [
+        _coerce_outcome(raw_outcomes[i], positive_labels, outcome_name, case_id)
+        for i, case_id in zip(kept, case_ids)
+    ]
+    columns = {}
+    for attr in feature_schema:
+        values = observe(attr)
+        if attr.kind == NUMERIC:
+            columns[attr.name] = [
+                None if values[i] is None else _coerce_numeric(values[i], attr.name, case_id)
+                for i, case_id in zip(kept, case_ids)
+            ]
+        else:
+            columns[attr.name] = [None if values[i] is None else _label(values[i]) for i in kept]
     return CaseTable(feature_schema, outcome_name, case_ids, outcomes, columns)
 
 

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import yaml
 
 from .casetable import DEFAULT_POSITIVE_LABELS, NUMERIC, AttributeSchema
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, require
 from .logparse import CsvColumns
 from .ranking import CostModel
 from .uplift import TreeParams
@@ -25,6 +25,9 @@ class RuleParams:
     max_antecedent_len: int = 4
 
     def __post_init__(self):
+        require(self.min_support, float, "rules.min_support")
+        require(self.min_confidence, float, "rules.min_confidence")
+        require(self.max_antecedent_len, int, "rules.max_antecedent_len")
         if not 0.0 < self.min_support <= 1.0:
             raise ConfigError("min_support must be in (0, 1]")
         if not 0.0 < self.min_confidence <= 1.0:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the type check of
+config fields that raises ConfigError."""
 
 
 class UpliftMineError(Exception):
@@ -28,3 +29,10 @@ class PositivityError(UpliftMineError):
 
 class ConfigError(UpliftMineError):
     """A pipeline configuration file is invalid."""
+
+
+def require(value, kind: type, name: str) -> None:
+    """Raise ConfigError naming the field unless value is an int (kind int)
+    or a number (kind float, where an int also does); a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}")

@@ -28,10 +28,10 @@ from .actionrules import (
 from .casetable import MISSING_LABEL, NUMERIC, AttributeSchema, CaseTable
 from .casetable import discretize, encode_cases
 from .config import PipelineConfig, config_to_dict, save_config
-from .errors import ConfigError, LogParseError, PositivityError, SchemaError
-from .logparse import parse_csv, parse_xes, write_csv
+from .errors import ConfigError, PositivityError, SchemaError
+from .logparse import parse_csv, parse_xes
 from .ranking import rank, write_recommendations
-from .synthetic import OUTCOME, SyntheticScenario, generate, naive_pooled_uplift
+from .synthetic import OUTCOME, SyntheticScenario, generate, naive_pooled_uplift, write_log
 from .uplift import Segment, assign_groups, build_tree, extract_segments, to_dot
 
 log = logging.getLogger(__name__)
@@ -159,15 +159,12 @@ def _summarize_table(table: CaseTable) -> str:
 
 def stage_ingest(config: PipelineConfig) -> dict:
     os.makedirs(config.out_dir, exist_ok=True)
-    try:
-        if config.input_format == "xes":
-            event_log = parse_xes(config.input)
-        else:
-            event_log = parse_csv(config.input, config.csv)
-    except OSError as exc:
-        raise LogParseError(f"cannot read input {config.input}: {exc}") from None
+    if config.input_format == "xes":
+        case_log = parse_xes(config.input)
+    else:
+        case_log = parse_csv(config.input, config.csv)
     table = encode_cases(
-        event_log,
+        case_log,
         list(config.attributes),
         config.outcome,
         frozenset(config.positive_labels),
@@ -179,12 +176,12 @@ def stage_ingest(config: PipelineConfig) -> dict:
     with _replacing(summary_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(_summarize_table(table))
     info = {
-        "n_events": event_log.n_events,
-        "n_traces": len(event_log),
+        "n_events": case_log.n_events,
+        "n_traces": len(case_log),
         "n_cases": len(table),
     }
     _update_manifest(config, "ingest", info)
-    log.info("ingest: %d traces -> %d cases", len(event_log), len(table))
+    log.info("ingest: %d traces -> %d cases", len(case_log), len(table))
     return info
 
 
@@ -369,9 +366,9 @@ def stage_simulate(scenario: SyntheticScenario, out_dir: str) -> dict:
     """Sample a scenario into out_dir along with ground truth and a ready
     pipeline config, so `run` on that config consumes the simulated log."""
     os.makedirs(out_dir, exist_ok=True)
-    event_log, effects = generate(scenario)
+    case_log, effects = generate(scenario)
     with _replacing(os.path.join(out_dir, SCENARIO_LOG_FILE)) as tmp:
-        write_csv(event_log, tmp)
+        write_log(case_log, tmp)
     _write_json(
         os.path.join(out_dir, GROUND_TRUTH_FILE),
         {

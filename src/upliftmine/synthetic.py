@@ -13,20 +13,23 @@ one seed always yields the identical log.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
+from itertools import repeat
 
 import numpy as np
 import yaml
 
 from .casetable import AttributeSchema
 from .errors import ConfigError, PositivityError
-from .logparse import Event, EventLog, Trace
+from .logparse import CaseLog
 
 CONFOUNDER = "confounder"
 SUBGROUP = "subgroup"
 TREATMENT_ATTR = "treatment"
 OUTCOME = "outcome"
+ACTIVITY = "observed"
 
 _T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -182,9 +185,9 @@ def naive_pooled_uplift(scenario: SyntheticScenario) -> float:
     return num_t / den_t - num_c / den_c
 
 
-def generate(scenario: SyntheticScenario) -> tuple[EventLog, dict[int, float]]:
-    """Sample a minimal event log (one single-event trace per case) plus the
-    exact subgroup-effect table {0: effect, 1: effect}."""
+def generate(scenario: SyntheticScenario) -> tuple[CaseLog, dict[int, float]]:
+    """Sample a minimal log, one "observed" event per case, plus the exact
+    subgroup-effect table {0: effect, 1: effect}."""
     scenario.check_positivity()
     rng = np.random.default_rng(scenario.seed)
     n = scenario.n_cases
@@ -206,22 +209,24 @@ def generate(scenario: SyntheticScenario) -> tuple[EventLog, dict[int, float]]:
     y_control = rng.random(n) < control_tbl[l_idx, x_idx]
     outcome = np.where(treated, y_treated, y_control)
 
-    traces = []
-    for i in range(n):
-        case_id = f"case_{i:06d}"
-        attrs = {
-            CONFOUNDER: "1" if confounder[i] else "0",
-            SUBGROUP: "1" if subgroup[i] else "0",
-            TREATMENT_ATTR: "1" if treated[i] else "0",
-            OUTCOME: "1" if outcome[i] else "0",
-        }
-        event = Event(
-            activity="observed",
-            case_id=case_id,
-            timestamp=_T0 + timedelta(seconds=i),
-            attributes=attrs,
-        )
-        traces.append(Trace(case_id=case_id, events=[event]))
-
+    flags = {CONFOUNDER: confounder, SUBGROUP: subgroup, TREATMENT_ATTR: treated, OUTCOME: outcome}
+    case_log = CaseLog(
+        case_ids=[f"case_{i:06d}" for i in range(n)],
+        counts={ACTIVITY: [1] * n},
+        last={name: np.where(values, "1", "0").tolist() for name, values in flags.items()},
+        n_events=n,
+    )
     effects = {cell: true_cate(scenario, cell) for cell in (0, 1)}
-    return EventLog(traces=traces), effects
+    return case_log, effects
+
+
+def write_log(case_log: CaseLog, path) -> None:
+    """Write a generated log as CSV: case i is one ACTIVITY event at i
+    seconds past 2020-01-01 UTC, with the attributes in name order."""
+    names = sorted(case_log.last)
+    stamps = ((_T0 + timedelta(seconds=i)).isoformat() for i in range(len(case_log)))
+    columns = (case_log.case_ids, repeat(ACTIVITY), stamps, *map(case_log.last.get, names))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["case_id", "activity", "timestamp", *names])
+        writer.writerows(zip(*columns))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .actionrules import Treatment
 from .casetable import NUMERIC, CaseTable
-from .errors import ConfigError, PositivityError, SchemaError
+from .errors import ConfigError, PositivityError, SchemaError, require
 
 DIVERGENCE_KINDS = ("KL", "Euclid", "ChiSq")
 
@@ -46,6 +46,9 @@ class TreeParams:
     divergence: str = "KL"
 
     def __post_init__(self):
+        for name in ("max_depth", "min_samples_split", "min_samples_treatment"):
+            require(getattr(self, name), int, f"tree.{name}")
+        require(self.n_reg, float, "tree.n_reg")
         if self.max_depth < 0:
             raise ConfigError("max_depth must be >= 0")
         if self.min_samples_split < 2:

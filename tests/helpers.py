@@ -1,5 +1,9 @@
 """Builders shared across test modules."""
 
+import csv
+import io
+from xml.sax.saxutils import quoteattr
+
 import numpy as np
 
 from upliftmine.actionrules import AtomicActionTerm, Treatment
@@ -77,3 +81,55 @@ def random_split_table(rng: np.random.Generator):
     )
     treatment = Treatment((AtomicActionTerm("T", "0", "1"),))
     return table, params, treatment
+
+
+def cell_text(value) -> str:
+    """How a typed attribute value is written into a log."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_log(rows) -> bytes:
+    """CSV bytes of (case_id, activity, timestamp, attrs) rows in file order:
+    one column per attribute name, the cell empty where a row lacks it."""
+    names = sorted({name for *_, attrs in rows for name in attrs})
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["case_id", "activity", "timestamp", *names])
+    for case_id, activity, ts, attrs in rows:
+        cells = [cell_text(attrs[name]) if name in attrs else "" for name in names]
+        writer.writerow([case_id, activity, ts.isoformat(), *cells])
+    return out.getvalue().encode("utf-8")
+
+
+_XES_TAGS = {bool: "boolean", int: "int", float: "float", str: "string"}
+
+
+def _xes_attr(key, value) -> str:
+    tag = _XES_TAGS[type(value)]
+    return f"<{tag} key={quoteattr(key)} value={quoteattr(cell_text(value))}/>"
+
+
+def xes_log(traces) -> bytes:
+    """XES bytes of (case_id, trace_attrs, events, attrs_last) traces: a None
+    case_id writes no concept:name; attrs_last puts the trace attributes
+    after the events; events are (activity, timestamp, attrs) in file order."""
+    parts = ["<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<log>"]
+    for case_id, trace_attrs, events, attrs_last in traces:
+        head = [_xes_attr(k, v) for k, v in trace_attrs.items()]
+        if case_id is not None:
+            head.append(_xes_attr("concept:name", case_id))
+        body = [
+            "<event>"
+            + _xes_attr("concept:name", activity)
+            + f'<date key="time:timestamp" value="{ts.isoformat()}"/>'
+            + "".join(_xes_attr(k, v) for k, v in attrs.items())
+            + "</event>"
+            for activity, ts, attrs in events
+        ]
+        parts.append("<trace>" + "".join(body + head if attrs_last else head + body) + "</trace>")
+    parts.append("</log>")
+    return "\n".join(parts).encode("utf-8")

@@ -11,6 +11,7 @@ from math import log2
 
 from upliftmine.actionrules import AtomicActionTerm
 from upliftmine.casetable import CaseTable
+from upliftmine.logparse import CaseLog
 
 
 def brute_force_classification_rules(
@@ -264,3 +265,28 @@ def oracle_best_split(table, treat_rows, ctrl_rows, params, feature_names):
                 continue
             best = (name, test_value, score)
     return best
+
+
+def reference_fold(traces) -> CaseLog:
+    """The case log of an event log, computed the obvious way.
+
+    traces: (case_id, trace_attrs, events) in order of first appearance,
+    each event an (activity, timestamp, attrs) tuple in file order. Each
+    trace's events are stable-sorted by timestamp; the trace attributes go
+    under the first of them (so any event value of the same key overrides
+    them, and they vanish when there is no event); then the events are
+    counted and their attributes applied in that order.
+    """
+    n = len(traces)
+    case_ids, counts, last = [], {}, {}
+    for i, (case_id, trace_attrs, events) in enumerate(traces):
+        case_ids.append(case_id)
+        ordered = sorted(events, key=lambda event: event[1])
+        values = dict(trace_attrs) if ordered else {}
+        for activity, _, attrs in ordered:
+            counts.setdefault(activity, [0] * n)[i] += 1
+            values.update(attrs)
+        for key, value in values.items():
+            last.setdefault(key, [None] * n)[i] = value
+    n_events = sum(len(events) for _, _, events in traces)
+    return CaseLog(case_ids, counts, last, n_events)

@@ -13,18 +13,21 @@ from upliftmine.casetable import (
     encode_cases,
     equal_frequency_bounds,
 )
+from helpers import csv_log
+from oracles import reference_fold
 from upliftmine.errors import ConfigError, SchemaError
-from upliftmine.logparse import Event, EventLog, Trace, parse_csv, write_csv
+from upliftmine.logparse import parse_csv
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
 def make_trace(case_id, activities, attrs_per_event):
+    """One case whose events are an hour apart, in the order given."""
     events = [
-        Event(act, case_id, T0 + timedelta(hours=i), attrs)
+        (act, T0 + timedelta(hours=i), attrs)
         for i, (act, attrs) in enumerate(zip(activities, attrs_per_event))
     ]
-    return Trace(case_id, events)
+    return (case_id, {}, events)
 
 
 BASE_SCHEMA = [
@@ -46,7 +49,7 @@ def test_encode_last_observed_value_and_count():
             {"Selected": True},
         ],
     )
-    table = encode_cases(EventLog([trace]), BASE_SCHEMA, "Selected")
+    table = encode_cases(reference_fold([trace]), BASE_SCHEMA, "Selected")
     assert len(table) == 1
     assert table.column("LoanGoal") == ["Car"]
     assert table.column("RequestedAmount") == [12000.0]
@@ -58,7 +61,7 @@ def test_encode_last_observed_value_and_count():
 def test_encode_drops_cases_with_missing_outcome():
     with_outcome = make_trace("c1", ["A"], [{"Selected": "true"}])
     without = make_trace("c2", ["A"], [{"LoanGoal": "Car"}])
-    table = encode_cases(EventLog([with_outcome, without]), BASE_SCHEMA, "Selected")
+    table = encode_cases(reference_fold([with_outcome, without]), BASE_SCHEMA, "Selected")
     assert table.case_ids == ["c1"]
 
 
@@ -66,7 +69,7 @@ def test_encode_all_outcomes_present_keeps_all_rows():
     traces = [
         make_trace(f"c{i}", ["A"], [{"Selected": i % 2 == 0}]) for i in range(7)
     ]
-    table = encode_cases(EventLog(traces), BASE_SCHEMA, "Selected")
+    table = encode_cases(reference_fold(traces), BASE_SCHEMA, "Selected")
     assert len(table) == 7
     assert table.outcomes() == [1, 0, 1, 0, 1, 0, 1]
 
@@ -74,7 +77,7 @@ def test_encode_all_outcomes_present_keeps_all_rows():
 def test_encode_outcome_never_observed_is_an_error():
     traces = [make_trace("c1", ["A"], [{"LoanGoal": "Car"}])]
     with pytest.raises(SchemaError, match="Selected"):
-        encode_cases(EventLog(traces), BASE_SCHEMA, "Selected")
+        encode_cases(reference_fold(traces), BASE_SCHEMA, "Selected")
 
 
 def test_encode_type_conflict_names_attribute_and_case():
@@ -82,7 +85,7 @@ def test_encode_type_conflict_names_attribute_and_case():
         "c42", ["A"], [{"RequestedAmount": "not a number", "Selected": True}]
     )
     with pytest.raises(SchemaError) as err:
-        encode_cases(EventLog([trace]), BASE_SCHEMA, "Selected")
+        encode_cases(reference_fold([trace]), BASE_SCHEMA, "Selected")
     assert "RequestedAmount" in str(err.value)
     assert "c42" in str(err.value)
 
@@ -93,7 +96,7 @@ def test_encode_positive_label_is_configurable():
         make_trace("c2", ["A"], [{"Selected": "declined"}]),
     ]
     table = encode_cases(
-        EventLog(traces), BASE_SCHEMA, "Selected", positive_labels=frozenset({"accepted"})
+        reference_fold(traces), BASE_SCHEMA, "Selected", positive_labels=frozenset({"accepted"})
     )
     assert table.outcomes() == [1, 0]
 
@@ -108,7 +111,7 @@ def test_encode_derived_last_value():
         ["O_Create Offer", "O_Create Offer"],
         [{"MonthlyCost": 250, "Selected": False}, {"MonthlyCost": 199}],
     )
-    table = encode_cases(EventLog([trace]), schema, "Selected")
+    table = encode_cases(reference_fold([trace]), schema, "Selected")
     assert table.column("FinalCost") == [199.0]
 
 
@@ -117,7 +120,7 @@ def test_literal_nan_cell_is_missing():
         make_trace("c1", ["A"], [{"RequestedAmount": "nan", "Selected": True}]),
         make_trace("c2", ["A"], [{"RequestedAmount": 5, "Selected": False}]),
     ]
-    table = encode_cases(EventLog(traces), BASE_SCHEMA, "Selected")
+    table = encode_cases(reference_fold(traces), BASE_SCHEMA, "Selected")
     assert table.column("RequestedAmount") == [None, 5.0]
     out = discretize(table, {"RequestedAmount": [3.0]})
     assert out.column("RequestedAmount") == [MISSING_LABEL, ">3"]
@@ -243,9 +246,9 @@ def logs_with_outcome(draw):
                 attrs["Amount"] = draw(st.integers(min_value=0, max_value=1000))
             if j == n_events - 1:
                 attrs["Won"] = draw(st.booleans())
-            events.append(Event("step", cid, T0 + timedelta(minutes=j), attrs))
-        traces.append(Trace(cid, events))
-    return EventLog(traces)
+            events.append((cid, "step", T0 + timedelta(minutes=j), attrs))
+        traces.append(events)
+    return [event for events in traces for event in events]
 
 
 RT_SCHEMA = [
@@ -257,11 +260,14 @@ RT_SCHEMA = [
 
 @settings(max_examples=60, deadline=None)
 @given(logs_with_outcome())
-def test_encoding_survives_csv_round_trip(tmp_path_factory, event_log):
-    direct = encode_cases(event_log, RT_SCHEMA, "Won")
-    path = tmp_path_factory.mktemp("rt") / "log.csv"
-    write_csv(event_log, path)
-    again = encode_cases(parse_csv(path.read_bytes()), RT_SCHEMA, "Won")
+def test_encoding_survives_csv_round_trip(rows):
+    traces = {}
+    for case_id, activity, ts, attrs in rows:
+        traces.setdefault(case_id, []).append((activity, ts, attrs))
+    direct = encode_cases(
+        reference_fold([(cid, {}, events) for cid, events in traces.items()]), RT_SCHEMA, "Won"
+    )
+    again = encode_cases(parse_csv(csv_log(rows)), RT_SCHEMA, "Won")
     assert len(again) == len(direct)
     assert again.case_ids == direct.case_ids
     assert again.outcomes() == direct.outcomes()

@@ -1,20 +1,20 @@
 import gzip
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cell_text, csv_log, xes_log
+from oracles import reference_fold
 from upliftmine.errors import LogParseError, SchemaError
 from upliftmine.logparse import (
+    CaseLog,
     CsvColumns,
-    Event,
-    EventLog,
-    Trace,
+    _csv_timestamp,
     parse_csv,
     parse_timestamp,
     parse_xes,
-    write_csv,
 )
 
 XES_TWO_EVENTS = b"""<?xml version="1.0" encoding="UTF-8"?>
@@ -26,11 +26,13 @@ XES_TWO_EVENTS = b"""<?xml version="1.0" encoding="UTF-8"?>
       <string key="concept:name" value="B_second"/>
       <date key="time:timestamp" value="2016-01-02T09:00:00.000+00:00"/>
       <int key="NoOfTerms" value="48"/>
+      <string key="Stage" value="second"/>
     </event>
     <event>
       <string key="concept:name" value="A_first"/>
       <date key="time:timestamp" value="2016-01-01T09:00:00.000+00:00"/>
       <boolean key="Selected" value="true"/>
+      <string key="Stage" value="first"/>
     </event>
   </trace>
 </log>
@@ -38,22 +40,49 @@ XES_TWO_EVENTS = b"""<?xml version="1.0" encoding="UTF-8"?>
 
 
 def test_parse_xes_sorts_events_by_timestamp():
+    # B_second comes first in the file but is stamped later: its value wins.
     log = parse_xes(XES_TWO_EVENTS)
     assert len(log) == 1
-    trace = log.traces[0]
-    assert trace.case_id == "case_1"
-    assert [e.activity for e in trace.events] == ["A_first", "B_second"]
-    assert trace.events[0].timestamp < trace.events[1].timestamp
+    assert log.case_ids == ["case_1"]
+    assert log.counts == {"A_first": [1], "B_second": [1]}
+    assert log.last["Stage"] == ["second"]
+    assert log.n_events == 2
 
 
 def test_parse_xes_types_and_trace_attrs():
     log = parse_xes(XES_TWO_EVENTS)
-    first, second = log.traces[0].events
-    # trace-level attribute lands on the first (earliest) event
-    assert first.attributes["LoanGoal"] == "Car"
-    assert first.attributes["Selected"] is True
-    assert second.attributes["NoOfTerms"] == 48
-    assert "LoanGoal" not in second.attributes
+    assert log.last["LoanGoal"] == ["Car"]
+    assert log.last["Selected"][0] is True
+    assert log.last["NoOfTerms"] == [48]
+    assert type(log.last["NoOfTerms"][0]) is int
+    assert set(log.last) == {"LoanGoal", "Selected", "NoOfTerms", "Stage"}
+
+
+def test_parse_xes_trace_attributes_rank_below_event_values():
+    doc = b"""<log>
+      <trace>
+        <string key="concept:name" value="c1"/>
+        <string key="Goal" value="trace"/>
+        <string key="Only" value="trace"/>
+        <event>
+          <string key="concept:name" value="A"/>
+          <date key="time:timestamp" value="2016-01-02T00:00:00Z"/>
+        </event>
+        <event>
+          <string key="concept:name" value="B"/>
+          <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
+          <string key="Goal" value="earliest event"/>
+        </event>
+      </trace>
+      <trace>
+        <string key="concept:name" value="c2"/>
+        <string key="Goal" value="no events"/>
+      </trace>
+    </log>"""
+    log = parse_xes(doc)
+    assert log.case_ids == ["c1", "c2"]
+    assert log.last == {"Goal": ["earliest event", None], "Only": ["trace", None]}
+    assert log.counts == {"A": [1, 0], "B": [1, 0]}
 
 
 def test_parse_xes_empty_log():
@@ -106,6 +135,20 @@ def test_parse_xes_bad_timestamp_reports_literal_text():
         parse_xes(doc)
 
 
+@pytest.mark.parametrize("tag", ["int", "float"])
+def test_parse_xes_wrongly_typed_value_names_trace_and_key(tag):
+    doc = f"""<log><trace>
+      <string key="concept:name" value="c5"/>
+      <event>
+        <string key="concept:name" value="A"/>
+        <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
+        <{tag} key="Amount" value="abc"/>
+      </event>
+    </trace></log>""".encode()
+    with pytest.raises(LogParseError, match="'c5'.*'Amount'.*'abc'"):
+        parse_xes(doc)
+
+
 def test_parse_xes_empty_activity_names_trace():
     doc = b"""<log><trace>
       <string key="concept:name" value="c7"/>
@@ -130,6 +173,19 @@ def test_parse_xes_duplicate_case_id_names_trace():
         parse_xes(b"<log>" + trace + trace + b"</log>")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        b"<log><trace><trace></trace></trace></log>",
+        b"<log><trace><event><event></event></event></trace></log>",
+    ],
+    ids=["trace", "event"],
+)
+def test_parse_xes_nested_trace_or_event_is_an_error(doc):
+    with pytest.raises(LogParseError, match="inside"):
+        parse_xes(doc)
+
+
 def test_parse_xes_skips_attributes_without_a_value():
     doc = b"""<log><trace>
       <string key="concept:name" value="c1"/>
@@ -140,9 +196,9 @@ def test_parse_xes_skips_attributes_without_a_value():
         <int value="3"/>
       </event>
     </trace></log>"""
-    (trace,) = parse_xes(doc).traces
-    assert trace.case_id == "c1"
-    assert [(e.activity, e.attributes) for e in trace.events] == [("A", {})]
+    log = parse_xes(doc)
+    assert log.case_ids == ["c1"]
+    assert (log.counts, log.last) == ({"A": [1]}, {})
 
 
 def test_parse_timestamp_accepts_z_suffix_and_offsets():
@@ -164,33 +220,35 @@ CSV_THREE_ROWS = (
 def test_parse_csv_groups_rows_into_traces():
     log = parse_csv(CSV_THREE_ROWS)
     assert len(log) == 2
-    by_id = {t.case_id: t for t in log.traces}
-    assert [e.activity for e in by_id["c1"].events] == ["apply", "offer"]
-    assert len(by_id["c2"].events) == 1
-    # empty cell means the attribute is absent, not empty-string
-    assert "CreditScore" not in by_id["c2"].events[0].attributes
-    assert by_id["c1"].events[0].attributes["CreditScore"] == "700"
+    assert log.case_ids == ["c1", "c2"]
+    assert log.counts == {"apply": [1, 1], "offer": [1, 0]}
+    # an empty cell means the attribute is absent, not empty-string
+    assert log.last == {"CreditScore": ["710", None]}
+    assert log.n_events == 3
 
 
 def test_parse_csv_sorts_out_of_order_rows():
+    # The later-stamped value wins whatever the row order.
     data = (
-        b"case_id,activity,timestamp\n"
-        b"c1,late,2020-05-03T00:00:00Z\n"
-        b"c1,early,2020-05-01T00:00:00Z\n"
+        b"case_id,activity,timestamp,stage\n"
+        b"c1,late,2020-05-03T00:00:00Z,late\n"
+        b"c1,early,2020-05-01T00:00:00Z,early\n"
     )
     log = parse_csv(data)
-    assert [e.activity for e in log.traces[0].events] == ["early", "late"]
+    assert log.last["stage"] == ["late"]
+    assert log.counts == {"late": [1], "early": [1]}
 
 
 def test_parse_csv_duplicate_timestamps_keep_file_order():
+    # On tied stamps, the row later in the file wins.
     data = (
-        b"case_id,activity,timestamp\n"
-        b"c1,first,2020-05-01T00:00:00Z\n"
-        b"c1,second,2020-05-01T00:00:00Z\n"
-        b"c1,third,2020-05-01T00:00:00Z\n"
+        b"case_id,activity,timestamp,stage\n"
+        b"c1,first,2020-05-01T00:00:00Z,first\n"
+        b"c1,second,2020-05-01T00:00:00Z,second\n"
+        b"c1,third,2020-05-01T01:00:00+01:00,third\n"
     )
     log = parse_csv(data)
-    assert [e.activity for e in log.traces[0].events] == ["first", "second", "third"]
+    assert log.last["stage"] == ["third"]
 
 
 def test_parse_csv_missing_mapped_column_is_named():
@@ -220,74 +278,120 @@ def test_parse_csv_short_row_reports_row_and_cell_count():
     assert err.value.row == 2
 
 
+def test_parse_csv_invalid_utf8_reports_byte_offset():
+    data = (
+        b"case_id,activity,timestamp,v\n"
+        b"c1,apply,2020-05-01T00:00:00Z,ok\n"
+        b"c2,apply,2020-05-01T00:00:00Z,\xff\n"
+    )
+    with pytest.raises(LogParseError, match="UTF-8") as err:
+        parse_csv(data)
+    assert err.value.byte_offset == data.index(b"\xff")
+
+
 def test_parse_csv_custom_timestamp_format():
-    data = b"case_id,activity,timestamp\nc1,apply,01/05/2020 13:45\n"
-    log = parse_csv(data, CsvColumns(timestamp_format="%d/%m/%Y %H:%M"))
-    ev = log.traces[0].events[0]
-    assert ev.timestamp == datetime(2020, 5, 1, 13, 45, tzinfo=timezone.utc)
-
-
-def test_duplicate_case_ids_rejected():
-    ts = datetime(2020, 1, 1, tzinfo=timezone.utc)
-    mk = lambda cid: Trace(cid, [Event("a", cid, ts)])
-    with pytest.raises(ValueError, match="duplicate"):
-        EventLog(traces=[mk("c1"), mk("c1")])
+    fmt = "%d/%m/%Y %H:%M"
+    ts = _csv_timestamp("01/05/2020 13:45", fmt, 1)
+    assert ts == datetime(2020, 5, 1, 13, 45, tzinfo=timezone.utc)
+    # Read day first and to the minute, 1 May 13:45 is the latest row.
+    data = (
+        b"case_id,activity,timestamp,v\n"
+        b"c1,A,01/05/2020 13:45,right\n"
+        b"c1,B,02/04/2020 13:44,month first\n"
+        b"c1,C,01/05/2020 13:44,minutes dropped\n"
+    )
+    assert parse_csv(data, CsvColumns(timestamp_format=fmt)).last["v"] == ["right"]
 
 
 _identifier = st.text(
     alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=6
 )
+_T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+# Few distinct instants, some written with another offset, so ties are common.
+_stamps = st.builds(
+    lambda minutes, hours: (_T0 + timedelta(minutes=minutes)).astimezone(
+        timezone(timedelta(hours=hours))
+    ),
+    st.integers(0, 3),
+    st.sampled_from([0, 1]),
+)
+_values = st.one_of(
+    _identifier,
+    st.integers(-1000, 1000),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.booleans(),
+)
 
 
 @st.composite
-def small_logs(draw):
+def _events(draw, values=_values):
+    attrs = draw(st.dictionaries(st.sampled_from(["color", "amount", "stage"]), values))
+    return draw(st.sampled_from(["apply", "offer", "close"])), draw(_stamps), attrs
+
+
+@st.composite
+def csv_rows(draw):
+    """(case_id, activity, timestamp, attrs) rows, cases interleaved."""
     n_cases = draw(st.integers(min_value=1, max_value=5))
-    traces = []
-    for i in range(n_cases):
-        cid = f"case_{i}"
-        n_events = draw(st.integers(min_value=1, max_value=4))
-        events = []
-        for j in range(n_events):
-            ts = datetime(2020, 1, 1 + draw(st.integers(0, 20)), tzinfo=timezone.utc)
-            attrs = {}
-            if draw(st.booleans()):
-                attrs["color"] = draw(_identifier)
-            if draw(st.booleans()):
-                attrs["amount"] = draw(
-                    st.floats(allow_nan=False, allow_infinity=False, width=32)
-                )
-            events.append(Event(draw(_identifier), cid, ts, attrs))
-        events.sort(key=lambda e: e.timestamp)
-        traces.append(Trace(cid, events))
-    return EventLog(traces=traces)
+    rows = [
+        (f"case_{i}", *draw(_events()))
+        for i in range(n_cases)
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    return draw(st.permutations(rows))
+
+
+def _fold_rows(rows) -> CaseLog:
+    """reference_fold of CSV rows, their attributes read back as text."""
+    events: dict[str, list] = {}
+    for case_id, activity, ts, attrs in rows:
+        text = {k: cell_text(v) for k, v in attrs.items()}
+        events.setdefault(case_id, []).append((activity, ts, text))
+    return reference_fold([(cid, {}, evs) for cid, evs in events.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_rows())
+def test_csv_round_trip_preserves_traces(rows):
+    assert parse_csv(csv_log(rows)) == _fold_rows(rows)
 
 
 @settings(max_examples=50, deadline=None)
-@given(small_logs())
-def test_csv_round_trip_preserves_traces(tmp_path_factory, log):
-    path = tmp_path_factory.mktemp("rt") / "log.csv"
-    write_csv(log, path)
-    back = parse_csv(path.read_bytes())
-    assert len(back) == len(log)
-    for orig, again in zip(log.traces, back.traces):
-        assert again.case_id == orig.case_id
-        assert [e.activity for e in again.events] == [e.activity for e in orig.events]
-        assert [e.timestamp for e in again.events] == [e.timestamp for e in orig.events]
-        for o_ev, a_ev in zip(orig.events, again.events):
-            for name, value in o_ev.attributes.items():
-                got = a_ev.attributes[name]
-                if isinstance(value, float):
-                    assert float(got) == pytest.approx(value)
-                else:
-                    assert got == str(value)
+@given(csv_rows())
+def test_parsed_traces_are_time_sorted(rows):
+    # Stable-sorting the rows by time changes no case's counts or values.
+    shuffled = parse_csv(csv_log(rows))
+    in_time = parse_csv(csv_log(sorted(rows, key=lambda row: row[2])))
+    order = [in_time.case_ids.index(cid) for cid in shuffled.case_ids]
+    for columns, again in ((shuffled.counts, in_time.counts), (shuffled.last, in_time.last)):
+        assert set(columns) == set(again)
+        for key, values in columns.items():
+            assert values == [again[key][i] for i in order]
 
 
-@settings(max_examples=50, deadline=None)
-@given(small_logs())
-def test_parsed_traces_are_time_sorted(tmp_path_factory, log):
-    path = tmp_path_factory.mktemp("sorted") / "log.csv"
-    write_csv(log, path)
-    back = parse_csv(path.read_bytes())
-    for trace in back.traces:
-        stamps = [e.timestamp for e in trace.events]
-        assert stamps == sorted(stamps)
+@st.composite
+def xes_traces(draw):
+    """(case_id | None, trace_attrs, events, attrs_last) traces; some empty."""
+    n_traces = draw(st.integers(min_value=0, max_value=4))
+    names = draw(st.lists(_identifier, min_size=n_traces, max_size=n_traces, unique=True))
+    return [
+        (
+            draw(st.one_of(st.none(), st.just(name))),
+            draw(st.dictionaries(st.sampled_from(["color", "goal"]), _values)),
+            draw(st.lists(_events(), max_size=4)),
+            draw(st.booleans()),
+        )
+        for name in names
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(xes_traces())
+def test_parse_xes_matches_the_reference_fold(traces):
+    expected = reference_fold(
+        [
+            (name if name is not None else f"trace_{k}", attrs, events)
+            for k, (name, attrs, events, _) in enumerate(traces, start=1)
+        ]
+    )
+    assert parse_xes(xes_log(traces)) == expected

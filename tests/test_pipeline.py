@@ -143,6 +143,17 @@ def _bins_on_v(how):
         _bins_on_v([1.0, "2"]),
         _bins_on_v([False, 1.0]),
         _bins_on_v([1.0, float("nan")]),
+        lambda raw: raw.update(tree={"max_depth": "3"}),
+        lambda raw: raw.update(tree={"max_depth": 2.5}),
+        lambda raw: raw.update(tree={"max_depth": True}),
+        lambda raw: raw.update(tree={"min_samples_split": "200"}),
+        lambda raw: raw.update(tree={"min_samples_treatment": 1.5}),
+        lambda raw: raw.update(tree={"n_reg": "100"}),
+        lambda raw: raw.update(tree={"n_reg": True}),
+        lambda raw: raw.update(rules={"min_support": "0.1"}),
+        lambda raw: raw.update(rules={"min_confidence": True}),
+        lambda raw: raw.update(rules={"max_antecedent_len": 2.5}),
+        lambda raw: raw.update(rules={"max_antecedent_len": False}),
     ],
 )
 def test_config_validation(tmp_path, mutate):
@@ -150,6 +161,30 @@ def test_config_validation(tmp_path, mutate):
     mutate(raw)
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("tree", "max_depth", "3", "tree.max_depth must be an integer"),
+        ("tree", "min_samples_split", True, "tree.min_samples_split must be an integer"),
+        ("tree", "n_reg", "1", "tree.n_reg must be a number"),
+        ("rules", "min_support", "0.1", "rules.min_support must be a number"),
+        ("rules", "max_antecedent_len", 2.5, "rules.max_antecedent_len must be an integer"),
+    ],
+)
+def test_config_type_error_names_the_field(tmp_path, section, field, value, message):
+    raw = minimal_raw(tmp_path)
+    raw[section] = {field: value}
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("tree", [{"n_reg": 100}, {"max_depth": 0, "n_reg": 0.5}])
+def test_config_accepts_an_integer_n_reg_and_a_zero_depth(tmp_path, tree):
+    raw = minimal_raw(tmp_path)
+    raw["tree"] = tree
+    assert config_from_dict(raw).tree.n_reg == tree["n_reg"]
 
 
 @pytest.mark.parametrize("how", [2, 7, [], [1, 2.5]])
@@ -501,6 +536,38 @@ def test_cli_short_csv_row_is_a_data_error(tmp_path, caplog):
     with caplog.at_level(logging.ERROR):
         assert main(["ingest", "--config", str(config)]) == 2
     assert "row 1" in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+XES_WRONGLY_TYPED = """<log><trace>
+  <string key="concept:name" value="c1"/>
+  <event>
+    <string key="concept:name" value="apply"/>
+    <date key="time:timestamp" value="2020-01-01T00:00:00Z"/>
+    <int key="S" value="abc"/>
+  </event>
+</trace></log>"""
+
+
+@pytest.mark.parametrize(
+    "log_name, data, message",
+    [
+        ("log.xes", XES_WRONGLY_TYPED.encode(), "trace 'c1': <int> attribute 'S'"),
+        ("log.csv", EIGHT_ROW_CSV.encode().replace(b",x,", b",\xff,", 1), "invalid UTF-8 at byte"),
+    ],
+    ids=["xes-wrongly-typed", "csv-invalid-utf8"],
+)
+def test_cli_undecodable_log_value_is_a_data_error(tmp_path, caplog, log_name, data, message):
+    (tmp_path / log_name).write_bytes(data)
+    raw = minimal_raw(tmp_path)
+    raw["input"] = str(tmp_path / log_name)
+    raw["format"] = log_name.rsplit(".", 1)[1]
+    raw["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["ingest", "--config", str(config)]) == 2
+    assert message in caplog.text
     assert "unexpected failure" not in caplog.text
 
 

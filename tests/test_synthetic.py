@@ -2,6 +2,7 @@ import pytest
 
 from upliftmine.casetable import encode_cases
 from upliftmine.errors import ConfigError, PositivityError
+from upliftmine.logparse import parse_csv
 from upliftmine.synthetic import (
     CONFOUNDER,
     OUTCOME,
@@ -12,6 +13,7 @@ from upliftmine.synthetic import (
     naive_pooled_uplift,
     true_cate,
     true_cell_effect,
+    write_log,
 )
 
 
@@ -74,11 +76,10 @@ def test_generated_cells_converge_to_their_planted_effects():
     assert effects == {0: true_cate(s, 0), 1: true_cate(s, 1)}
 
     counts = {}
-    for trace in log.traces:
-        attrs = trace.events[0].attributes
-        key = (attrs[CONFOUNDER], attrs[SUBGROUP], attrs[TREATMENT_ATTR])
-        pos, n = counts.get(key, (0, 0))
-        counts[key] = (pos + (attrs[OUTCOME] == "1"), n + 1)
+    columns = (log.last[name] for name in (CONFOUNDER, SUBGROUP, TREATMENT_ATTR, OUTCOME))
+    for *key, outcome in zip(*columns):
+        pos, n = counts.get(tuple(key), (0, 0))
+        counts[tuple(key)] = (pos + (outcome == "1"), n + 1)
 
     for l in (0, 1):
         for x in (0, 1):
@@ -92,9 +93,20 @@ def test_generation_is_reproducible():
     s = scenario(n_cases=400, seed=99)
     log_a, _ = generate(s)
     log_b, _ = generate(s)
-    assert log_a.traces == log_b.traces
+    assert log_a == log_b
     log_c, _ = generate(scenario(n_cases=400, seed=100))
-    assert log_a.traces != log_c.traces
+    assert log_a != log_c
+
+
+def test_written_log_parses_back_to_the_generated_one(tmp_path):
+    log, _ = generate(scenario(n_cases=50, seed=3))
+    assert log.counts == {"observed": [1] * 50}
+    assert log.n_events == 50
+    write_log(log, tmp_path / "log.csv")
+    assert parse_csv(tmp_path / "log.csv") == log
+    lines = (tmp_path / "log.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"case_id,activity,timestamp,confounder,outcome,subgroup,treatment"
+    assert lines[2].startswith(b"case_000001,observed,2020-01-01T00:00:01+00:00,")
 
 
 def test_generate_refuses_deterministic_assignment():
