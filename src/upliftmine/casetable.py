@@ -52,8 +52,12 @@ class AttributeSchema:
     source_arg: str | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise SchemaError("attribute name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise SchemaError("attribute name must be a non-empty string")
+        if not isinstance(self.controllable, bool):
+            raise SchemaError(f"attribute {self.name!r}: controllable must be true or false")
+        if self.source_arg is not None and not isinstance(self.source_arg, str):
+            raise SchemaError(f"attribute {self.name!r}: source_arg must be a string")
         if self.kind not in (CATEGORICAL, NUMERIC):
             raise SchemaError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
         if self.source not in (SOURCE_RAW, SOURCE_COUNT, SOURCE_LAST):

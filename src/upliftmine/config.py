@@ -25,9 +25,9 @@ class RuleParams:
     max_antecedent_len: int = 4
 
     def __post_init__(self):
-        require(self.min_support, float, "rules.min_support")
-        require(self.min_confidence, float, "rules.min_confidence")
-        require(self.max_antecedent_len, int, "rules.max_antecedent_len")
+        require(self.min_support, float, "min_support")
+        require(self.min_confidence, float, "min_confidence")
+        require(self.max_antecedent_len, int, "max_antecedent_len")
         if not 0.0 < self.min_support <= 1.0:
             raise ConfigError("min_support must be in (0, 1]")
         if not 0.0 < self.min_confidence <= 1.0:
@@ -101,10 +101,14 @@ def _section(raw, name: str) -> dict:
 
 
 def _build(cls, raw, name: str):
+    """cls from one config section; a field's ConfigError comes back named
+    with the section, as in tree.n_reg."""
     try:
         return cls(**_section(raw, name))
     except TypeError as exc:
         raise ConfigError(f"config section {name!r}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc}") from None
 
 
 _TOP_KEYS = frozenset(
@@ -161,10 +165,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     ):
         raise ConfigError("positive_labels must be a list of strings")
 
-    try:
-        min_uplift = float(raw.get("min_uplift", 0.0))
-    except (TypeError, ValueError):
-        raise ConfigError("min_uplift must be a number") from None
+    min_uplift = raw.get("min_uplift", 0.0)
+    require(min_uplift, float, "min_uplift")
 
     return PipelineConfig(
         input=str(raw["input"]),
@@ -177,7 +179,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         bins=_section(raw.get("bins"), "bins"),
         rules=_build(RuleParams, raw.get("rules"), "rules"),
         tree=_build(TreeParams, raw.get("tree"), "tree"),
-        min_uplift=min_uplift,
+        min_uplift=float(min_uplift),
         cost=cost,
         cost_overrides=cost_overrides,
     )

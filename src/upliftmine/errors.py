@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package, and the type check of
 config fields that raises ConfigError."""
 
+import sys
+
 
 class UpliftMineError(Exception):
     """Base class for all data- and pipeline-level errors."""
@@ -31,8 +33,16 @@ class ConfigError(UpliftMineError):
     """A pipeline configuration file is invalid."""
 
 
+_KIND_TEXT = {int: "an integer", float: "a number", str: "a string"}
+
+
 def require(value, kind: type, name: str) -> None:
-    """Raise ConfigError naming the field unless value is an int (kind int)
-    or a number (kind float, where an int also does); a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}")
+    """Raise ConfigError naming the field unless value is an int (kind int),
+    a finite number (kind float, where an int also does) or a string (kind
+    str); a bool is none of these."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{name} must be {_KIND_TEXT[kind]}")
+    # Compared, not converted: an int too large for a float is not finite either.
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite")

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Union
 
-from .errors import LogParseError, SchemaError
+from .errors import ConfigError, LogParseError, SchemaError, require
 
 AttrValue = Union[str, int, float, bool]
 
@@ -307,6 +307,17 @@ class CsvColumns:
     timestamp: str = "timestamp"
     timestamp_format: str | None = None
     attributes: list[str] | None = None
+
+    def __post_init__(self):
+        for name in ("case_id", "activity", "timestamp"):
+            require(getattr(self, name), str, name)
+        if self.timestamp_format is not None:
+            require(self.timestamp_format, str, "timestamp_format")
+        if self.attributes is not None:
+            if not isinstance(self.attributes, list):
+                raise ConfigError("attributes must be a list of column names")
+            for i, name in enumerate(self.attributes):
+                require(name, str, f"attributes[{i}]")
 
 
 def _utf8_lines(stream):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .actionrules import Treatment
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .uplift import Segment
 
 
@@ -23,6 +23,8 @@ class CostModel:
     impression_cost: float
 
     def __post_init__(self):
+        require(self.outcome_value, float, "outcome_value")
+        require(self.impression_cost, float, "impression_cost")
         if self.outcome_value < 0:
             raise ConfigError("outcome_value must be >= 0")
         if self.impression_cost < 0:

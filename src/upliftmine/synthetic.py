@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .casetable import AttributeSchema
-from .errors import ConfigError, PositivityError
+from .errors import ConfigError, PositivityError, require
 from .logparse import CaseLog
 
 CONFOUNDER = "confounder"
@@ -62,6 +62,8 @@ class SyntheticScenario:
     def __post_init__(self):
         if self.n_cases <= 0:
             raise ConfigError("n_cases must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         _check_prob(self.p_confounder, "p_confounder")
         _check_prob(self.p_subgroup, "p_subgroup")
         for l, p in enumerate(self.p_treat_given_confounder):
@@ -94,10 +96,9 @@ class SyntheticScenario:
 def _pair(raw, name: str) -> tuple[float, float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ConfigError(f"{name} must be a pair [value at 0, value at 1]")
-    try:
-        return (float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must hold two numbers") from None
+    for i, value in enumerate(raw):
+        require(value, float, f"{name}[{i}]")
+    return (float(raw[0]), float(raw[1]))
 
 
 def _table(raw, name: str) -> ProbTable:
@@ -116,20 +117,15 @@ def scenario_from_dict(raw: dict) -> SyntheticScenario:
     missing = sorted(known - set(raw))
     if missing:
         raise ConfigError(f"scenario keys required: {', '.join(missing)}")
-    try:
-        n_cases = int(raw["n_cases"])
-        seed = int(raw["seed"])
-        p_confounder = float(raw["p_confounder"])
-        p_subgroup = float(raw["p_subgroup"])
-    except (TypeError, ValueError):
-        raise ConfigError(
-            "n_cases, seed, p_confounder, p_subgroup must be numbers"
-        ) from None
+    for key in ("n_cases", "seed"):
+        require(raw[key], int, key)
+    for key in ("p_confounder", "p_subgroup"):
+        require(raw[key], float, key)
     return SyntheticScenario(
-        n_cases=n_cases,
-        seed=seed,
-        p_confounder=p_confounder,
-        p_subgroup=p_subgroup,
+        n_cases=raw["n_cases"],
+        seed=raw["seed"],
+        p_confounder=float(raw["p_confounder"]),
+        p_subgroup=float(raw["p_subgroup"]),
         p_treat_given_confounder=_pair(
             raw["p_treat_given_confounder"], "p_treat_given_confounder"
         ),

@@ -11,7 +11,6 @@ source values act as control, everything else is excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
 from typing import Optional
 
 import numpy as np
@@ -47,8 +46,8 @@ class TreeParams:
 
     def __post_init__(self):
         for name in ("max_depth", "min_samples_split", "min_samples_treatment"):
-            require(getattr(self, name), int, f"tree.{name}")
-        require(self.n_reg, float, "tree.n_reg")
+            require(getattr(self, name), int, name)
+        require(self.n_reg, float, "n_reg")
         if self.max_depth < 0:
             raise ConfigError("max_depth must be >= 0")
         if self.min_samples_split < 2:
@@ -123,48 +122,45 @@ def divergence(p, q, kind: str) -> float:
         raise ConfigError(f"unknown divergence kind {kind!r}")
     p = _check_distribution(p, "p")
     q = _check_distribution(q, "q")
-    return _divergence_unchecked(p[0], q[0], kind)
+    return float(_divergence_unchecked(p[0], q[0], kind))
 
 
-def _divergence_unchecked(p: float, q: float, kind: str) -> float:
-    """Binary divergence on first components, tolerating boundary values
-    with the conventions 0*log(0/x) = 0 and (p-q)^2/0 -> inf for p != q.
+def _divergence_unchecked(p, q, kind: str):
+    """Binary divergence on first components, elementwise over arrays,
+    tolerating boundary values with the conventions 0*log(0/x) = 0 and
+    (p-q)^2/0 -> inf for p != q.
     """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if kind == "Euclid":
         d = p - q
         return 2.0 * d * d
-    if kind == "KL":
-        total = 0.0
-        for pi, qi in ((p, q), (1.0 - p, 1.0 - q)):
-            if pi == 0.0:
-                continue
-            if qi == 0.0:
-                return float("inf")
-            total += pi * log2(pi / qi)
-        return total
     total = 0.0
-    for pi, qi in ((p, q), (1.0 - p, 1.0 - q)):
-        d = pi - qi
-        if d == 0.0:
-            continue
-        if qi == 0.0:
-            return float("inf")
-        total += d * d / qi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pi, qi in ((p, q), (1.0 - p, 1.0 - q)):
+            if kind == "KL":
+                term = np.where(pi == 0.0, 0.0, pi * np.log2(pi / qi))
+            else:
+                d = pi - qi
+                term = np.where(d == 0.0, 0.0, np.where(qi == 0.0, np.inf, d * d / qi))
+            total = total + term
     return total
 
 
-def _entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * log2(p) - (1.0 - p) * log2(1.0 - p)
+def _entropy(p):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
 
 
-def _gini(p: float) -> float:
+def _gini(p):
     return 2.0 * p * (1.0 - p)
 
 
 @dataclass(frozen=True)
 class NodeStats:
+    """Counts and smoothed outcome rates of one node, or elementwise of a
+    block of candidate children when the fields are equal-length arrays."""
+
     n_treat: int
     n_ctrl: int
     pos_treat: int
@@ -173,9 +169,10 @@ class NodeStats:
     p_ctrl: float
 
     def __post_init__(self):
-        if self.pos_treat > self.n_treat or self.pos_ctrl > self.n_ctrl:
+        if np.any(self.pos_treat > self.n_treat) or np.any(self.pos_ctrl > self.n_ctrl):
             raise ValueError("positive count exceeds group size")
-        if not (0.0 < self.p_treat < 1.0 and 0.0 < self.p_ctrl < 1.0):
+        inside = (0.0 < self.p_treat) & (self.p_treat < 1.0)
+        if not np.all(inside & (0.0 < self.p_ctrl) & (self.p_ctrl < 1.0)):
             raise ValueError("smoothed probabilities must lie strictly in (0, 1)")
 
     @property
@@ -188,14 +185,10 @@ class NodeStats:
 
 
 def node_stats(
-    n_treat: int,
-    pos_treat: int,
-    n_ctrl: int,
-    pos_ctrl: int,
-    parent: Optional[NodeStats],
-    n_reg: float,
+    n_treat, pos_treat, n_ctrl, pos_ctrl, parent: Optional[NodeStats], n_reg: float
 ) -> NodeStats:
-    """Smoothed per-group outcome rates: p = (pos + n_reg*prior) / (n + n_reg).
+    """Smoothed per-group outcome rates: p = (pos + n_reg*prior) / (n + n_reg),
+    elementwise over count arrays.
 
     The root's prior (both groups) is the pooled positive rate over treated
     plus control, clamped into (0, 1) so degenerate outcomes stay usable.
@@ -248,14 +241,13 @@ def _condition_text(attribute: str, op: str, value) -> str:
 
 def gain(parent: NodeStats, left: NodeStats, right: NodeStats, kind: str) -> float:
     """Divergence gained by the split: the size-weighted sum of the child
-    divergences minus the parent's divergence."""
-    d_before = _divergence_unchecked(parent.p_treat, parent.p_ctrl, kind)
-    d_after = 0.0
-    for child in (left, right):
-        d_after += (child.n / parent.n) * _divergence_unchecked(
-            child.p_treat, child.p_ctrl, kind
-        )
-    return d_after - d_before
+    divergences minus the parent's divergence; elementwise over a block of
+    candidate children."""
+    d_after = sum(
+        (child.n / parent.n) * _divergence_unchecked(child.p_treat, child.p_ctrl, kind)
+        for child in (left, right)
+    )
+    return d_after - _divergence_unchecked(parent.p_treat, parent.p_ctrl, kind)
 
 
 def normalization_from_counts(
@@ -266,7 +258,8 @@ def normalization_from_counts(
     With w = treated share of the node, pt/pc = fraction of treated resp.
     control rows sent left: KL kind uses binary entropy H and the KL
     divergence; Euclid and ChiSq kinds replace H by the Gini index and use
-    their own divergence. The +1/2 floor makes the value >= 1/2.
+    their own divergence. The +1/2 floor makes the value >= 1/2. Left
+    counts may be arrays, one element per candidate split.
     """
     if kind not in DIVERGENCE_KINDS:
         raise ConfigError(f"unknown divergence kind {kind!r}")
@@ -323,16 +316,18 @@ def _label_counts(codes: np.ndarray, outcome: np.ndarray, n_labels: int):
 
 
 def _candidates(table: CaseTable, treat_idx, ctrl_idx, feature_names):
-    """(attribute, threshold, category, left treated, their positives, left
-    control, their positives) of every candidate split, in scan order."""
+    """Per attribute, in scan order: whether it is numeric, the ascending
+    thresholds or category labels of its candidate tests, and four arrays
+    parallel to them: left treated rows, their positives, left control rows,
+    their positives."""
     groups = [(rows, table.outcome[rows]) for rows in (treat_idx, ctrl_idx)]
     for attribute in sorted(feature_names):
-        if table.attribute(attribute).kind == NUMERIC:
+        numeric = table.attribute(attribute).kind == NUMERIC
+        if numeric:
             col = table.numeric(attribute)
             observed = col[np.concatenate([treat_idx, ctrl_idx])]
-            thresholds = _numeric_thresholds(observed[~np.isnan(observed)])
-            tests = [(t, None) for t in thresholds.tolist()]
-            counts = [_numeric_counts(col[rows], y, thresholds) for rows, y in groups]
+            tests = _numeric_thresholds(observed[~np.isnan(observed)])
+            counts = [_numeric_counts(col[rows], y, tests) for rows, y in groups]
         else:
             codes, labels = table.coded(attribute)
             counts = [_label_counts(codes[rows], y, len(labels)) for rows, y in groups]
@@ -340,11 +335,10 @@ def _candidates(table: CaseTable, treat_idx, ctrl_idx, feature_names):
             present = np.flatnonzero(counts[0][0] + counts[1][0])
             if present.size < 2:
                 continue
-            tests = [(None, labels[code]) for code in present.tolist()]
+            tests = np.array(labels, dtype=object)[present]
             counts = [(n[present], positives[present]) for n, positives in counts]
-        (lt, pos_lt), (lc, pos_lc) = [(n.tolist(), pos.tolist()) for n, pos in counts]
-        for (threshold, category), *left in zip(tests, lt, pos_lt, lc, pos_lc):
-            yield (attribute, threshold, category, *left)
+        (lt, pos_lt), (lc, pos_lc) = counts
+        yield attribute, numeric, tests, lt, pos_lt, lc, pos_lc
 
 
 def best_split(
@@ -360,35 +354,34 @@ def best_split(
     Candidates are visited per feature in ascending attribute-name order,
     numeric thresholds ascending, category labels ascending; a challenger
     must beat the incumbent by more than TIE_REL_TOL relative to replace it.
+    Each feature's admissible candidates are scored together as one block.
     Returns None when no candidate clears the positivity and size
     constraints with a normalized gain above GAIN_EPS.
     """
     kind = params.divergence
     best: Optional[tuple[Split, float]] = None
-    for attribute, threshold, category, lt, pos_lt, lc, pos_lc in _candidates(
+    for attribute, numeric, tests, lt, pos_lt, lc, pos_lc in _candidates(
         table, treat_idx, ctrl_idx, feature_names
     ):
-        rt = len(treat_idx) - lt
-        rc = len(ctrl_idx) - lc
-        if min(lt, rt) < params.min_samples_treatment or min(lc, rc) < 1:
-            continue
+        rt, rc = len(treat_idx) - lt, len(ctrl_idx) - lc
+        keep = (np.minimum(lt, rt) >= params.min_samples_treatment) & (
+            np.minimum(lc, rc) >= 1
+        )
+        lt, pos_lt, lc, pos_lc, rt, rc = (a[keep] for a in (lt, pos_lt, lc, pos_lc, rt, rc))
         left = node_stats(lt, pos_lt, lc, pos_lc, parent, params.n_reg)
         right = node_stats(
-            rt,
-            parent.pos_treat - pos_lt,
-            rc,
-            parent.pos_ctrl - pos_lc,
-            parent,
-            params.n_reg,
+            rt, parent.pos_treat - pos_lt, rc, parent.pos_ctrl - pos_lc, parent, params.n_reg
         )
-        score = gain(parent, left, right, kind) / normalization_from_counts(
+        scores = gain(parent, left, right, kind) / normalization_from_counts(
             lt, lc, parent.n_treat, parent.n_ctrl, kind
         )
-        if score <= GAIN_EPS:
-            continue
-        if best is not None and score <= best[1] * (1.0 + TIE_REL_TOL):
-            continue
-        best = (Split(attribute, threshold, category), score)
+        for test, score in zip(tests[keep].tolist(), scores.tolist()):
+            if score <= GAIN_EPS:
+                continue
+            if best is not None and score <= best[1] * (1.0 + TIE_REL_TOL):
+                continue
+            split = Split(attribute, test, None) if numeric else Split(attribute, None, test)
+            best = (split, score)
     return best
 
 

@@ -154,6 +154,24 @@ def _bins_on_v(how):
         lambda raw: raw.update(rules={"min_confidence": True}),
         lambda raw: raw.update(rules={"max_antecedent_len": 2.5}),
         lambda raw: raw.update(rules={"max_antecedent_len": False}),
+        lambda raw: raw.update(tree={"n_reg": float("inf")}),
+        lambda raw: raw.update(tree={"n_reg": float("nan")}),
+        lambda raw: raw.update(tree={"n_reg": 10**400}),
+        lambda raw: raw.update(rules={"min_support": float("nan")}),
+        lambda raw: raw.update(cost={"outcome_value": float("nan")}),
+        lambda raw: raw.update(cost={"impression_cost": float("inf")}),
+        lambda raw: raw.update(cost={"outcome_value": "10"}),
+        lambda raw: raw.update(
+            cost={"overrides": {"F:a->b": {"outcome_value": 1.0, "impression_cost": float("nan")}}}
+        ),
+        lambda raw: raw.update(min_uplift=float("nan")),
+        lambda raw: raw.update(min_uplift=float("-inf")),
+        lambda raw: raw.update(min_uplift=True),
+        lambda raw: raw.update(csv={"timestamp_format": 5}),
+        lambda raw: raw.update(csv={"case_id": [1]}),
+        lambda raw: raw.update(csv={"activity": None}),
+        lambda raw: raw.update(csv={"attributes": "S"}),
+        lambda raw: raw.update(csv={"attributes": ["S", 2]}),
     ],
 )
 def test_config_validation(tmp_path, mutate):
@@ -171,6 +189,11 @@ def test_config_validation(tmp_path, mutate):
         ("tree", "n_reg", "1", "tree.n_reg must be a number"),
         ("rules", "min_support", "0.1", "rules.min_support must be a number"),
         ("rules", "max_antecedent_len", 2.5, "rules.max_antecedent_len must be an integer"),
+        ("tree", "n_reg", float("inf"), "tree.n_reg must be finite"),
+        ("cost", "outcome_value", float("nan"), "cost.outcome_value must be finite"),
+        ("cost", "impression_cost", float("inf"), "cost.impression_cost must be finite"),
+        ("csv", "timestamp_format", 5, "csv.timestamp_format must be a string"),
+        ("csv", "case_id", [1], "csv.case_id must be a string"),
     ],
 )
 def test_config_type_error_names_the_field(tmp_path, section, field, value, message):
@@ -568,6 +591,76 @@ def test_cli_undecodable_log_value_is_a_data_error(tmp_path, caplog, log_name, d
     with caplog.at_level(logging.ERROR):
         assert main(["ingest", "--config", str(config)]) == 2
     assert message in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("tree", {"n_reg": float("inf")}, "tree.n_reg must be finite"),
+        ("cost", {"outcome_value": float("nan")}, "cost.outcome_value must be finite"),
+        ("cost", {"impression_cost": float("inf")}, "cost.impression_cost must be finite"),
+        ("min_uplift", float("nan"), "min_uplift must be finite"),
+        ("csv", {"timestamp_format": 5}, "csv.timestamp_format must be a string"),
+        ("csv", {"case_id": [1]}, "csv.case_id must be a string"),
+    ],
+    ids=["n_reg-inf", "outcome_value-nan", "impression_cost-inf", "min_uplift-nan",
+         "timestamp_format-int", "case_id-list"],
+)
+def test_cli_non_finite_or_mistyped_config_is_a_config_error(
+    tmp_path, caplog, section, value, message
+):
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    raw = minimal_raw(tmp_path)
+    raw["out_dir"] = str(tmp_path / "out")
+    raw[section] = value
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", "--config", str(config)]) == 1
+    assert message in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+SCENARIO = {
+    "n_cases": 200,
+    "seed": 7,
+    "p_confounder": 0.5,
+    "p_subgroup": 0.5,
+    "p_treat_given_confounder": [0.5, 0.5],
+    "p_outcome_treated": [[0.1, 0.8], [0.1, 0.8]],
+    "p_outcome_control": [[0.1, 0.1], [0.1, 0.1]],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", -1, "seed must be >= 0"),
+        ("n_cases", 10.7, "n_cases must be an integer"),
+        ("n_cases", True, "n_cases must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("p_confounder", "0.5", "p_confounder must be a number"),
+    ],
+)
+def test_cli_mistyped_scenario_is_a_config_error(tmp_path, caplog, key, value, message):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({**SCENARIO, key: value}), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 1
+    assert message in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert not (tmp_path / "sim").exists()
+
+
+def test_cli_negative_seed_override_is_a_config_error(tmp_path, caplog):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(SCENARIO), encoding="utf-8")
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "sim"), "--seed", "-1"]
+    with caplog.at_level(logging.ERROR):
+        assert main(argv) == 1
+    assert "seed must be >= 0" in caplog.text
     assert "unexpected failure" not in caplog.text
 
 

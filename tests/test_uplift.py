@@ -1,14 +1,25 @@
 import math
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import EIGHT_ROW_TABLE, F_A_TO_B, make_table, random_split_table
-from oracles import oracle_best_split, oracle_score, oracle_root_prior
+from oracles import (
+    boundary_divergence,
+    oracle_best_split,
+    oracle_normalization,
+    oracle_root_prior,
+    oracle_score,
+)
 from upliftmine.actionrules import AtomicActionTerm, Treatment
 from upliftmine.casetable import discretize
 from upliftmine.errors import ConfigError, PositivityError
 from upliftmine.uplift import (
+    DIVERGENCE_KINDS,
     MAX_NUMERIC_CANDIDATES,
     NodeStats,
     TreeParams,
@@ -20,6 +31,7 @@ from upliftmine.uplift import (
     gain,
     node_stats,
     normalization_from_counts,
+    _divergence_unchecked,
     to_dot,
 )
 
@@ -188,6 +200,73 @@ def test_normalization_monotone_in_disparity():
                 if prev is not None:
                     assert value >= prev - 1e-12
                 prev = value
+
+
+def _assert_matches_oracle(got, want):
+    """Elementwise: inf exactly where the oracle gives inf, else within
+    rel=1e-12."""
+    assert got.shape == (len(want),)
+    for g, w in zip(got.tolist(), want):
+        if math.isinf(w):
+            assert g == w
+        else:
+            assert g == pytest.approx(w, rel=1e-12)
+
+
+FRACTIONS = st.builds(
+    lambda den, num: Fraction(min(num, den), den), st.integers(1, 8), st.integers(0, 8)
+)
+
+
+@st.composite
+def candidate_blocks(draw):
+    """A node's counts, n_reg, and a block of left-child counts that
+    includes sending no treated (or control) row left and sending all.
+
+    n_reg stays at 1 or above: far below it, a node of one or two rows
+    smooths its rates to within 1e-6 of 0 or 1, where float64 holds 1 - p
+    only to about 1e-10 relative, whatever the formula."""
+    nt, nc = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    post, posc = draw(st.integers(0, nt)), draw(st.integers(0, nc))
+    left = []
+    for _ in range(draw(st.integers(1, 12))):
+        lt = draw(st.sampled_from([0, nt]) | st.integers(0, nt))
+        lc = draw(st.sampled_from([0, nc]) | st.integers(0, nc))
+        pos_lt = draw(st.integers(max(0, post - (nt - lt)), min(lt, post)))
+        pos_lc = draw(st.integers(max(0, posc - (nc - lc)), min(lc, posc)))
+        left.append((lt, pos_lt, lc, pos_lc))
+    n_reg = draw(st.sampled_from([1.0, 3.5, 100.0]))
+    return (nt, post, nc, posc), left, n_reg
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(DIVERGENCE_KINDS),
+    pairs=st.lists(st.tuples(FRACTIONS, FRACTIONS), min_size=1, max_size=20),
+    block=candidate_blocks(),
+)
+def test_array_formulas_match_the_oracles_at_the_boundaries(kind, pairs, block):
+    p, q = (np.array([float(pair[i]) for pair in pairs]) for i in (0, 1))
+    want = [boundary_divergence(kind, a, b) for a, b in pairs]
+    _assert_matches_oracle(_divergence_unchecked(p, q, kind), want)
+
+    (nt, post, nc, posc), left, n_reg = block
+    lt, pos_lt, lc, pos_lc = (np.array(column) for column in zip(*left))
+    want = [oracle_normalization(kind, c[0], c[2], nt, nc) for c in left]
+    normalization = normalization_from_counts(lt, lc, nt, nc, kind)
+    _assert_matches_oracle(normalization, want)
+
+    parent = node_stats(nt, post, nc, posc, None, n_reg)
+    left_stats = node_stats(lt, pos_lt, lc, pos_lc, parent, n_reg)
+    right_stats = node_stats(nt - lt, post - pos_lt, nc - lc, posc - pos_lc, parent, n_reg)
+    prior = oracle_root_prior(post, posc, nt, nc)
+    want = [oracle_score(kind, n_reg, (nt, post, nc, posc), c, (prior, prior)) for c in left]
+    _assert_matches_oracle(gain(parent, left_stats, right_stats, kind) / normalization, want)
+
+
+def test_divergence_returns_a_python_float():
+    for kind in DIVERGENCE_KINDS:
+        assert type(divergence((0.75, 0.25), (0.25, 0.75), kind)) is float
 
 
 def _build_with(table, treatment, params):
