@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .casetable import CaseTable
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, read_text
 
 
 @dataclass(frozen=True, order=True)
@@ -302,22 +302,27 @@ def measure(rule: ActionRule, table: CaseTable) -> tuple[float, float]:
 # One rule per line:
 #   [(A: v) ∧ (B: x → y)] ⟹ [Outcome: 0 → 1], with support 0.057 and confidence 0.764
 # Stable terms print as (attr: value), flexible ones as (attr: from → to);
-# stable terms come first, each group sorted by attribute.
+# stable terms come first, each group sorted by attribute. No name or label
+# may hold a reserved token or a line break; a label printed between the
+# spaces around it may not either.
 
-_LABEL_RESERVED = (" ∧ ", " ⟹ ", " → ")
+_LABEL_RESERVED = (" ∧ ", " ⟹ ", " → ", "\n", "\r")
 _ATTR_RESERVED = _LABEL_RESERVED + (": ",)
 
 _LINE_RE = re.compile(
-    r"^\[(?P<antecedent>.*)\] ⟹ \[(?P<outcome>[^:]+): 0 → 1\], "
+    r"^\[(?P<antecedent>.*)\] ⟹ \[(?P<outcome>[^:]*): 0 → 1\], "
     r"with support (?P<support>\S+) and confidence (?P<confidence>\S+)$"
 )
 
 
-def _check_printable(text: str, what: str, reserved: tuple[str, ...]) -> str:
+def _check_printable(
+    text: str, what: str, reserved: tuple[str, ...], pad: str = ""
+) -> str:
     for token in reserved:
-        if token in text:
+        if token in f"{pad}{text}{pad}":
             raise SchemaError(
-                f"{what} {text!r} contains {token!r}, which the rule format reserves"
+                f"{what} {text!r} contains {token!r} when printed, "
+                "which the rule format reserves"
             )
     return text
 
@@ -325,12 +330,13 @@ def _check_printable(text: str, what: str, reserved: tuple[str, ...]) -> str:
 def format_term(term: AtomicActionTerm) -> str:
     attr = _check_printable(term.attribute, "attribute", _ATTR_RESERVED)
     what = f"attribute {attr!r}: label"
-    if term.is_stable:
-        return f"({attr}: {_check_printable(term.from_value, what, _LABEL_RESERVED)})"
-    return (
-        f"({attr}: {_check_printable(term.from_value, what, _LABEL_RESERVED)}"
-        f" → {_check_printable(term.to_value, what, _LABEL_RESERVED)})"
+    from_value, to_value = (
+        _check_printable(label, what, _LABEL_RESERVED, pad=" ")
+        for label in (term.from_value, term.to_value)
     )
+    if term.is_stable:
+        return f"({attr}: {from_value})"
+    return f"({attr}: {from_value} → {to_value})"
 
 
 def format_rule(rule: ActionRule) -> str:
@@ -345,30 +351,31 @@ def format_rule(rule: ActionRule) -> str:
 
 
 def parse_rule(line: str) -> ActionRule:
+    """Inverse of format_rule; SchemaError for a line it cannot have written."""
     m = _LINE_RE.match(line.strip())
     if m is None:
-        raise ValueError(f"unparseable rule line: {line!r}")
+        raise SchemaError(f"unparseable rule line: {line!r}")
     stable, flexible = [], []
     antecedent = m.group("antecedent")
     for chunk in antecedent.split(" ∧ ") if antecedent else []:
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ValueError(f"unparseable rule term: {chunk!r}")
-        body = chunk[1:-1]
-        attr, _, rest = body.partition(": ")
-        if not rest:
-            raise ValueError(f"unparseable rule term: {chunk!r}")
+        attr, colon, rest = chunk[1:-1].partition(": ")
+        if not (chunk.startswith("(") and chunk.endswith(")") and colon):
+            raise SchemaError(f"unparseable rule term: {chunk!r}")
         if " → " in rest:
             from_value, _, to_value = rest.partition(" → ")
             flexible.append(AtomicActionTerm(attr, from_value, to_value))
         else:
             stable.append(AtomicActionTerm(attr, rest, rest))
-    return ActionRule(
-        stable=tuple(sorted(stable)),
-        flexible=tuple(sorted(flexible)),
-        outcome=m.group("outcome"),
-        support=float(m.group("support")),
-        confidence=float(m.group("confidence")),
-    )
+    try:
+        return ActionRule(
+            stable=tuple(sorted(stable)),
+            flexible=tuple(sorted(flexible)),
+            outcome=m.group("outcome"),
+            support=float(m.group("support")),
+            confidence=float(m.group("confidence")),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"unparseable rule line {line!r}: {exc}") from None
 
 
 def save_rules(rules: Iterable[ActionRule], path) -> None:
@@ -378,5 +385,5 @@ def save_rules(rules: Iterable[ActionRule], path) -> None:
 
 
 def load_rules(path) -> list[ActionRule]:
-    with open(path, encoding="utf-8") as fh:
-        return [parse_rule(line) for line in fh if line.strip()]
+    lines = read_text(path, "rules file").split("\n")
+    return [parse_rule(line) for line in lines if line.strip()]

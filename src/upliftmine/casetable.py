@@ -123,6 +123,7 @@ class CaseTable:
         self.outcome = outcome.astype(np.uint8)
         self._columns: dict[str, Coded | np.ndarray] = {}
         self._raw: dict[str, np.ndarray] = {}
+        self._ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for attr in self.schema:
             name = attr.name
             if name in self.bins:
@@ -160,6 +161,21 @@ class CaseTable:
         if self.attribute(name).kind != NUMERIC:
             raise SchemaError(f"attribute {name!r} is not numeric")
         return self._raw.get(name, self._columns[name])
+
+    def ranked(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending distinct values (raw numbers but NaN, or labels) and each
+        row's int32 index into them, missing rows all last; cached."""
+        if name not in self._ranked:
+            if self.attribute(name).kind == NUMERIC:
+                values = self.numeric(name)
+                distinct = np.unique(values[~np.isnan(values)])
+                ranks = np.searchsorted(distinct, values)  # NaN sorts last
+            else:
+                codes, labels = self.coded(name)
+                distinct = np.array(labels, dtype=object)
+                ranks = np.where(codes < 0, len(labels), codes)
+            self._ranked[name] = (distinct, ranks.astype(np.int32))
+        return self._ranked[name]
 
     def equals(self, name: str, label: str) -> np.ndarray:
         """Row mask of the cases whose label for name equals label."""

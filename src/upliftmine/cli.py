@@ -10,6 +10,7 @@ import sys
 from .config import load_config
 from .errors import ConfigError, UpliftMineError
 from .pipeline import (
+    pin_mmap_threshold,
     run,
     stage_ingest,
     stage_mine,
@@ -90,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    pin_mmap_threshold()
     if args.command == "simulate":
         scenario = load_scenario(args.config)
         if args.seed is not None:

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import yaml
 
 from .casetable import DEFAULT_POSITIVE_LABELS, NUMERIC, AttributeSchema
-from .errors import ConfigError, SchemaError, require
+from .errors import ConfigError, SchemaError, read_text, require
 from .logparse import CsvColumns
 from .ranking import CostModel
 from .uplift import TreeParams
@@ -211,11 +211,10 @@ def _resolve(path: str, base: str) -> str:
 
 def load_config(path) -> PipelineConfig:
     """Read a YAML config; relative input/out_dir resolve against the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from None
+    try:
+        raw = yaml.safe_load(read_text(path, "config"))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from None
     config = config_from_dict(raw)
     base = os.path.dirname(os.path.abspath(path))
     config.input = _resolve(config.input, base)

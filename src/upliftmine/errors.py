@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the type check of
-config fields that raises ConfigError."""
+"""Exception hierarchy shared across the package, and the two helpers that
+raise ConfigError: the type check of config fields and the read of a
+user-supplied text file."""
 
 import sys
 
@@ -46,3 +47,13 @@ def require(value, kind: type, name: str) -> None:
     # Compared, not converted: an int too large for a float is not finite either.
     if kind is float and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name} must be finite")
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of a user-supplied file; ConfigError naming it when it
+    cannot be read (missing, a directory, not UTF-8)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None

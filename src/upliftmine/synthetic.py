@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .casetable import AttributeSchema
-from .errors import ConfigError, PositivityError, require
+from .errors import ConfigError, PositivityError, read_text, require
 from .logparse import CaseLog
 
 CONFOUNDER = "confounder"
@@ -135,11 +135,10 @@ def scenario_from_dict(raw: dict) -> SyntheticScenario:
 
 
 def load_scenario(path) -> SyntheticScenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse scenario {path}: {exc}") from None
+    try:
+        raw = yaml.safe_load(read_text(path, "scenario"))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse scenario {path}: {exc}") from None
     return scenario_from_dict(raw)
 
 

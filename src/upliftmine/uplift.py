@@ -279,66 +279,46 @@ def normalization_from_counts(
 # Split search
 # ---------------------------------------------------------------------------
 
-def _numeric_thresholds(values: np.ndarray) -> np.ndarray:
-    """Candidate thresholds: midpoints of consecutive distinct values. Above
+def _numeric_thresholds(distinct: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Candidate thresholds of a node whose ascending distinct values occur
+    counts times: midpoints of consecutive distinct values. Above
     MAX_NUMERIC_CANDIDATES the list is thinned to evenly spaced quantiles of
-    the observed values, each snapped up to the next midpoint."""
-    distinct = np.unique(values)
-    if distinct.size < 2:
-        return np.empty(0)
+    the node's values, each snapped up to the next midpoint."""
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     if mids.size <= MAX_NUMERIC_CANDIDATES:
         return mids
-    qs = np.quantile(
-        values, np.arange(1, MAX_NUMERIC_CANDIDATES + 1) / (MAX_NUMERIC_CANDIDATES + 1)
-    )
-    picked = mids[np.minimum(np.searchsorted(mids, qs), mids.size - 1)]
-    return np.unique(picked)
-
-
-def _numeric_counts(values: np.ndarray, outcome: np.ndarray, thresholds: np.ndarray):
-    """Rows with value <= t, and their positives, for every threshold t, read
-    off one sort and a prefix sum; NaN sorts last, so missing values are
-    never counted."""
-    order = np.argsort(values)
-    positives = np.concatenate(([0], np.cumsum(outcome[order], dtype=np.int64)))
-    n_left = np.searchsorted(values[order], thresholds, side="right")
-    return n_left, positives[n_left]
-
-
-def _label_counts(codes: np.ndarray, outcome: np.ndarray, n_labels: int):
-    """Rows with each label code, and their positives; missing (-1) rows are
-    never counted."""
-    shifted = codes + 1
-    n = np.bincount(shifted, minlength=n_labels + 1)[1:]
-    positives = np.bincount(shifted[outcome == 1], minlength=n_labels + 1)[1:]
-    return n, positives
+    fractions = np.arange(1, MAX_NUMERIC_CANDIDATES + 1) / (MAX_NUMERIC_CANDIDATES + 1)
+    qs = np.quantile(np.repeat(distinct, counts), fractions)
+    return np.unique(mids[np.minimum(np.searchsorted(mids, qs), mids.size - 1)])
 
 
 def _candidates(table: CaseTable, treat_idx, ctrl_idx, feature_names):
     """Per attribute, in scan order: whether it is numeric, the ascending
-    thresholds or category labels of its candidate tests, and four arrays
-    parallel to them: left treated rows, their positives, left control rows,
-    their positives."""
-    groups = [(rows, table.outcome[rows]) for rows in (treat_idx, ctrl_idx)]
+    thresholds or labels of its candidate tests, and a 4-row array of each
+    test's left treated rows, their positives, left control rows and their
+    positives, read off histograms of the node over CaseTable.ranked."""
+    groups = []
+    for rows in (treat_idx, ctrl_idx):
+        groups += [rows, rows[table.outcome[rows] == 1]]
     for attribute in sorted(feature_names):
-        numeric = table.attribute(attribute).kind == NUMERIC
-        if numeric:
-            col = table.numeric(attribute)
-            observed = col[np.concatenate([treat_idx, ctrl_idx])]
-            tests = _numeric_thresholds(observed[~np.isnan(observed)])
-            counts = [_numeric_counts(col[rows], y, tests) for rows, y in groups]
-        else:
-            codes, labels = table.coded(attribute)
-            counts = [_label_counts(codes[rows], y, len(labels)) for rows, y in groups]
-            # Codes ascend with labels.
-            present = np.flatnonzero(counts[0][0] + counts[1][0])
-            if present.size < 2:
-                continue
-            tests = np.array(labels, dtype=object)[present]
-            counts = [(n[present], positives[present]) for n, positives in counts]
-        (lt, pos_lt), (lc, pos_lc) = counts
-        yield attribute, numeric, tests, lt, pos_lt, lc, pos_lc
+        values, ranks = table.ranked(attribute)
+        size = len(values) + 1
+        hist = np.stack([np.bincount(ranks[rows], minlength=size) for rows in groups])
+        node = hist[0] + hist[2]
+        present = np.flatnonzero(node[:-1] > 0)  # the last bucket holds missing rows
+        if present.size < 2:
+            continue
+        if table.attribute(attribute).kind != NUMERIC:
+            yield attribute, False, values[present], hist[:, present]
+            continue
+        distinct = values[present]
+        tests = _numeric_thresholds(distinct, node[present])
+        # Left rows hold value <= t, so a NaN t (from -inf and +inf) takes the
+        # missing rows too, as a sorted search with NaN last does. Every t is
+        # at least the node's least value, so at >= 1.
+        at = np.searchsorted(np.append(distinct, np.nan), tests, side="right")
+        cumulative = np.cumsum(hist[:, np.append(present, size - 1)], axis=1)
+        yield attribute, True, tests, cumulative[:, at - 1]
 
 
 def best_split(
@@ -354,34 +334,35 @@ def best_split(
     Candidates are visited per feature in ascending attribute-name order,
     numeric thresholds ascending, category labels ascending; a challenger
     must beat the incumbent by more than TIE_REL_TOL relative to replace it.
-    Each feature's admissible candidates are scored together as one block.
+    All of the node's admissible candidates are scored as one block.
     Returns None when no candidate clears the positivity and size
     constraints with a normalized gain above GAIN_EPS.
     """
-    kind = params.divergence
+    blocks = list(_candidates(table, treat_idx, ctrl_idx, feature_names))
+    if not blocks:
+        return None
+    tests = [(a, numeric, t) for a, numeric, ts, _ in blocks for t in ts.tolist()]
+    lt, pos_lt, lc, pos_lc = np.concatenate([counts for *_, counts in blocks], axis=1)
+    rt, rc = len(treat_idx) - lt, len(ctrl_idx) - lc
+    keep = np.minimum(lt, rt) >= params.min_samples_treatment
+    keep &= np.minimum(lc, rc) >= 1
+    lt, pos_lt, lc, pos_lc, rt, rc = (a[keep] for a in (lt, pos_lt, lc, pos_lc, rt, rc))
+    left = node_stats(lt, pos_lt, lc, pos_lc, parent, params.n_reg)
+    right = node_stats(
+        rt, parent.pos_treat - pos_lt, rc, parent.pos_ctrl - pos_lc, parent, params.n_reg
+    )
+    scores = gain(parent, left, right, params.divergence) / normalization_from_counts(
+        lt, lc, parent.n_treat, parent.n_ctrl, params.divergence
+    )
     best: Optional[tuple[Split, float]] = None
-    for attribute, numeric, tests, lt, pos_lt, lc, pos_lc in _candidates(
-        table, treat_idx, ctrl_idx, feature_names
-    ):
-        rt, rc = len(treat_idx) - lt, len(ctrl_idx) - lc
-        keep = (np.minimum(lt, rt) >= params.min_samples_treatment) & (
-            np.minimum(lc, rc) >= 1
-        )
-        lt, pos_lt, lc, pos_lc, rt, rc = (a[keep] for a in (lt, pos_lt, lc, pos_lc, rt, rc))
-        left = node_stats(lt, pos_lt, lc, pos_lc, parent, params.n_reg)
-        right = node_stats(
-            rt, parent.pos_treat - pos_lt, rc, parent.pos_ctrl - pos_lc, parent, params.n_reg
-        )
-        scores = gain(parent, left, right, kind) / normalization_from_counts(
-            lt, lc, parent.n_treat, parent.n_ctrl, kind
-        )
-        for test, score in zip(tests[keep].tolist(), scores.tolist()):
-            if score <= GAIN_EPS:
-                continue
-            if best is not None and score <= best[1] * (1.0 + TIE_REL_TOL):
-                continue
-            split = Split(attribute, test, None) if numeric else Split(attribute, None, test)
-            best = (split, score)
+    for i, score in zip(np.flatnonzero(keep).tolist(), scores.tolist()):
+        if score <= GAIN_EPS:
+            continue
+        if best is not None and score <= best[1] * (1.0 + TIE_REL_TOL):
+            continue
+        attribute, numeric, test = tests[i]
+        split = Split(attribute, test, None) if numeric else Split(attribute, None, test)
+        best = (split, score)
     return best
 
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import log2
 
+import numpy as np
+
 from upliftmine.actionrules import AtomicActionTerm
 from upliftmine.casetable import CaseTable
 from upliftmine.logparse import CaseLog
@@ -265,6 +267,31 @@ def oracle_best_split(table, treat_rows, ctrl_rows, params, feature_names):
                 continue
             best = (name, test_value, score)
     return best
+
+
+def reference_numeric_candidates(values, outcome, treat_rows, ctrl_rows, max_candidates):
+    """A node's numeric split candidates as the split search first defined
+    them, from the node's raw values alone: np.unique of its non-NaN values,
+    midpoints of consecutive ones, thinned above max_candidates to
+    np.quantile of those values snapped up to the next midpoint; then, per
+    group, rows with value <= t and their positives by a sorted search (NaN
+    sorts last). Returns (thresholds, left treated, their positives, left
+    control, their positives)."""
+    observed = values[np.concatenate([treat_rows, ctrl_rows])]
+    observed = observed[~np.isnan(observed)]
+    distinct = np.unique(observed)
+    thresholds = (distinct[:-1] + distinct[1:]) / 2.0
+    if thresholds.size > max_candidates:
+        qs = np.quantile(observed, np.arange(1, max_candidates + 1) / (max_candidates + 1))
+        snapped = np.minimum(np.searchsorted(thresholds, qs), thresholds.size - 1)
+        thresholds = np.unique(thresholds[snapped])
+    counts = []
+    for rows in (treat_rows, ctrl_rows):
+        order = np.argsort(values[rows])
+        positives = np.concatenate(([0], np.cumsum(outcome[rows][order], dtype=np.int64)))
+        n_left = np.searchsorted(values[rows][order], thresholds, side="right")
+        counts += [n_left, positives[n_left]]
+    return (thresholds, *counts)
 
 
 def reference_fold(traces) -> CaseLog:

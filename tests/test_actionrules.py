@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import EIGHT_ROW_TABLE, make_table
 from oracles import brute_force_action_rules, brute_force_classification_rules
@@ -271,8 +273,59 @@ def test_rule_file_round_trip_is_byte_exact(tmp_path):
 
 
 def test_parse_rule_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="unparseable rule line"):
         parse_rule("not a rule")
+
+
+# Plain names and labels, then ones built from the format's own tokens.
+_plain = st.text(st.sampled_from("abXY019[]-<>=.,:()_"), min_size=1, max_size=6)
+_tricky = st.lists(
+    st.sampled_from([" ", ":", ": ", "∧", "⟹", "→", "(", ")", "[", "]", "\n", "\r", "a"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def action_rules(draw, text):
+    pairs = draw(st.lists(st.tuples(text, text), max_size=3))
+    stable = [AtomicActionTerm(a, v, v) for a, v in pairs]
+    flexible = []
+    for attribute in draw(st.lists(text, min_size=1, max_size=3)):
+        from_value = draw(text)
+        to_value = draw(text.filter(from_value.__ne__))
+        flexible.append(AtomicActionTerm(attribute, from_value, to_value))
+    return ActionRule(
+        stable=tuple(sorted(stable)),
+        flexible=tuple(sorted(flexible)),
+        outcome=draw(text.filter(lambda name: ":" not in name)),
+        support=draw(st.floats(allow_nan=False)),
+        confidence=draw(st.floats(allow_nan=False)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(action_rules(_plain))
+def test_format_rule_round_trips_through_parse_rule(rule):
+    assert parse_rule(format_rule(rule)) == rule
+
+
+_F_TO = AtomicActionTerm("F", "a", "b")
+
+
+@settings(max_examples=150, deadline=None)
+@example(ActionRule((), (AtomicActionTerm("F", "p →", "q"),), "Y", 0.5, 0.5))
+@example(ActionRule((), (AtomicActionTerm("F", "p", "→ q"),), "Y", 0.5, 0.5))
+@example(ActionRule((AtomicActionTerm("S", "∧ x", "∧ x"),), (_F_TO,), "Y", 0.5, 0.5))
+@example(ActionRule((AtomicActionTerm("S", "x\ny", "x\ny"),), (_F_TO,), "Y", 0.5, 0.5))
+@example(ActionRule((AtomicActionTerm("S", "", ""),), (_F_TO,), "Y", 0.5, 0.5))
+@given(action_rules(_tricky))
+def test_a_formatted_rule_parses_back_or_does_not_format(rule):
+    try:
+        line = format_rule(rule)
+    except SchemaError:
+        return
+    assert parse_rule(line) == rule
 
 
 def test_mining_is_deterministic():

@@ -693,8 +693,13 @@ def _row_layout(path: Path) -> bytes:
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_row_layout, lambda path: path.read_bytes()[:100], lambda path: b"\xff\xfe{}"],
-    ids=["row-layout", "truncated", "not-utf8"],
+    [
+        _row_layout,
+        lambda path: path.read_bytes()[:100],
+        lambda path: b"\xff\xfe{}",
+        lambda path: b"",
+    ],
+    ids=["row-layout", "truncated", "not-utf8", "empty"],
 )
 def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corrupt):
     (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
@@ -709,3 +714,57 @@ def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corru
         assert main(["mine", "--config", str(config)]) == 2
     assert CASE_TABLE_FILE in caplog.text
     assert "unexpected failure" not in caplog.text
+
+
+def _unreadable(path: Path, how: str) -> None:
+    if how == "directory":
+        path.mkdir()
+    elif how == "invalid-utf8":
+        path.write_bytes(b"input: caf\xe9.csv\n")
+
+
+@pytest.mark.parametrize("how", ["missing", "directory", "invalid-utf8"])
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_cli_unreadable_config_or_scenario_is_a_config_error(tmp_path, caplog, command, how):
+    path = tmp_path / "config.yaml"
+    _unreadable(path, how)
+    argv = [command, "--config", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "sim")]
+    with caplog.at_level(logging.ERROR):
+        assert main(argv) == 1
+    assert f"cannot read {'config' if command == 'run' else 'scenario'} {path}" in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+@pytest.mark.parametrize("how", ["missing", "directory", "invalid-utf8"])
+def test_cli_unreadable_treatments_file_is_a_config_error(tmp_path, caplog, how):
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    raw = minimal_raw(tmp_path)
+    raw["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 0
+    path = tmp_path / "treatments.txt"
+    _unreadable(path, how)
+    with caplog.at_level(logging.ERROR):
+        assert main(["uplift", "--config", str(config), "--treatments", str(path)]) == 1
+    assert f"cannot read treatments file {path}" in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+@pytest.mark.parametrize("command", ["ingest", "run", "simulate"])
+def test_cli_out_naming_a_file_is_a_config_error(tmp_path, caplog, command):
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    if command == "simulate":
+        config.write_text(yaml.safe_dump(SCENARIO), encoding="utf-8")
+    else:
+        config.write_text(yaml.safe_dump(minimal_raw(tmp_path)), encoding="utf-8")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main([command, "--config", str(config), "--out", str(taken)]) == 1
+    assert f"cannot create output directory {taken}" in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"

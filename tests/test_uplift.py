@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import EIGHT_ROW_TABLE, F_A_TO_B, make_table, random_split_table
@@ -14,6 +14,7 @@ from oracles import (
     oracle_normalization,
     oracle_root_prior,
     oracle_score,
+    reference_numeric_candidates,
 )
 from upliftmine.actionrules import AtomicActionTerm, Treatment
 from upliftmine.casetable import discretize
@@ -31,6 +32,7 @@ from upliftmine.uplift import (
     gain,
     node_stats,
     normalization_from_counts,
+    _candidates,
     _divergence_unchecked,
     to_dot,
 )
@@ -442,6 +444,65 @@ def test_every_node_routes_its_rows_like_the_split_rule():
             )
             walk(table, tree.root, assignment.treated.tolist(), assignment.control.tolist())
     assert checked["numeric"] >= 10 and checked["categorical"] >= 1
+
+
+EDGE_VALUES = [
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 2.0),
+    np.nextafter(1.0, 0.0), 2.5, -3.0, 1e308, -1e308,
+]
+
+
+@st.composite
+def numeric_nodes(draw):
+    """A numeric column of edge values, floats and a run of evenly spaced or
+    adjacent floats (at times more distinct values than
+    MAX_NUMERIC_CANDIDATES), with outcomes and random treated, control and
+    excluded rows."""
+    values = draw(st.lists(st.sampled_from(EDGE_VALUES) | st.floats(), max_size=40))
+    n_run = draw(st.integers(0, 3 * MAX_NUMERIC_CANDIDATES))
+    start = np.float64(draw(st.sampled_from([-0.0, 0.0, 1.0, -7.25, 1e300])))
+    if draw(st.booleans()):
+        run = (start.view(np.int64) + np.arange(n_run)).view(np.float64)
+    else:
+        run = start + np.arange(n_run) * draw(st.sampled_from([0.5, 3.0, 1e-300]))
+    values += np.repeat(run, draw(st.integers(1, 3))).tolist()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.permutation(np.array(values, dtype=np.float64))
+    group = rng.integers(0, 3, values.size)
+    outcome = rng.integers(0, 2, values.size)
+    return values, outcome, np.flatnonzero(group == 0), np.flatnonzero(group == 1)
+
+
+# Only -inf and +inf make a NaN midpoint, which takes the NaN rows left too.
+INF_NODE = (
+    np.array([-np.inf, np.inf, np.nan, np.inf, -np.inf, np.nan, 4.0]),
+    np.array([1, 0, 1, 1, 0, 1, 0]),
+    np.array([0, 1, 2]),
+    np.array([3, 4, 5]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(INF_NODE)
+@given(numeric_nodes())
+def test_ranked_numeric_candidates_match_the_per_node_reference(node):
+    values, outcome, treat, ctrl = node
+    table = make_table(
+        [("x", "numeric", False)],
+        [({"x": v}, y) for v, y in zip(values.tolist(), outcome.tolist())],
+    )
+    want = reference_numeric_candidates(
+        values, table.outcome, treat, ctrl, MAX_NUMERIC_CANDIDATES
+    )
+    blocks = list(_candidates(table, treat, ctrl, ["x"]))
+    if not blocks:
+        assert want[0].size == 0
+        return
+    [(attribute, numeric, thresholds, counts)] = blocks
+    assert attribute == "x" and numeric
+    np.testing.assert_array_equal(thresholds.view(np.int64), want[0].view(np.int64))
+    for got, expected in zip(counts, want[1:]):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_build_tree_deterministic():
