@@ -110,44 +110,42 @@ def _item_masks(table: CaseTable) -> list[tuple[tuple[str, str], np.ndarray]]:
 
 def mine_classification_rules(
     table: CaseTable,
-    target_class: int,
     min_support: float,
     min_confidence: float,
     max_antecedent_len: int = 4,
-) -> list[ClassificationRule]:
-    """Every condition set (up to the length cap) meeting both minima.
+) -> tuple[list[ClassificationRule], list[ClassificationRule]]:
+    """(class-0 rules, class-1 rules): every condition set (up to the length
+    cap) meeting both minima for that class, from one levelwise walk.
 
     support = P(condition and class), confidence = P(class | condition).
-    Enumeration is exhaustive; support-based apriori pruning only skips
-    supersets that cannot reach min_support.
+    Enumeration is exhaustive; apriori pruning only skips supersets that can
+    reach min_support for neither class.
     """
     _check_discretized(table)
     if not (0.0 < min_support <= 1.0) or not (0.0 < min_confidence <= 1.0):
         raise ConfigError("min_support and min_confidence must be in (0, 1]")
-    if target_class not in (0, 1):
-        raise ConfigError(f"target_class must be 0 or 1, got {target_class}")
 
     n = len(table)
-    class_mask = table.outcome == target_class
+    positive = table.outcome == 1
+    rules: tuple[list[ClassificationRule], ...] = ([], [])
 
-    rules: list[ClassificationRule] = []
-
-    def emit(condition: tuple[tuple[str, str], ...], cond_mask: np.ndarray):
-        joint = int((cond_mask & class_mask).sum())
-        support = joint / n
-        if support < min_support:
-            return False
-        cond_total = int(cond_mask.sum())
-        confidence = joint / cond_total if cond_total else 0.0
-        if confidence >= min_confidence:
-            rules.append(
-                ClassificationRule(condition, target_class, support, confidence)
-            )
-        return True
+    def emit(condition: tuple[tuple[str, str], ...], cond_mask: np.ndarray) -> bool:
+        """Record the condition's rules; True if it is frequent for either class."""
+        total = int(cond_mask.sum())
+        positives = int((cond_mask & positive).sum())
+        joints = (total - positives, positives)
+        for target, joint in enumerate(joints):
+            if joint / n >= min_support and joint / total >= min_confidence:
+                rules[target].append(
+                    ClassificationRule(condition, target, joint / n, joint / total)
+                )
+        return max(joints) / n >= min_support
 
     emit((), np.ones(n, dtype=bool))
 
-    # Levelwise growth; an itemset survives if P(cond and class) >= min_support.
+    # Levelwise growth; an itemset survives if P(cond and class) >= min_support
+    # for either class. Every subset of a set frequent for a class is frequent
+    # for that class too, so the shared frontier loses no rule of either.
     frontier: list[tuple[tuple[tuple[str, str], ...], np.ndarray]] = []
     for item, mask in _item_masks(table):
         if emit((item,), mask):
@@ -176,7 +174,8 @@ def mine_classification_rules(
         frontier = next_frontier
         length += 1
 
-    rules.sort(key=lambda r: (len(r.condition), r.condition))
+    for class_rules in rules:
+        class_rules.sort(key=lambda r: (len(r.condition), r.condition))
     return rules
 
 
@@ -197,61 +196,35 @@ def mine_action_rules(
     if not controllable:
         return []
 
-    rules0 = mine_classification_rules(
-        table, 0, min_support, min_confidence, max_antecedent_len
-    )
-    rules1 = mine_classification_rules(
-        table, 1, min_support, min_confidence, max_antecedent_len
+    rules0, rules1 = mine_classification_rules(
+        table, min_support, min_confidence, max_antecedent_len
     )
 
     def pairing_key(rule: ClassificationRule):
-        attrs = tuple(attr for attr, _ in rule.condition)
-        stable_part = tuple(
-            (attr, value) for attr, value in rule.condition if attr not in controllable
+        return tuple(
+            (attr, None if attr in controllable else value)
+            for attr, value in rule.condition
         )
-        return attrs, stable_part
 
     by_key: dict[tuple, list[ClassificationRule]] = {}
     for rule in rules1:
         by_key.setdefault(pairing_key(rule), []).append(rule)
 
-    seen: set[tuple] = set()
+    # A pair's terms determine both of its rules, so no two pairs collide.
     out: list[ActionRule] = []
     for r0 in rules0:
         for r1 in by_key.get(pairing_key(r0), ()):
-            values1 = dict(r1.condition)
-            changed = [
-                attr
-                for attr, value in r0.condition
-                if attr in controllable and values1[attr] != value
+            terms = [
+                AtomicActionTerm(attr, value0, value1)
+                for (attr, value0), (_, value1) in zip(r0.condition, r1.condition)
             ]
-            if not changed:
-                continue
-            confidence = r0.confidence * r1.confidence
+            flexible = tuple(t for t in terms if not t.is_stable)
             support = min(r0.support, r1.support)
-            if confidence < min_confidence or support < min_support:
+            confidence = r0.confidence * r1.confidence
+            if not flexible or support < min_support or confidence < min_confidence:
                 continue
-            stable = tuple(
-                AtomicActionTerm(attr, value, value)
-                for attr, value in r0.condition
-                if attr not in set(changed)
-            )
-            flexible = tuple(
-                AtomicActionTerm(attr, dict(r0.condition)[attr], values1[attr])
-                for attr in changed
-            )
-            rule = ActionRule(
-                stable=tuple(sorted(stable)),
-                flexible=tuple(sorted(flexible)),
-                outcome=table.outcome_name,
-                support=support,
-                confidence=confidence,
-            )
-            fingerprint = rule.terms
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            out.append(rule)
+            stable = tuple(t for t in terms if t.is_stable)
+            out.append(ActionRule(stable, flexible, table.outcome_name, support, confidence))
 
     out.sort(key=lambda r: (-r.support, -r.confidence, r.terms))
     return out

@@ -183,10 +183,6 @@ class CaseTable:
         # len(labels) is no row's code, so an unobserved label matches nothing.
         return codes == (labels.index(label) if label in labels else len(labels))
 
-    def labels(self, name: str) -> list[str]:
-        """Distinct observed labels of a discretized/categorical column."""
-        return list(self.coded(name).labels)
-
     def column(self, name: str) -> list:
         """Decoded values: labels or floats, None where missing."""
         column = self._columns[self.attribute(name).name]

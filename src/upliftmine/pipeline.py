@@ -98,9 +98,14 @@ def _make_dir(path) -> None:
 def _update_manifest(config: PipelineConfig, stage: str, info: dict) -> None:
     path = os.path.join(config.out_dir, MANIFEST_FILE)
     manifest = _read_json(path) if os.path.exists(path) else {"stages": {}}
+    if not isinstance(manifest, dict) or not isinstance(manifest.setdefault("stages", {}), dict):
+        raise SchemaError(
+            f"{MANIFEST_FILE} is not a manifest: expected an object whose stages "
+            "are an object; remove it or re-run the pipeline"
+        )
     manifest["tool"] = {"name": "upliftmine", "version": __version__}
     manifest["config"] = config_to_dict(config)
-    manifest.setdefault("stages", {})[stage] = info
+    manifest["stages"][stage] = info
     _write_json(path, manifest)
 
 
@@ -325,22 +330,38 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
     return info
 
 
+def _segment_from_dict(entry: dict) -> Segment:
+    """One segments.json segment; TypeError or ValueError when it is malformed."""
+    segment = Segment(**{**entry, "conditions": tuple(map(tuple, entry["conditions"]))})
+    for attribute, op, value in segment.conditions:
+        if op not in ("<=", ">", "==", "!=") or not isinstance(
+            value, (int, float) if op in ("<=", ">") else str
+        ):
+            raise ValueError(f"malformed condition {[attribute, op, value]!r}")
+    counts = (segment.n_treat, segment.n_ctrl, segment.n_reachable)
+    if not all(type(n) is int for n in counts) or type(segment.uplift) not in (int, float):
+        raise ValueError(f"segment counts must be integers and uplift a number: {entry!r}")
+    return segment
+
+
 def stage_rank(config: PipelineConfig) -> dict:
     segments_path = _require_artifact(config.out_dir, SEGMENTS_FILE, "uplift")
     payload = _read_json(segments_path)
     pairs = []
-    for entry in payload["treatments"]:
-        treatment = Treatment(
-            tuple(
-                AtomicActionTerm(c["attribute"], c["from"], c["to"])
-                for c in entry["changes"]
+    try:
+        for entry in payload["treatments"]:
+            treatment = Treatment(
+                tuple(
+                    AtomicActionTerm(c["attribute"], c["from"], c["to"])
+                    for c in entry["changes"]
+                )
             )
-        )
-        segments = [
-            Segment(**{**s, "conditions": tuple(map(tuple, s["conditions"]))})
-            for s in entry["segments"]
-        ]
-        pairs.append((treatment, segments))
+            pairs.append((treatment, [_segment_from_dict(s) for s in entry["segments"]]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"{SEGMENTS_FILE} is not a segments file of this version ({exc!r}); "
+            "re-run uplift"
+        ) from None
     recommendations = rank(
         pairs, cost_models=config.cost_overrides, default_model=config.cost
     )

@@ -373,7 +373,6 @@ def best_split(
 @dataclass
 class Node:
     stats: NodeStats
-    depth: int
     split: Optional[Split] = None
     left: Optional["Node"] = None
     right: Optional["Node"] = None
@@ -428,7 +427,7 @@ def build_tree(
             parent,
             params.n_reg,
         )
-        node = Node(stats=stats, depth=depth)
+        node = Node(stats=stats)
         if depth >= params.max_depth or stats.n < params.min_samples_split:
             return node
         found = best_split(table, treat_idx, ctrl_idx, stats, params, feature_names)

@@ -27,7 +27,7 @@ def test_degenerate_class_yields_empty_condition_rule():
     table = make_table(
         [("F", "categorical", True)], [({"F": "a"}, 1), ({"F": "b"}, 1)]
     )
-    rules = mine_classification_rules(table, 1, 0.5, 0.5)
+    rules = mine_classification_rules(table, 0.5, 0.5)[1]
     empty = [r for r in rules if r.condition == ()]
     assert len(empty) == 1
     assert empty[0].support == 1.0
@@ -35,7 +35,7 @@ def test_degenerate_class_yields_empty_condition_rule():
 
 
 def test_eight_row_table_condition_support_and_confidence():
-    rules = mine_classification_rules(EIGHT_ROW_TABLE, 1, 0.1, 0.9)
+    rules = mine_classification_rules(EIGHT_ROW_TABLE, 0.1, 0.9)[1]
     by_condition = {r.condition: r for r in rules}
     key = (("F", "b"), ("S", "x"))
     assert key in by_condition
@@ -44,22 +44,20 @@ def test_eight_row_table_condition_support_and_confidence():
 
 
 def test_high_support_threshold_prunes_nonempty_conditions():
-    rules = mine_classification_rules(EIGHT_ROW_TABLE, 1, 0.5, 0.1)
+    rules = mine_classification_rules(EIGHT_ROW_TABLE, 0.5, 0.1)[1]
     assert all(r.condition == () for r in rules)
 
 
 def test_mine_classification_rules_rejects_bad_inputs():
     empty = make_table([("F", "categorical", True)], [])
     with pytest.raises(SchemaError):
-        mine_classification_rules(empty, 1, 0.1, 0.1)
+        mine_classification_rules(empty, 0.1, 0.1)
     table = make_table([("F", "categorical", True)], [({"F": "a"}, 1)])
     with pytest.raises(ConfigError):
-        mine_classification_rules(table, 1, 0.0, 0.5)
-    with pytest.raises(ConfigError):
-        mine_classification_rules(table, 2, 0.1, 0.5)
+        mine_classification_rules(table, 0.0, 0.5)
     undiscretized = make_table([("x", "numeric", False)], [({"x": 1.0}, 1)])
     with pytest.raises(SchemaError, match="x"):
-        mine_classification_rules(undiscretized, 1, 0.1, 0.5)
+        mine_classification_rules(undiscretized, 0.1, 0.5)
 
 
 def test_eight_row_action_rule():
@@ -135,10 +133,9 @@ def test_mine_action_rules_matches_brute_force():
         min_confidence = float(rng.choice([0.25, 0.375, 0.5]))
         max_len = int(rng.integers(2, 4))
 
-        got = {
-            rule.terms: (rule.support, rule.confidence)
-            for rule in mine_action_rules(table, min_support, min_confidence, max_len)
-        }
+        mined = mine_action_rules(table, min_support, min_confidence, max_len)
+        got = {rule.terms: (rule.support, rule.confidence) for rule in mined}
+        assert len(got) == len(mined), "two mined rules share their terms"
         want = brute_force_action_rules(table, min_support, min_confidence, max_len)
         assert set(got) == set(want)
         for terms, (support, confidence) in want.items():
@@ -149,32 +146,43 @@ def test_mine_action_rules_matches_brute_force():
 
 
 def test_classification_rules_match_brute_force_with_pruning():
+    # Both classes come from one walk whose frontier keeps an itemset while it
+    # is frequent for either class; each class must still get exactly its rules.
     rng = np.random.default_rng(7)
-    for _ in range(30):
+    longest = 0
+    for _ in range(60):
+        n_attrs = int(rng.integers(2, 6))
+        labels = {f"a{i}": ["p", "q", "r"][: int(rng.integers(2, 4))] for i in range(n_attrs)}
         n = int(rng.integers(3, 25))
+        p_positive = float(rng.choice([0.2, 0.4, 0.6]))
         rows = [
             (
-                {
-                    "a": str(rng.choice(["p", "q"])),
-                    "b": str(rng.choice(["s", "t", "u"])),
-                },
-                int(rng.random() < 0.4),
+                {name: str(rng.choice(values)) for name, values in labels.items()},
+                int(rng.random() < p_positive),
             )
             for _ in range(n)
         ]
         table = make_table(
-            [("a", "categorical", False), ("b", "categorical", True)], rows
+            [(name, "categorical", False) for name in labels], rows
         )
-        for target in (0, 1):
-            got = {
-                r.condition: (r.support, r.confidence)
-                for r in mine_classification_rules(table, target, 0.125, 0.25, 3)
-            }
-            want = brute_force_classification_rules(table, target, 0.125, 0.25, 3)
+        # dyadic thresholds so float and Fraction boundary comparisons agree
+        min_support = float(rng.choice([0.0625, 0.125, 0.25, 0.5]))
+        min_confidence = float(rng.choice([0.125, 0.25, 0.5, 0.75]))
+        max_len = int(rng.integers(1, 5))
+        mined = mine_classification_rules(table, min_support, min_confidence, max_len)
+        for target, rules in enumerate(mined):
+            got = {r.condition: (r.support, r.confidence) for r in rules}
+            assert len(got) == len(rules)
+            assert all(r.target_class == target for r in rules)
+            want = brute_force_classification_rules(
+                table, target, min_support, min_confidence, max_len
+            )
             assert set(got) == set(want)
             for cond, (support, confidence) in want.items():
                 assert got[cond][0] == pytest.approx(float(support), abs=1e-12)
                 assert got[cond][1] == pytest.approx(float(confidence), abs=1e-12)
+            longest = max([longest, *map(len, want)])
+    assert longest >= 3
 
 
 def test_measure_fractional_exactness():

@@ -716,6 +716,57 @@ def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corru
     assert "unexpected failure" not in caplog.text
 
 
+def _edit_first_treatment(payload: dict, **fields) -> dict:
+    first, *rest = payload["treatments"]
+    return {**payload, "treatments": [{**first, **fields}, *rest]}
+
+
+def _edit_segments(edit):
+    def corrupt(payload: dict) -> dict:
+        segments = [edit(s) for s in payload["treatments"][0]["segments"]]
+        return _edit_first_treatment(payload, segments=segments)
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "filename, corrupt",
+    [
+        (SEGMENTS_FILE, lambda payload: {}),
+        (SEGMENTS_FILE, lambda payload: []),
+        (SEGMENTS_FILE, lambda payload: _edit_first_treatment(payload, changes=[])),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {k: v for k, v in s.items() if k != "conditions"})),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S"]]})),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", "x"]]})),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "uplift": "high"})),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "n_treat": "3"})),
+        (MANIFEST_FILE, lambda payload: []),
+        (MANIFEST_FILE, lambda payload: {**payload, "stages": []}),
+    ],
+    ids=[
+        "segments-object", "segments-list", "no-changes", "no-conditions",
+        "condition-arity", "text-threshold", "text-uplift", "text-count",
+        "manifest-list", "manifest-stages-list",
+    ],
+)
+def test_cli_malformed_segments_or_manifest_is_a_data_error(tmp_path, caplog, filename, corrupt):
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    raw = minimal_raw(tmp_path)
+    raw["out_dir"] = str(tmp_path / "out")
+    raw["rules"] = {"min_support": 0.25, "min_confidence": 0.75}
+    raw["tree"] = {"max_depth": 2, "min_samples_split": 4, "min_samples_treatment": 1}
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    assert _read_json(tmp_path / "out" / SEGMENTS_FILE)["treatments"][0]["segments"]
+    path = tmp_path / "out" / filename
+    _write_json(path, corrupt(_read_json(path)))
+    with caplog.at_level(logging.ERROR):
+        assert main(["rank", "--config", str(config)]) == 2
+    assert filename in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
 def _unreadable(path: Path, how: str) -> None:
     if how == "directory":
         path.mkdir()
