@@ -4,9 +4,9 @@ Each case of a CaseLog becomes one row: raw attributes take their last
 observed value, derived features count activity occurrences or pull the
 last value of a named event attribute, and the outcome becomes {0,1}. The
 cases are stored column by column. Numeric features can then be discretized
-into interval labels, which is what the rule miner works on; the original
-numeric values are kept alongside so the tree can still split at raw
-thresholds.
+into interval labels, which is what the rule miner works on; a binned
+attribute keeps its numbers, from which the labels are derived, so the tree
+can still split at raw thresholds.
 """
 
 from __future__ import annotations
@@ -79,16 +79,17 @@ class Coded(NamedTuple):
 class CaseTable:
     """Column store of encoded cases, immutable by convention.
 
-    Categorical and binned attributes are Coded columns (a binned attribute's
-    missing values carry the real label "missing"); unbinned numerics, and
-    the raw values behind binned ones, are float64 with NaN for missing. bins
-    maps a binned attribute to its interior interval boundaries (strictly
-    increasing; with the open ends they partition the real line).
+    Each attribute is stored once: a categorical one as a Coded column, a
+    numeric one, binned or not, as float64 with NaN for missing. bins maps a
+    binned attribute to its interior interval boundaries (numbers, strictly
+    increasing; with the open ends they partition the real line), and its
+    Coded interval labels are derived from its numbers and those bounds: each
+    value takes the label of its right-closed interval, a missing one the
+    real label "missing".
 
     The constructor is the one place values are encoded and checked: columns
     maps each attribute to its decoded values (labels, numbers, None), or to
-    another table's Coded column or float array; raw_numeric gives the
-    pre-binning values of each binned attribute.
+    another table's Coded column or float array.
     """
 
     def __init__(
@@ -99,7 +100,6 @@ class CaseTable:
         outcomes,
         columns: dict,
         bins: dict[str, list[float]] | None = None,
-        raw_numeric: dict | None = None,
     ):
         names = [a.name for a in schema]
         if len(set(names)) != len(names):
@@ -109,10 +109,10 @@ class CaseTable:
         self.schema = list(schema)
         self.outcome_name = outcome_name
         self.case_ids = list(case_ids)
-        self.bins = {name: list(bounds) for name, bounds in (bins or {}).items()}
-        raw_numeric = raw_numeric or {}
-        if set(raw_numeric) != set(self.bins) or not set(self.bins) <= set(names):
-            raise SchemaError("bins and raw values must cover the same attributes")
+        numeric = {a.name for a in self.schema if a.kind == NUMERIC}
+        if not set(bins or {}) <= numeric:
+            raise SchemaError("bins may only name numeric attributes")
+        self.bins = {name: _checked_bounds(name, b) for name, b in (bins or {}).items()}
         n = len(self.case_ids)
         outcome = np.asarray(outcomes)
         if outcome.shape != (n,):
@@ -122,19 +122,13 @@ class CaseTable:
             raise SchemaError(f"case {self.case_ids[bad[0]]!r}: outcome must be 0 or 1")
         self.outcome = outcome.astype(np.uint8)
         self._columns: dict[str, Coded | np.ndarray] = {}
-        self._raw: dict[str, np.ndarray] = {}
         self._ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for attr in self.schema:
-            name = attr.name
-            if name in self.bins:
-                bounds = self.bins[name]
-                if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-                    raise ConfigError(f"bins for {name!r} are not strictly increasing")
-                self._raw[name] = _encode_floats(name, raw_numeric[name], n)
-            if attr.kind == NUMERIC and name not in self.bins:
-                self._columns[name] = _encode_floats(name, columns[name], n)
-            else:
-                self._columns[name] = _encode_labels(name, columns[name], n)
+        for name in names:
+            encode = _encode_floats if name in numeric else _encode_labels
+            self._columns[name] = encode(name, columns[name], n)
+        self._intervals = {
+            name: _interval_codes(bounds, self._columns[name]) for name, bounds in self.bins.items()
+        }
 
     def __len__(self) -> int:
         return len(self.case_ids)
@@ -150,20 +144,21 @@ class CaseTable:
         return [a.name for a in self.schema]
 
     def coded(self, name: str) -> Coded:
-        """Codes and labels of a categorical or binned attribute."""
-        column = self._columns[self.attribute(name).name]
+        """Codes and labels of a categorical attribute, or the interval labels
+        of a binned one."""
+        column = self._intervals.get(name, self._columns[self.attribute(name).name])
         if not isinstance(column, Coded):
             raise SchemaError(f"numeric attribute {name!r} is not discretized")
         return column
 
     def numeric(self, name: str) -> np.ndarray:
-        """Values of a numeric attribute (raw ones if binned), NaN if missing."""
+        """Values of a numeric attribute, binned or not, NaN if missing."""
         if self.attribute(name).kind != NUMERIC:
             raise SchemaError(f"attribute {name!r} is not numeric")
-        return self._raw.get(name, self._columns[name])
+        return self._columns[name]
 
     def ranked(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending distinct values (raw numbers but NaN, or labels) and each
+        """Ascending distinct values (numbers but NaN, or labels) and each
         row's int32 index into them, missing rows all last; cached."""
         if name not in self._ranked:
             if self.attribute(name).kind == NUMERIC:
@@ -184,20 +179,16 @@ class CaseTable:
         return codes == (labels.index(label) if label in labels else len(labels))
 
     def column(self, name: str) -> list:
-        """Decoded values: labels or floats, None where missing."""
+        """Decoded stored values: labels, or floats for a numeric attribute
+        (binned or not), None where missing."""
         column = self._columns[self.attribute(name).name]
         if isinstance(column, Coded):
             decode = column.labels + (None,)  # code -1 picks the None
             return [decode[code] for code in column.codes.tolist()]
-        return _decode_floats(column)
+        return [None if v != v else v for v in column.tolist()]
 
     def outcomes(self) -> list[int]:
         return self.outcome.tolist()
-
-    @property
-    def raw_numeric(self) -> dict[str, list[float | None]]:
-        """Decoded pre-binning values of every binned attribute."""
-        return {name: _decode_floats(values) for name, values in self._raw.items()}
 
 
 def _encode_labels(name: str, values, n: int) -> Coded:
@@ -227,8 +218,17 @@ def _encode_floats(name: str, values, n: int) -> np.ndarray:
     return column
 
 
-def _decode_floats(values: np.ndarray) -> list[float | None]:
-    return [None if v != v else v for v in values.tolist()]
+def _checked_bounds(name: str, bounds) -> list[float]:
+    try:
+        if any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in bounds):
+            raise TypeError
+        bounds = [float(b) for b in bounds]
+        # NaN fails every comparison, even with itself.
+        if all(b == b for b in bounds) and all(b1 < b2 for b1, b2 in zip(bounds, bounds[1:])):
+            return bounds
+    except (TypeError, OverflowError):
+        pass
+    raise SchemaError(f"bins for {name!r} must be strictly increasing numbers")
 
 
 def _coerce_outcome(value, positive_labels: frozenset[str], attr: str, case_id: str) -> int:
@@ -314,40 +314,46 @@ def encode_cases(
     return CaseTable(feature_schema, outcome_name, case_ids, outcomes, columns)
 
 
-def _is_integral(values: list[float]) -> bool:
-    return all(float(v).is_integer() for v in values)
-
-
 def _fmt(x: float) -> str:
     if float(x).is_integer():
         return str(int(x))
     return repr(float(x))
 
 
-def _bin_labels(bounds: list[float], values: list[float]) -> list[str]:
-    """Human-readable interval labels, one per bin (len(bounds) + 1).
+def _bin_labels(bounds: list[float], values: np.ndarray) -> list[str]:
+    """Human-readable interval labels, one per bin (len(bounds) + 1), for the
+    observed values (none NaN, at least one).
 
-    Integer-valued data gets closed integer intervals like "[6-48]" with an
-    open-ended ">120" tail; anything else gets half-open interval notation.
+    Integer-valued data with finite bounds gets closed integer intervals like
+    "[6-48]" with an open-ended ">120" tail; anything else gets half-open
+    interval notation.
     """
     if not bounds:
-        lo, hi = min(values), max(values)
-        if _is_integral(values):
-            return [f"[{int(lo)}-{int(hi)}]"]
-        return [f"[{_fmt(lo)}-{_fmt(hi)}]"]
-    if _is_integral(values):
-        observed_min = int(min(values))
-        labels = []
-        for i, b in enumerate(bounds):
-            lo = observed_min if i == 0 else floor(bounds[i - 1]) + 1
-            labels.append(f"[{lo}-{floor(b)}]")
-        labels.append(f">{floor(bounds[-1])}")
-        return labels
-    labels = [f"<={_fmt(bounds[0])}"]
-    for left, right in zip(bounds, bounds[1:]):
-        labels.append(f"({_fmt(left)},{_fmt(right)}]")
-    labels.append(f">{_fmt(bounds[-1])}")
-    return labels
+        return [f"[{_fmt(values.min())}-{_fmt(values.max())}]"]
+    finite = np.isfinite(values).all() and np.isfinite(bounds).all()
+    if finite and (np.floor(values) == values).all():
+        lows = [int(values.min())] + [floor(b) + 1 for b in bounds[:-1]]
+        return [f"[{lo}-{floor(b)}]" for lo, b in zip(lows, bounds)] + [f">{floor(bounds[-1])}"]
+    inner = [f"({_fmt(left)},{_fmt(right)}]" for left, right in zip(bounds, bounds[1:])]
+    return [f"<={_fmt(bounds[0])}", *inner, f">{_fmt(bounds[-1])}"]
+
+
+def _interval_codes(bounds: list[float], values: np.ndarray) -> Coded:
+    """Each value's right-closed interval label, "missing" for NaN, coded
+    into the sorted labels that occur. Codes go through the bin indices, so
+    no per-row label is ever built."""
+    missing = np.isnan(values)
+    present = values[~missing]
+    labels = _bin_labels(bounds, present) if present.size else []
+    labels.append(MISSING_LABEL)
+    bin_of = np.searchsorted(np.asarray(bounds, dtype=np.float64), values)
+    bin_of[missing] = len(labels) - 1
+    # bincount, not np.unique: a process's first np.unique faults in about
+    # 1.5 MB (numpy 2.4), which would raise ingest's peak RSS.
+    occurring = np.flatnonzero(np.bincount(bin_of, minlength=len(labels)))
+    observed = tuple(sorted(labels[b] for b in occurring.tolist()))
+    code_of_bin = np.searchsorted(observed, labels).astype(np.int32)
+    return Coded(code_of_bin[bin_of], observed)
 
 
 def equal_frequency_bounds(values: list[float], k: int) -> list[float]:
@@ -376,17 +382,15 @@ def equal_frequency_bounds(values: list[float], k: int) -> list[float]:
 
 
 def discretize(table: CaseTable, spec: dict[str, int | list[float]]) -> CaseTable:
-    """Replace numeric feature values by interval labels; returns a new table.
+    """Bin numeric attributes; returns a new table with the same columns and
+    the bounds added to its bins, from which it derives the interval labels.
 
     spec maps attribute name to either an equal-frequency bin count or an
     explicit strictly increasing list of interior boundaries. Bin i is the
     right-closed interval (b[i-1], b[i]]. Missing values map to the dedicated
     "missing" label.
     """
-    columns = {name: table._columns[name] for name in table.attribute_names}
     bins = dict(table.bins)
-    raw = dict(table._raw)
-
     for attr_name, how in spec.items():
         attr = table.attribute(attr_name)
         if attr.kind != NUMERIC:
@@ -394,8 +398,7 @@ def discretize(table: CaseTable, spec: dict[str, int | list[float]]) -> CaseTabl
         if attr_name in table.bins:
             raise ConfigError(f"attribute {attr_name!r} is already discretized")
         values = table.numeric(attr_name)
-        missing = np.isnan(values)
-        present = values[~missing].tolist()
+        present = values[~np.isnan(values)].tolist()
         if isinstance(how, int):
             if not present:
                 warnings.warn(
@@ -416,14 +419,9 @@ def discretize(table: CaseTable, spec: dict[str, int | list[float]]) -> CaseTabl
                 raise ConfigError(
                     f"boundaries for {attr_name!r} are not strictly increasing"
                 )
-        labels = _bin_labels(bounds, present) if present else []
-        labels.append(MISSING_LABEL)
-        bin_of = np.searchsorted(np.asarray(bounds, dtype=np.float64), values)
-        bin_of[missing] = len(labels) - 1
-        columns[attr_name] = [labels[i] for i in bin_of.tolist()]
         bins[attr_name] = bounds
-        raw[attr_name] = values
 
+    columns = {name: table._columns[name] for name in table.attribute_names}
     return CaseTable(
-        table.schema, table.outcome_name, table.case_ids, table.outcome, columns, bins, raw
+        table.schema, table.outcome_name, table.case_ids, table.outcome, columns, bins
     )

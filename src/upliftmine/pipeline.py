@@ -27,7 +27,7 @@ from .actionrules import (
     mine_action_rules,
     save_rules,
 )
-from .casetable import MISSING_LABEL, NUMERIC, AttributeSchema, CaseTable
+from .casetable import NUMERIC, AttributeSchema, CaseTable
 from .casetable import discretize, encode_cases
 from .config import PipelineConfig, config_to_dict, save_config
 from .errors import ConfigError, PositivityError, SchemaError, read_text
@@ -95,18 +95,23 @@ def _make_dir(path) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
 
 
-def _update_manifest(config: PipelineConfig, stage: str, info: dict) -> None:
-    path = os.path.join(config.out_dir, MANIFEST_FILE)
+def _read_manifest(out_dir: str) -> dict:
+    """The manifest in out_dir, or an empty one; read before a stage writes."""
+    path = os.path.join(out_dir, MANIFEST_FILE)
     manifest = _read_json(path) if os.path.exists(path) else {"stages": {}}
     if not isinstance(manifest, dict) or not isinstance(manifest.setdefault("stages", {}), dict):
         raise SchemaError(
             f"{MANIFEST_FILE} is not a manifest: expected an object whose stages "
             "are an object; remove it or re-run the pipeline"
         )
+    return manifest
+
+
+def _write_manifest(config: PipelineConfig, manifest: dict, stage: str, info: dict) -> None:
     manifest["tool"] = {"name": "upliftmine", "version": __version__}
     manifest["config"] = config_to_dict(config)
     manifest["stages"][stage] = info
-    _write_json(path, manifest)
+    _write_json(os.path.join(config.out_dir, MANIFEST_FILE), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +126,16 @@ def table_to_dict(table: CaseTable) -> dict:
         "outcomes": table.outcomes(),
         "columns": {name: table.column(name) for name in table.attribute_names},
         "bins": table.bins,
-        "raw_numeric": table.raw_numeric,
     }
+
+
+_CASE_TABLE_KEYS = {"schema", "outcome", "case_ids", "outcomes", "columns", "bins"}
 
 
 def table_from_dict(payload: dict) -> CaseTable:
     try:
+        if set(payload) != _CASE_TABLE_KEYS:
+            raise KeyError(sorted(set(payload) ^ _CASE_TABLE_KEYS))
         return CaseTable(
             [AttributeSchema(**entry) for entry in payload["schema"]],
             payload["outcome"],
@@ -134,13 +143,14 @@ def table_from_dict(payload: dict) -> CaseTable:
             payload["outcomes"],
             payload["columns"],
             payload["bins"],
-            payload["raw_numeric"],
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(
             f"{CASE_TABLE_FILE} is not a case table of this version ({exc!r}); "
             "re-run ingest"
         ) from None
+    except SchemaError as exc:
+        raise SchemaError(f"{CASE_TABLE_FILE}: {exc}") from None
 
 
 def _summarize_table(table: CaseTable) -> str:
@@ -152,11 +162,9 @@ def _summarize_table(table: CaseTable) -> str:
     ]
     for attr in table.schema:
         name = attr.name
-        if name in table.bins:
-            shape = f"numeric, {len(table.bins[name]) + 1} bins"
-            missing = table.equals(name, MISSING_LABEL).sum()
-        elif attr.kind == NUMERIC:
-            shape = "numeric (not binned)"
+        if attr.kind == NUMERIC:
+            bins = table.bins.get(name)
+            shape = "numeric (not binned)" if bins is None else f"numeric, {len(bins) + 1} bins"
             missing = np.isnan(table.numeric(name)).sum()
         else:
             codes, labels = table.coded(name)
@@ -172,6 +180,7 @@ def _summarize_table(table: CaseTable) -> str:
 # ---------------------------------------------------------------------------
 
 def stage_ingest(config: PipelineConfig) -> dict:
+    manifest = _read_manifest(config.out_dir)
     _make_dir(config.out_dir)
     if config.input_format == "xes":
         case_log = parse_xes(config.input)
@@ -194,7 +203,7 @@ def stage_ingest(config: PipelineConfig) -> dict:
         "n_traces": len(case_log),
         "n_cases": len(table),
     }
-    _update_manifest(config, "ingest", info)
+    _write_manifest(config, manifest, "ingest", info)
     log.info("ingest: %d traces -> %d cases", len(case_log), len(table))
     return info
 
@@ -250,6 +259,7 @@ def load_treatments(path) -> list[Treatment]:
 
 def stage_mine(config: PipelineConfig) -> dict:
     table_path = _require_artifact(config.out_dir, CASE_TABLE_FILE, "ingest")
+    manifest = _read_manifest(config.out_dir)
     table = table_from_dict(_read_json(table_path))
     rules = mine_action_rules(
         table,
@@ -263,7 +273,7 @@ def stage_mine(config: PipelineConfig) -> dict:
     with _replacing(os.path.join(config.out_dir, TREATMENTS_FILE)) as tmp:
         save_treatments(treatments, tmp)
     info = {"n_rules": len(rules), "n_treatments": len(treatments)}
-    _update_manifest(config, "mine", info)
+    _write_manifest(config, manifest, "mine", info)
     log.info("mine: %d rules, %d treatments", len(rules), len(treatments))
     return info
 
@@ -277,6 +287,7 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
     if treatments_path is None:
         treatments_path = _require_artifact(config.out_dir, TREATMENTS_FILE, "mine")
     treatments = load_treatments(treatments_path)
+    manifest = _read_manifest(config.out_dir)
     table = table_from_dict(_read_json(table_path))
 
     trees_dir = os.path.join(config.out_dir, TREES_DIR)
@@ -320,7 +331,7 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
         "n_skipped": len(skipped),
         "n_segments": sum(len(e["segments"]) for e in entries),
     }
-    _update_manifest(config, "uplift", info)
+    _write_manifest(config, manifest, "uplift", info)
     log.info(
         "uplift: %d trees, %d skipped, %d segments",
         info["n_treatments"],
@@ -334,7 +345,7 @@ def _segment_from_dict(entry: dict) -> Segment:
     """One segments.json segment; TypeError or ValueError when it is malformed."""
     segment = Segment(**{**entry, "conditions": tuple(map(tuple, entry["conditions"]))})
     for attribute, op, value in segment.conditions:
-        if op not in ("<=", ">", "==", "!=") or not isinstance(
+        if op not in ("<=", ">", "==", "!=") or isinstance(value, bool) or not isinstance(
             value, (int, float) if op in ("<=", ">") else str
         ):
             raise ValueError(f"malformed condition {[attribute, op, value]!r}")
@@ -346,6 +357,7 @@ def _segment_from_dict(entry: dict) -> Segment:
 
 def stage_rank(config: PipelineConfig) -> dict:
     segments_path = _require_artifact(config.out_dir, SEGMENTS_FILE, "uplift")
+    manifest = _read_manifest(config.out_dir)
     payload = _read_json(segments_path)
     pairs = []
     try:
@@ -371,7 +383,7 @@ def stage_rank(config: PipelineConfig) -> dict:
         "n_recommendations": len(recommendations),
         "n_unprofitable": sum(1 for r in recommendations if r.unprofitable),
     }
-    _update_manifest(config, "rank", info)
+    _write_manifest(config, manifest, "rank", info)
     log.info(
         "rank: %d recommendations (%d unprofitable)",
         info["n_recommendations"],

@@ -11,7 +11,7 @@ from upliftmine.casetable import AttributeSchema, CaseTable
 from upliftmine.uplift import TreeParams
 
 
-def make_table(attrs, rows, outcome_name="Y", bins=None, raw_numeric=None):
+def make_table(attrs, rows, outcome_name="Y", bins=None):
     """attrs: iterable of (name, kind, controllable); rows: (features, y)."""
     schema = [AttributeSchema(name, kind, controllable) for name, kind, controllable in attrs]
     return CaseTable(
@@ -21,8 +21,12 @@ def make_table(attrs, rows, outcome_name="Y", bins=None, raw_numeric=None):
         [outcome for _, outcome in rows],
         {a.name: [features[a.name] for features, _ in rows] for a in schema},
         bins,
-        raw_numeric,
     )
+
+
+def decoded(coded):
+    """The per-row labels of a Coded column, None where missing."""
+    return [coded.labels[code] if code >= 0 else None for code in coded.codes.tolist()]
 
 
 EIGHT_ROW_TABLE = make_table(

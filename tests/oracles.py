@@ -199,10 +199,10 @@ TIE_REL_TOL = 1e-12
 def oracle_best_split(table, treat_rows, ctrl_rows, params, feature_names):
     """Exhaustive scan over every candidate split of a small table.
 
-    treat_rows/ctrl_rows are row indices. Numeric features (resolved through
-    raw_numeric when present) test value <= threshold at every midpoint of
-    consecutive distinct observed values, with missing going right;
-    categorical features test one label against the rest. Returns
+    treat_rows/ctrl_rows are row indices. Numeric features (binned or not)
+    test value <= threshold at every midpoint of consecutive distinct
+    observed values, with missing going right; categorical features test
+    one label against the rest. Returns
     (attribute, threshold_or_label, score) of the winner or None.
     """
     from upliftmine.casetable import NUMERIC
@@ -219,15 +219,8 @@ def oracle_best_split(table, treat_rows, ctrl_rows, params, feature_names):
     n_reg = Fraction(params.n_reg)
 
     def column_values(name):
-        attr = table.attribute(name)
-        if attr.kind == NUMERIC:
-            values = (
-                table.raw_numeric[name]
-                if name in table.raw_numeric
-                else table.column(name)
-            )
-            return "numeric", values
-        return "categorical", table.column(name)
+        kind = "numeric" if table.attribute(name).kind == NUMERIC else "categorical"
+        return kind, table.column(name)
 
     best = None
     for name in sorted(feature_names):
@@ -292,6 +285,23 @@ def reference_numeric_candidates(values, outcome, treat_rows, ctrl_rows, max_can
         n_left = np.searchsorted(values[rows][order], thresholds, side="right")
         counts += [n_left, positives[n_left]]
     return (thresholds, *counts)
+
+
+def reference_bin_labels(values, bounds) -> list[str]:
+    """Each value's label, one at a time: "missing" for None or NaN, else the
+    _bin_labels label of the first interval (.., bounds[i]] that holds it,
+    the open tail past the last bound otherwise."""
+    from upliftmine.casetable import MISSING_LABEL, _bin_labels
+
+    present = [v for v in values if v is not None and v == v]
+    labels = _bin_labels(bounds, np.array(present)) if present else []
+    out = []
+    for v in values:
+        if v is None or v != v:
+            out.append(MISSING_LABEL)
+        else:
+            out.append(labels[next((i for i, b in enumerate(bounds) if v <= b), len(bounds))])
+    return out
 
 
 def reference_fold(traces) -> CaseLog:

@@ -13,8 +13,8 @@ from upliftmine.casetable import (
     encode_cases,
     equal_frequency_bounds,
 )
-from helpers import csv_log
-from oracles import reference_fold
+from helpers import csv_log, decoded
+from oracles import reference_bin_labels, reference_fold
 from upliftmine.errors import ConfigError, SchemaError
 from upliftmine.logparse import parse_csv
 
@@ -123,8 +123,8 @@ def test_literal_nan_cell_is_missing():
     table = encode_cases(reference_fold(traces), BASE_SCHEMA, "Selected")
     assert table.column("RequestedAmount") == [None, 5.0]
     out = discretize(table, {"RequestedAmount": [3.0]})
-    assert out.column("RequestedAmount") == [MISSING_LABEL, ">3"]
-    assert out.raw_numeric["RequestedAmount"] == [None, 5.0]
+    assert decoded(out.coded("RequestedAmount")) == [MISSING_LABEL, ">3"]
+    assert out.column("RequestedAmount") == [None, 5.0]
 
 
 def _numeric_table(values, extra_attr=False):
@@ -142,7 +142,7 @@ def _numeric_table(values, extra_attr=False):
 def test_equal_frequency_quartiles_split_evenly():
     table = _numeric_table([float(v) for v in range(1, 101)])
     out = discretize(table, {"x": 4})
-    labels = out.column("x")
+    labels = decoded(out.coded("x"))
     counts = {}
     for lab in labels:
         counts[lab] = counts.get(lab, 0) + 1
@@ -154,7 +154,7 @@ def test_explicit_boundaries_reproduce_term_intervals():
     values = [6, 12, 48, 49, 60, 96, 97, 110, 120, 121, 180]
     table = _numeric_table([float(v) for v in values])
     out = discretize(table, {"x": [48.5, 96.5, 120.5]})
-    got = out.column("x")
+    got = decoded(out.coded("x"))
     assert got[:3] == ["[6-48]"] * 3
     assert got[3:6] == ["[49-96]"] * 3
     assert got[6:9] == ["[97-120]"] * 3
@@ -166,15 +166,15 @@ def test_all_identical_values_give_single_bin_with_warning():
     table = _numeric_table([7.0] * 12)
     with pytest.warns(UserWarning, match="bin"):
         out = discretize(table, {"x": 4})
-    assert set(out.column("x")) == {"[7-7]"}
+    assert set(decoded(out.coded("x"))) == {"[7-7]"}
     assert out.bins["x"] == []
 
 
 def test_missing_values_get_dedicated_label():
     table = _numeric_table([1.0, 2.0, None, 4.0])
     out = discretize(table, {"x": 2})
-    assert out.column("x")[2] == MISSING_LABEL
-    assert out.raw_numeric["x"] == [1.0, 2.0, None, 4.0]
+    assert decoded(out.coded("x"))[2] == MISSING_LABEL
+    assert out.column("x") == [1.0, 2.0, None, 4.0]
 
 
 def test_discretize_k_below_two_rejected():
@@ -222,6 +222,47 @@ def test_equal_frequency_distinct_value_balance(values, k):
         for left, right in zip(edges, edges[1:]):
             in_bin = [v for v in distinct if left < v <= right]
             assert lo <= len(in_bin) <= hi
+
+
+@st.composite
+def binned_columns(draw):
+    """Values of one numeric attribute, all integral or not, with None and
+    NaN for missing, and bounds that may start at -inf."""
+    if draw(st.booleans()):
+        number = st.one_of(st.integers(min_value=-20, max_value=20).map(float), st.just(-0.0))
+    else:
+        number = st.one_of(
+            st.floats(min_value=-20, max_value=20),
+            st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 2.5]),
+        )
+    values = draw(st.lists(st.one_of(st.none(), st.just(math.nan), number), max_size=30))
+    bound = st.one_of(
+        st.just(-math.inf),
+        st.integers(min_value=-40, max_value=40).map(lambda i: i / 2),
+        st.floats(min_value=-20, max_value=20),
+    )
+    return values, sorted(draw(st.sets(bound, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_columns())
+@example(([-math.inf, 1.0, 2.0, 3.0], [-math.inf, 1.5, 2.5]))
+@example(([1.0, 2.0, 3.0, None], [1.1, 1.2, 1.3]))
+def test_binned_codes_match_reference_labels(column):
+    values, bounds = column
+    table = CaseTable(
+        [AttributeSchema("x", "numeric")],
+        "Y",
+        [f"c{i}" for i in range(len(values))],
+        [0] * len(values),
+        {"x": values},
+        {"x": bounds},
+    )
+    want = reference_bin_labels(values, bounds)
+    coded = table.coded("x")
+    assert decoded(coded) == want
+    assert coded.labels == tuple(sorted(set(want)))
+    assert table.column("x") == [None if v is None or v != v else v for v in values]
 
 
 _attr_values = st.one_of(

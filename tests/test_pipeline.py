@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import shutil
 from pathlib import Path
@@ -9,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_table
+from helpers import decoded, make_table
 from upliftmine.actionrules import AtomicActionTerm, Treatment
 from upliftmine.casetable import MISSING_LABEL, AttributeSchema, CaseTable, discretize
 from upliftmine.cli import main
@@ -263,7 +264,6 @@ def test_run_produces_all_artifacts(eight_row_config):
         "outcomes": [0, 0, 0, 1, 1, 1, 1, 0],
         "columns": {"S": list("xxxxxxyy"), "F": list("aaabbbab")},
         "bins": {},
-        "raw_numeric": {},
     }
     assert "cases: 8" in (out / "case_table_summary.txt").read_text(encoding="utf-8")
     assert (out / RULES_FILE).read_text(encoding="utf-8") == RULE_LINE + "\n"
@@ -400,7 +400,8 @@ def case_tables(draw):
         AttributeSchema("b", "numeric"),
         AttributeSchema("x", "numeric", source="count", source_arg="act"),
     ]
-    bounds = sorted(draw(st.sets(st.floats(allow_nan=False, allow_infinity=False), max_size=3)))
+    bound = st.one_of(st.just(-math.inf), st.floats(allow_nan=False, allow_infinity=False))
+    bounds = sorted(draw(st.sets(bound, max_size=3)))
     return CaseTable(
         schema,
         "Y",
@@ -408,11 +409,10 @@ def case_tables(draw):
         column(st.integers(min_value=0, max_value=1)),
         {
             "c": column(st.one_of(st.none(), _label)),
-            "b": column(st.sampled_from([MISSING_LABEL, "[1-5]", ">5"])),
+            "b": column(st.one_of(st.none(), _number)),
             "x": column(st.one_of(st.none(), _number)),
         },
         {"b": bounds},
-        {"b": column(st.one_of(st.none(), _number))},
     )
 
 
@@ -427,7 +427,8 @@ def test_case_table_json_round_trip(tmp_path_factory, table):
     assert again.case_ids == table.case_ids
     assert again.outcomes() == table.outcomes()
     assert again.bins == table.bins
-    assert again.raw_numeric == table.raw_numeric
+    assert again.coded("b").labels == table.coded("b").labels
+    assert decoded(again.coded("b")) == decoded(table.coded("b"))
     _write_json(out / "second.json", table_to_dict(again))
     assert (out / "second.json").read_bytes() == (out / "first.json").read_bytes()
 
@@ -691,6 +692,25 @@ def _row_layout(path: Path) -> bytes:
     return json.dumps(payload).encode()
 
 
+def _binned(bounds, previous_layout=False):
+    """The eight-row case table plus a numeric attribute n = 0..7 binned at
+    bounds; previous_layout writes n as versions before this layout did,
+    interval labels in columns and the numbers under raw_numeric."""
+
+    def corrupt(path: Path) -> bytes:
+        payload = _read_json(path)
+        numbers = [float(i) for i in range(8)]
+        payload["schema"].append({**payload["schema"][0], "name": "n", "kind": "numeric"})
+        payload["columns"]["n"] = numbers
+        payload["bins"] = {"n": bounds}
+        if previous_layout:
+            payload["columns"]["n"] = ["[0-3]"] * 4 + [">3"] * 4
+            payload["raw_numeric"] = {"n": numbers}
+        return json.dumps(payload).encode()
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -698,8 +718,13 @@ def _row_layout(path: Path) -> bytes:
         lambda path: path.read_bytes()[:100],
         lambda path: b"\xff\xfe{}",
         lambda path: b"",
+        _binned([2.0, 1.0]),
+        _binned(["a", "b"]),
+        _binned([float("nan")]),
+        _binned([3.5], previous_layout=True),
     ],
-    ids=["row-layout", "truncated", "not-utf8", "empty"],
+    ids=["row-layout", "truncated", "not-utf8", "empty", "non-increasing", "text", "nan",
+         "previous-layout"],
 )
 def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corrupt):
     (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
@@ -714,6 +739,21 @@ def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corru
         assert main(["mine", "--config", str(config)]) == 2
     assert CASE_TABLE_FILE in caplog.text
     assert "unexpected failure" not in caplog.text
+
+
+def _run_eight_rows(tmp_path: Path) -> Path:
+    """Run the eight-row log into tmp_path/out, one segment at least; returns
+    the config path."""
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    raw = minimal_raw(tmp_path)
+    raw["out_dir"] = str(tmp_path / "out")
+    raw["rules"] = {"min_support": 0.25, "min_confidence": 0.75}
+    raw["tree"] = {"max_depth": 2, "min_samples_split": 4, "min_samples_treatment": 1}
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    assert _read_json(tmp_path / "out" / SEGMENTS_FILE)["treatments"][0]["segments"]
+    return config
 
 
 def _edit_first_treatment(payload: dict, **fields) -> dict:
@@ -738,6 +778,7 @@ def _edit_segments(edit):
         (SEGMENTS_FILE, _edit_segments(lambda s: {k: v for k, v in s.items() if k != "conditions"})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S"]]})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", "x"]]})),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", True]]})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "uplift": "high"})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "n_treat": "3"})),
         (MANIFEST_FILE, lambda payload: []),
@@ -745,26 +786,38 @@ def _edit_segments(edit):
     ],
     ids=[
         "segments-object", "segments-list", "no-changes", "no-conditions",
-        "condition-arity", "text-threshold", "text-uplift", "text-count",
+        "condition-arity", "text-threshold", "bool-threshold", "text-uplift", "text-count",
         "manifest-list", "manifest-stages-list",
     ],
 )
 def test_cli_malformed_segments_or_manifest_is_a_data_error(tmp_path, caplog, filename, corrupt):
-    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
-    raw = minimal_raw(tmp_path)
-    raw["out_dir"] = str(tmp_path / "out")
-    raw["rules"] = {"min_support": 0.25, "min_confidence": 0.75}
-    raw["tree"] = {"max_depth": 2, "min_samples_split": 4, "min_samples_treatment": 1}
-    config = tmp_path / "pipeline.yaml"
-    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
-    assert main(["run", "--config", str(config)]) == 0
-    assert _read_json(tmp_path / "out" / SEGMENTS_FILE)["treatments"][0]["segments"]
+    config = _run_eight_rows(tmp_path)
     path = tmp_path / "out" / filename
     _write_json(path, corrupt(_read_json(path)))
     with caplog.at_level(logging.ERROR):
         assert main(["rank", "--config", str(config)]) == 2
     assert filename in caplog.text
     assert "unexpected failure" not in caplog.text
+
+
+@pytest.mark.parametrize("command", ["ingest", "mine", "uplift", "rank"])
+def test_cli_malformed_manifest_leaves_every_artifact_untouched(tmp_path, caplog, command):
+    config = _run_eight_rows(tmp_path)
+    out = tmp_path / "out"
+    assert list((out / TREES_DIR).glob("*.dot"))
+    _write_json(out / MANIFEST_FILE, [])
+
+    def files():
+        # Artifacts are replaced by rename, so a rewrite with the same bytes
+        # still shows as a new inode.
+        return {p: (p.read_bytes(), p.stat().st_ino) for p in out.rglob("*") if p.is_file()}
+
+    before = files()
+    with caplog.at_level(logging.ERROR):
+        assert main([command, "--config", str(config)]) == 2
+    assert MANIFEST_FILE in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert files() == before
 
 
 def _unreadable(path: Path, how: str) -> None:

@@ -408,7 +408,7 @@ def test_every_node_routes_its_rows_like_the_split_rule():
         if node.is_leaf:
             return
         split = node.split
-        values = table.raw_numeric.get(split.attribute) or table.column(split.attribute)
+        values = table.column(split.attribute)
         if split.threshold is not None:
             goes_left = lambda v: v is not None and v <= split.threshold  # noqa: E731
             checked["numeric"] += 1
