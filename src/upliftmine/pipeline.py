@@ -1,9 +1,16 @@
 """Pipeline stages behind the CLI.
 
-Every stage reads its input artifact from the configured output directory
+Every stage reads its input artifacts from the configured output directory
 and writes its own artifacts plus a manifest entry, so a full run is
 literally the composition of the stages and produces byte-identical files
 either way. Artifacts are plain text or JSON to stay diff-able.
+
+Every stage runs in one frame, `_stage`: its inputs are checked first, and
+manifest.json is read and checked before anything in out_dir changes. The
+stage body does all its work before it replaces any artifact, and the
+manifest is written last. So a stage that fails on its input or on a
+treatment leaves out_dir as it was. An artifact that cannot be read or
+written is a ConfigError that names it.
 """
 
 from __future__ import annotations
@@ -61,9 +68,11 @@ def _replacing(path):
     try:
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -73,19 +82,19 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _write_text(path, text: str) -> None:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _require_artifact(out_dir: str, filename: str, producer: str) -> str:
-    path = os.path.join(out_dir, filename)
-    if not os.path.exists(path):
-        raise ConfigError(f"missing artifact {path}: run the {producer} stage first")
-    return path
 
 
 def _make_dir(path) -> None:
@@ -95,23 +104,36 @@ def _make_dir(path) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
 
 
-def _read_manifest(out_dir: str) -> dict:
-    """The manifest in out_dir, or an empty one; read before a stage writes."""
-    path = os.path.join(out_dir, MANIFEST_FILE)
-    manifest = _read_json(path) if os.path.exists(path) else {"stages": {}}
+# The stage that writes each artifact a later stage reads.
+_PRODUCERS = {CASE_TABLE_FILE: "ingest", TREATMENTS_FILE: "mine", SEGMENTS_FILE: "uplift"}
+
+
+@contextlib.contextmanager
+def _stage(config: PipelineConfig, name: str, *input_files: str):
+    """The frame of every stage. Before the body runs, each input artifact
+    must exist and manifest.json is read and checked, so neither a missing
+    input nor a malformed manifest changes out_dir. The body fills the
+    yielded info dict; once it succeeds, the manifest records info under
+    stages.<name> and is written last, and one log line reports info."""
+    for filename in input_files:
+        path = os.path.join(config.out_dir, filename)
+        if not os.path.exists(path):
+            producer = _PRODUCERS[filename]
+            raise ConfigError(f"missing artifact {path}: run the {producer} stage first")
+    manifest_path = os.path.join(config.out_dir, MANIFEST_FILE)
+    manifest = _read_json(manifest_path) if os.path.exists(manifest_path) else {"stages": {}}
     if not isinstance(manifest, dict) or not isinstance(manifest.setdefault("stages", {}), dict):
         raise SchemaError(
             f"{MANIFEST_FILE} is not a manifest: expected an object whose stages "
             "are an object; remove it or re-run the pipeline"
         )
-    return manifest
-
-
-def _write_manifest(config: PipelineConfig, manifest: dict, stage: str, info: dict) -> None:
+    info: dict[str, int] = {}
+    yield info
     manifest["tool"] = {"name": "upliftmine", "version": __version__}
     manifest["config"] = config_to_dict(config)
-    manifest["stages"][stage] = info
-    _write_json(os.path.join(config.out_dir, MANIFEST_FILE), manifest)
+    manifest["stages"][name] = info
+    _write_json(manifest_path, manifest)
+    log.info("%s: %s", name, ", ".join(f"{n} {key.removeprefix('n_')}" for key, n in info.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +158,9 @@ def table_from_dict(payload: dict) -> CaseTable:
     try:
         if set(payload) != _CASE_TABLE_KEYS:
             raise KeyError(sorted(set(payload) ^ _CASE_TABLE_KEYS))
+        arrays = [payload["case_ids"], payload["outcomes"], *payload["columns"].values()]
+        if not isinstance(payload["bins"], dict) or not all(isinstance(a, list) for a in arrays):
+            raise TypeError("bins must be an object; case_ids, outcomes and columns arrays")
         return CaseTable(
             [AttributeSchema(**entry) for entry in payload["schema"]],
             payload["outcome"],
@@ -144,7 +169,7 @@ def table_from_dict(payload: dict) -> CaseTable:
             payload["columns"],
             payload["bins"],
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise SchemaError(
             f"{CASE_TABLE_FILE} is not a case table of this version ({exc!r}); "
             "re-run ingest"
@@ -179,32 +204,26 @@ def _summarize_table(table: CaseTable) -> str:
 # Stages
 # ---------------------------------------------------------------------------
 
+def _read_table(config: PipelineConfig) -> CaseTable:
+    return table_from_dict(_read_json(os.path.join(config.out_dir, CASE_TABLE_FILE)))
+
+
 def stage_ingest(config: PipelineConfig) -> dict:
-    manifest = _read_manifest(config.out_dir)
-    _make_dir(config.out_dir)
-    if config.input_format == "xes":
-        case_log = parse_xes(config.input)
-    else:
-        case_log = parse_csv(config.input, config.csv)
-    table = encode_cases(
-        case_log,
-        list(config.attributes),
-        config.outcome,
-        frozenset(config.positive_labels),
-    )
-    if config.bins:
-        table = discretize(table, config.bins)
-    _write_json(os.path.join(config.out_dir, CASE_TABLE_FILE), table_to_dict(table))
-    summary_path = os.path.join(config.out_dir, CASE_SUMMARY_FILE)
-    with _replacing(summary_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(_summarize_table(table))
-    info = {
-        "n_events": case_log.n_events,
-        "n_traces": len(case_log),
-        "n_cases": len(table),
-    }
-    _write_manifest(config, manifest, "ingest", info)
-    log.info("ingest: %d traces -> %d cases", len(case_log), len(table))
+    with _stage(config, "ingest") as info:
+        if config.input_format == "xes":
+            case_log = parse_xes(config.input)
+        else:
+            case_log = parse_csv(config.input, config.csv)
+        table = encode_cases(
+            case_log, list(config.attributes), config.outcome, frozenset(config.positive_labels)
+        )
+        if config.bins:
+            table = discretize(table, config.bins)
+        summary = _summarize_table(table)
+        info.update(n_events=case_log.n_events, n_traces=len(case_log), n_cases=len(table))
+        _make_dir(config.out_dir)
+        _write_json(os.path.join(config.out_dir, CASE_TABLE_FILE), table_to_dict(table))
+        _write_text(os.path.join(config.out_dir, CASE_SUMMARY_FILE), summary)
     return info
 
 
@@ -258,23 +277,19 @@ def load_treatments(path) -> list[Treatment]:
 
 
 def stage_mine(config: PipelineConfig) -> dict:
-    table_path = _require_artifact(config.out_dir, CASE_TABLE_FILE, "ingest")
-    manifest = _read_manifest(config.out_dir)
-    table = table_from_dict(_read_json(table_path))
-    rules = mine_action_rules(
-        table,
-        config.rules.min_support,
-        config.rules.min_confidence,
-        config.rules.max_antecedent_len,
-    )
-    with _replacing(os.path.join(config.out_dir, RULES_FILE)) as tmp:
-        save_rules(rules, tmp)
-    treatments = extract_treatments(rules)
-    with _replacing(os.path.join(config.out_dir, TREATMENTS_FILE)) as tmp:
-        save_treatments(treatments, tmp)
-    info = {"n_rules": len(rules), "n_treatments": len(treatments)}
-    _write_manifest(config, manifest, "mine", info)
-    log.info("mine: %d rules, %d treatments", len(rules), len(treatments))
+    with _stage(config, "mine", CASE_TABLE_FILE) as info:
+        rules = mine_action_rules(
+            _read_table(config),
+            config.rules.min_support,
+            config.rules.min_confidence,
+            config.rules.max_antecedent_len,
+        )
+        treatments = extract_treatments(rules)
+        info.update(n_rules=len(rules), n_treatments=len(treatments))
+        with _replacing(os.path.join(config.out_dir, RULES_FILE)) as tmp:
+            save_rules(rules, tmp)
+        with _replacing(os.path.join(config.out_dir, TREATMENTS_FILE)) as tmp:
+            save_treatments(treatments, tmp)
     return info
 
 
@@ -283,61 +298,47 @@ def _slug(text: str) -> str:
 
 
 def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> dict:
-    table_path = _require_artifact(config.out_dir, CASE_TABLE_FILE, "ingest")
+    inputs = [CASE_TABLE_FILE]
     if treatments_path is None:
-        treatments_path = _require_artifact(config.out_dir, TREATMENTS_FILE, "mine")
-    treatments = load_treatments(treatments_path)
-    manifest = _read_manifest(config.out_dir)
-    table = table_from_dict(_read_json(table_path))
-
-    trees_dir = os.path.join(config.out_dir, TREES_DIR)
-    _make_dir(trees_dir)
-    for name in os.listdir(trees_dir):
-        if name.endswith(".dot"):
-            os.remove(os.path.join(trees_dir, name))
-
-    entries = []
-    skipped = []
-    for treatment in treatments:
-        try:
-            assignment = assign_groups(table, treatment)
-            tree = build_tree(table, assignment, config.tree)
-            segments = extract_segments(tree, table, config.min_uplift)
-        except PositivityError as exc:
-            log.warning("skipping treatment %s: %s", treatment.key, exc)
-            skipped.append(treatment.key)
-            continue
-        dot_name = f"tree_{len(entries):03d}_{_slug(treatment.key)}.dot"
-        dot_path = os.path.join(trees_dir, dot_name)
-        with _replacing(dot_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(tree, title=treatment.key))
-        entries.append(
-            {
-                "key": treatment.key,
-                "changes": [
-                    {"attribute": t.attribute, "from": t.from_value, "to": t.to_value}
-                    for t in treatment.changes
-                ],
-                "tree_file": f"{TREES_DIR}/{dot_name}",
-                "segments": [asdict(seg) for seg in segments],
-            }
-        )
-    _write_json(
-        os.path.join(config.out_dir, SEGMENTS_FILE),
-        {"treatments": entries, "skipped": skipped},
-    )
-    info = {
-        "n_treatments": len(entries),
-        "n_skipped": len(skipped),
-        "n_segments": sum(len(e["segments"]) for e in entries),
-    }
-    _write_manifest(config, manifest, "uplift", info)
-    log.info(
-        "uplift: %d trees, %d skipped, %d segments",
-        info["n_treatments"],
-        info["n_skipped"],
-        info["n_segments"],
-    )
+        inputs.append(TREATMENTS_FILE)
+        treatments_path = os.path.join(config.out_dir, TREATMENTS_FILE)
+    with _stage(config, "uplift", *inputs) as info:
+        treatments = load_treatments(treatments_path)
+        table = _read_table(config)
+        entries, skipped, dots = [], [], []  # dots: (file name, DOT text) per tree
+        for treatment in treatments:
+            try:
+                assignment = assign_groups(table, treatment)
+                tree = build_tree(table, assignment, config.tree)
+                segments = extract_segments(tree, table, config.min_uplift)
+            except PositivityError as exc:
+                log.warning("skipping treatment %s: %s", treatment.key, exc)
+                skipped.append(treatment.key)
+                continue
+            dot_name = f"tree_{len(entries):03d}_{_slug(treatment.key)}.dot"
+            dots.append((dot_name, to_dot(tree, title=treatment.key)))
+            entries.append(
+                {
+                    "key": treatment.key,
+                    "changes": [
+                        {"attribute": t.attribute, "from": t.from_value, "to": t.to_value}
+                        for t in treatment.changes
+                    ],
+                    "tree_file": f"{TREES_DIR}/{dot_name}",
+                    "segments": [asdict(seg) for seg in segments],
+                }
+            )
+        n_segments = sum(len(e["segments"]) for e in entries)
+        info.update(n_treatments=len(entries), n_skipped=len(skipped), n_segments=n_segments)
+        trees_dir = os.path.join(config.out_dir, TREES_DIR)
+        _make_dir(trees_dir)
+        for name in os.listdir(trees_dir):
+            if name.endswith(".dot"):
+                os.remove(os.path.join(trees_dir, name))
+        for dot_name, text in dots:
+            _write_text(os.path.join(trees_dir, dot_name), text)
+        segments_path = os.path.join(config.out_dir, SEGMENTS_FILE)
+        _write_json(segments_path, {"treatments": entries, "skipped": skipped})
     return info
 
 
@@ -356,39 +357,28 @@ def _segment_from_dict(entry: dict) -> Segment:
 
 
 def stage_rank(config: PipelineConfig) -> dict:
-    segments_path = _require_artifact(config.out_dir, SEGMENTS_FILE, "uplift")
-    manifest = _read_manifest(config.out_dir)
-    payload = _read_json(segments_path)
-    pairs = []
-    try:
-        for entry in payload["treatments"]:
-            treatment = Treatment(
-                tuple(
-                    AtomicActionTerm(c["attribute"], c["from"], c["to"])
-                    for c in entry["changes"]
+    with _stage(config, "rank", SEGMENTS_FILE) as info:
+        payload = _read_json(os.path.join(config.out_dir, SEGMENTS_FILE))
+        pairs = []
+        try:
+            for entry in payload["treatments"]:
+                treatment = Treatment(
+                    tuple(
+                        AtomicActionTerm(c["attribute"], c["from"], c["to"])
+                        for c in entry["changes"]
+                    )
                 )
-            )
-            pairs.append((treatment, [_segment_from_dict(s) for s in entry["segments"]]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(
-            f"{SEGMENTS_FILE} is not a segments file of this version ({exc!r}); "
-            "re-run uplift"
-        ) from None
-    recommendations = rank(
-        pairs, cost_models=config.cost_overrides, default_model=config.cost
-    )
-    with _replacing(os.path.join(config.out_dir, RECOMMENDATIONS_FILE)) as tmp:
-        write_recommendations(recommendations, tmp)
-    info = {
-        "n_recommendations": len(recommendations),
-        "n_unprofitable": sum(1 for r in recommendations if r.unprofitable),
-    }
-    _write_manifest(config, manifest, "rank", info)
-    log.info(
-        "rank: %d recommendations (%d unprofitable)",
-        info["n_recommendations"],
-        info["n_unprofitable"],
-    )
+                pairs.append((treatment, [_segment_from_dict(s) for s in entry["segments"]]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"{SEGMENTS_FILE} is not a segments file of this version ({exc!r}); "
+                "re-run uplift"
+            ) from None
+        recommendations = rank(pairs, cost_models=config.cost_overrides, default_model=config.cost)
+        unprofitable = sum(1 for r in recommendations if r.unprofitable)
+        info.update(n_recommendations=len(recommendations), n_unprofitable=unprofitable)
+        with _replacing(os.path.join(config.out_dir, RECOMMENDATIONS_FILE)) as tmp:
+            write_recommendations(recommendations, tmp)
     return info
 
 

@@ -692,23 +692,31 @@ def _row_layout(path: Path) -> bytes:
     return json.dumps(payload).encode()
 
 
-def _binned(bounds, previous_layout=False):
+def _edited(edit):
+    """A corruption that rewrites the eight-row case table's payload by edit."""
+    return lambda path: json.dumps(edit(_read_json(path))).encode()
+
+
+def _binned_n(payload: dict, bounds, previous_layout=False) -> dict:
     """The eight-row case table plus a numeric attribute n = 0..7 binned at
     bounds; previous_layout writes n as versions before this layout did,
     interval labels in columns and the numbers under raw_numeric."""
+    numbers = [float(i) for i in range(8)]
+    payload["schema"].append({**payload["schema"][0], "name": "n", "kind": "numeric"})
+    payload["columns"]["n"] = numbers
+    payload["bins"] = {"n": bounds}
+    if previous_layout:
+        payload["columns"]["n"] = ["[0-3]"] * 4 + [">3"] * 4
+        payload["raw_numeric"] = {"n": numbers}
+    return payload
 
-    def corrupt(path: Path) -> bytes:
-        payload = _read_json(path)
-        numbers = [float(i) for i in range(8)]
-        payload["schema"].append({**payload["schema"][0], "name": "n", "kind": "numeric"})
-        payload["columns"]["n"] = numbers
-        payload["bins"] = {"n": bounds}
-        if previous_layout:
-            payload["columns"]["n"] = ["[0-3]"] * 4 + [">3"] * 4
-            payload["raw_numeric"] = {"n": numbers}
-        return json.dumps(payload).encode()
 
-    return corrupt
+def _binned(bounds, previous_layout=False):
+    return _edited(lambda payload: _binned_n(payload, bounds, previous_layout))
+
+
+def _edit_column(name, values):
+    return _edited(lambda payload: {**payload, "columns": {**payload["columns"], name: values}})
 
 
 @pytest.mark.parametrize(
@@ -722,9 +730,13 @@ def _binned(bounds, previous_layout=False):
         _binned(["a", "b"]),
         _binned([float("nan")]),
         _binned([3.5], previous_layout=True),
+        _edited(lambda payload: {**_binned_n(payload, [3.5]), "bins": ["n"]}),
+        _edited(lambda payload: {**payload, "case_ids": "abcdefgh"}),
+        _edit_column("S", "xxxxxxyy"),
+        _edit_column("S", {f"c{i}": "x" for i in range(8)}),
     ],
     ids=["row-layout", "truncated", "not-utf8", "empty", "non-increasing", "text", "nan",
-         "previous-layout"],
+         "previous-layout", "bins-list", "case-ids-text", "column-text", "column-object"],
 )
 def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corrupt):
     (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
@@ -800,24 +812,57 @@ def test_cli_malformed_segments_or_manifest_is_a_data_error(tmp_path, caplog, fi
     assert "unexpected failure" not in caplog.text
 
 
+def _files(out: Path) -> dict:
+    """Bytes and inode of every file under out. Artifacts are replaced by
+    rename, so a rewrite with the same bytes still shows as a new inode."""
+    return {p: (p.read_bytes(), p.stat().st_ino) for p in out.rglob("*") if p.is_file()}
+
+
 @pytest.mark.parametrize("command", ["ingest", "mine", "uplift", "rank"])
 def test_cli_malformed_manifest_leaves_every_artifact_untouched(tmp_path, caplog, command):
     config = _run_eight_rows(tmp_path)
     out = tmp_path / "out"
     assert list((out / TREES_DIR).glob("*.dot"))
     _write_json(out / MANIFEST_FILE, [])
-
-    def files():
-        # Artifacts are replaced by rename, so a rewrite with the same bytes
-        # still shows as a new inode.
-        return {p: (p.read_bytes(), p.stat().st_ino) for p in out.rglob("*") if p.is_file()}
-
-    before = files()
+    before = _files(out)
     with caplog.at_level(logging.ERROR):
         assert main([command, "--config", str(config)]) == 2
     assert MANIFEST_FILE in caplog.text
     assert "unexpected failure" not in caplog.text
-    assert files() == before
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("lines", [["nope:a->b", "F:a->b"], ["F:a->b", "F:b->a", "nope:a->b"]])
+def test_cli_failed_uplift_leaves_every_artifact_untouched(tmp_path, caplog, lines):
+    config = _run_eight_rows(tmp_path)
+    out = tmp_path / "out"
+    assert list((out / TREES_DIR).glob("*.dot"))
+    treatments = tmp_path / "treatments.txt"
+    treatments.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = _files(out)
+    with caplog.at_level(logging.ERROR):
+        assert main(["uplift", "--config", str(config), "--treatments", str(treatments)]) == 2
+    assert "'nope'" in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize(
+    "command, filename",
+    [("mine", MANIFEST_FILE), ("mine", CASE_TABLE_FILE), ("uplift", SEGMENTS_FILE),
+     ("rank", RECOMMENDATIONS_FILE)],
+)
+def test_cli_artifact_that_is_a_directory_is_a_config_error(tmp_path, caplog, command, filename):
+    config = _run_eight_rows(tmp_path)
+    path = tmp_path / "out" / filename
+    path.unlink()
+    path.mkdir()
+    with caplog.at_level(logging.ERROR):
+        assert main([command, "--config", str(config)]) == 1
+    assert f"{path}: Is a directory" in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert path.is_dir()
+    assert not list((tmp_path / "out").rglob("*.tmp"))
 
 
 def _unreadable(path: Path, how: str) -> None:
