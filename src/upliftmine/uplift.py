@@ -314,11 +314,11 @@ def _candidates(table: CaseTable, treat_idx, ctrl_idx, feature_names):
         distinct = values[present]
         tests = _numeric_thresholds(distinct, node[present])
         # Left rows hold value <= t, so a NaN t (from -inf and +inf) takes the
-        # missing rows too, as a sorted search with NaN last does. Every t is
-        # at least the node's least value, so at >= 1.
+        # missing rows too, as a sorted search with NaN last does. A midpoint
+        # that overflows to -inf lies below every value: at = 0, no rows.
         at = np.searchsorted(np.append(distinct, np.nan), tests, side="right")
         cumulative = np.cumsum(hist[:, np.append(present, size - 1)], axis=1)
-        yield attribute, True, tests, cumulative[:, at - 1]
+        yield attribute, True, tests, np.pad(cumulative, ((0, 0), (1, 0)))[:, at]
 
 
 def best_split(

@@ -481,9 +481,18 @@ INF_NODE = (
     np.array([3, 4, 5]),
 )
 
+# Two values whose midpoint overflows to -inf, below every value: no rows left.
+OVERFLOW_NODE = (
+    np.array([np.nan, -1e308, np.nan, np.nan, -7.97693135e307, np.nan]),
+    np.array([1, 0, 0, 1, 1, 0]),
+    np.array([1, 2, 5]),
+    np.array([4]),
+)
+
 
 @settings(max_examples=150, deadline=None)
 @example(INF_NODE)
+@example(OVERFLOW_NODE)
 @given(numeric_nodes())
 def test_ranked_numeric_candidates_match_the_per_node_reference(node):
     values, outcome, treat, ctrl = node
