@@ -1,11 +1,11 @@
 """Event-log ingestion: XES and CSV readers that fold events into cases.
 
-Both readers stream their input and fold each event into its case as it
-arrives, so no event outlives the parse. A case keeps its id (cases are
-numbered in order of first appearance), how often each activity occurred,
-and the last observed value of each attribute: the value carried by the
-latest-stamped event that carries the attribute, the later event in the
-file winning a tie. XES trace-level attributes rank below every event
+Both readers stream their input into one fold: a CSV row is folded into its
+case as it arrives, an XES trace's events wait for its </trace>. A case
+keeps its id (cases are numbered in order of first appearance), how often
+each activity occurred, and the last observed value of each attribute: the
+value carried by the latest-stamped event that carries it, the later event
+in the file winning a tie. XES trace-level attributes rank below every event
 value of their trace, and vanish when the trace has no events. Both readers
 return the same CaseLog, stored column by column, so everything downstream
 (encoding, mining, trees) is format-agnostic.
@@ -18,10 +18,12 @@ import csv
 import gzip
 import io
 import re
+import weakref
 import xml.parsers.expat
 import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Union
 
@@ -34,6 +36,7 @@ XES_ACTIVITY_KEY = "concept:name"
 XES_TIMESTAMP_KEY = "time:timestamp"
 
 _XES_VALUE_TAGS = frozenset({"string", "int", "float", "boolean", "date", "id"})
+_XES_TAGS = _XES_VALUE_TAGS | {"trace", "event"}
 
 _FRACTION_RE = re.compile(r"(\.\d+)")
 
@@ -57,8 +60,11 @@ class CaseLog:
 
 
 class _Fold:
-    """Builds a CaseLog as events stream in, in any order. stamps[key][case]
-    is the timestamp of the event that set last[key][case]."""
+    """Builds a CaseLog by the last-value rule: the latest-stamped event that
+    carries an attribute sets it, the later one in the file on a tie; trace
+    attributes rank below every event value and vanish when the trace has no
+    events. CSV rows come through event(), in any order, stamps[key][case]
+    holding the stamp that set last[key][case]; XES traces through trace()."""
 
     def __init__(self):
         self.log = CaseLog()
@@ -72,60 +78,73 @@ class _Fold:
         ):
             for column in columns.values():
                 column.append(fill)
+        self.index[case_id] = len(self.log)
         self.log.case_ids.append(case_id)
-        return len(self.log.case_ids) - 1
+        return self.index[case_id]
 
-    def case(self, case_id: str) -> int:
-        """The index of case_id, opening a case when it is new."""
-        case = self.index.get(case_id)
-        if case is None:
-            case = self.index[case_id] = self.new_case(case_id)
-        return case
-
-    def event(self, case: int, activity: str, ts: datetime, attrs) -> None:
+    def count(self, case: int, activity: str) -> None:
         self.log.n_events += 1
         counts = self.log.counts.get(activity)
         if counts is None:
             counts = self.log.counts[activity] = [0] * len(self.log)
         counts[case] += 1
-        for key, value in attrs:
-            self.put(case, key, value, ts)
 
-    def put(self, case: int, key: str, value: AttrValue, ts: datetime | None) -> None:
-        """Set the case's value of key unless an event stamped after ts set
-        it; ts None ranks below every event."""
-        stamps = self.stamps.get(key)
-        if stamps is None:
-            stamps = self.stamps[key] = [None] * len(self.log)
-            self.log.last[key] = [None] * len(self.log)
-        if stamps[case] is None or (ts is not None and ts >= stamps[case]):
-            stamps[case] = ts
-            self.log.last[key][case] = value
+    def event(self, case_id: str, activity: str, ts: datetime, attrs) -> None:
+        case = self.index.get(case_id)
+        if case is None:
+            case = self.new_case(case_id)
+        self.count(case, activity)
+        for key, value in attrs:
+            stamps = self.stamps.get(key)
+            if stamps is None:
+                stamps = self.stamps[key] = [None] * len(self.log)
+                self.log.last[key] = [None] * len(self.log)
+            if stamps[case] is None or ts >= stamps[case]:
+                stamps[case] = ts
+                self.log.last[key][case] = value
+
+    def trace(self, number: int, attrs: dict, events: list) -> None:
+        """Add the number-th trace as a case, named by its concept:name or
+        trace_<number>: attrs are its trace attributes, events its
+        (timestamp, activity, attrs) in file order."""
+        case_id = str(attrs.pop(XES_ACTIVITY_KEY, f"trace_{number}"))
+        if not case_id or case_id in self.index:
+            raise LogParseError(f"trace #{number}: empty or duplicate case id {case_id!r}")
+        case = self.new_case(case_id)
+        for _, activity, values in sorted(events, key=itemgetter(0)):
+            self.count(case, activity)
+            attrs |= values
+        for key, value in attrs.items() if events else ():
+            column = self.log.last.get(key)
+            if column is None:
+                column = self.log.last[key] = [None] * len(self.log)
+            column[case] = value
 
 
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC.
 
-    Raises LogParseError carrying the literal text on failure.
+    fromisoformat reads most stamps as they are. The rest, and a "." after the
+    date (a separator to fromisoformat, a fraction here), lose surrounding
+    whitespace, read a Z or z suffix as UTC, pad the first fraction to 6 digits
+    (Python 3.10 reads 3 or 6) and try the strptime layouts below. Raises
+    LogParseError with the text.
     """
-    raw = text
-    text = text.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    # fromisoformat (3.10) only accepts 3- or 6-digit fractions.
-    text = _FRACTION_RE.sub(lambda m: (m[1] + "000000")[:7], text, count=1)
     try:
+        if "." in text[:11]:
+            raise ValueError(text)
         ts = datetime.fromisoformat(text)
     except ValueError:
-        ts = None
-        for fmt in ("%Y-%m-%dT%H:%M:%S%z", "%Y-%m-%d %H:%M:%S", "%Y-%m-%d"):
-            try:
-                ts = datetime.strptime(text, fmt)
+        odd = text.strip()
+        if odd.endswith(("Z", "z")):
+            odd = odd[:-1] + "+00:00"
+        odd = _FRACTION_RE.sub(lambda m: (m[1] + "000000")[:7], odd, count=1)
+        for fmt in (None, "%Y-%m-%dT%H:%M:%S%z", "%Y-%m-%d %H:%M:%S", "%Y-%m-%d"):
+            with contextlib.suppress(ValueError):
+                ts = datetime.strptime(odd, fmt) if fmt else datetime.fromisoformat(odd)
                 break
-            except ValueError:
-                continue
-        if ts is None:
-            raise LogParseError(f"unparseable timestamp: {raw!r}") from None
+        else:
+            raise LogParseError(f"unparseable timestamp: {text!r}") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts
@@ -160,100 +179,105 @@ def _binary_input(source):
 # XES
 # ---------------------------------------------------------------------------
 
-def _coerce_xes_value(tag: str, raw: str) -> AttrValue:
-    if tag == "int":
-        return int(raw)
-    if tag == "float":
-        return float(raw)
-    if tag == "boolean":
-        return raw.strip().lower() == "true"
-    # date attributes other than time:timestamp stay textual
-    return raw
+def _xes_boolean(raw: str) -> bool:
+    """An xs:boolean (true, false, 1 or 0, any case and padding), else KeyError."""
+    return {"true": True, "1": True, "false": False, "0": False}[raw.strip().lower()]
+
+
+# How typed values are read; other values stay text (dates too, timestamps aside).
+_XES_TYPES = {"int": int, "float": float, "boolean": _xes_boolean}
+_XES_RESERVED = (XES_ACTIVITY_KEY, XES_TIMESTAMP_KEY)
+
+
+class _Ends(dict):
+    """expat's end handler, as its __getitem__: start maps each element name
+    whose end does nothing to None, so such an end is one lookup in C; only
+    </trace> and </event> miss and reach end(), through a weak proxy, as a
+    cycle would keep the parse alive until a collection."""
+
+    def __missing__(self, name: str):
+        self.builder.end(name)
 
 
 class _XesBuilder:
-    """expat handlers folding each trace into the case log as it streams."""
+    """expat handlers. A trace's values and each event's values wait in a dict
+    each until </trace>, where the events are checked and folded; a typed
+    value that does not read raises there, once the trace's name is known."""
 
     def __init__(self):
         self.fold = _Fold()
-        self._trace_attrs: dict[str, AttrValue] | None = None
-        self._trace_index = 0
-        self._trace_has_events = False
-        self._case = 0
-        # Until the event ends, its activity and timestamp sit among its
-        # attributes under their XES keys.
-        self._event_attrs: dict | None = None
+        self.ends = _Ends()
+        self.ends.builder = weakref.proxy(self)
+        self._tags: dict[str, str | None] = {}  # name -> XES local name or None
+        self._n_traces = 0
+        self._trace: dict | None = None  # the open trace's own values
+        self._events: list[dict] = []  # the open trace's events' values
+        self._unread: str | None = None  # the trace's first unreadable value
+        self._values: dict | None = None  # the open event's dict, else _trace
 
-    def _trace_name(self):
-        return self._trace_attrs.get(XES_ACTIVITY_KEY, f"#{self._trace_index}")
+    def _error(self, message: str) -> LogParseError:
+        name = self._trace.get(XES_ACTIVITY_KEY, f"#{self._n_traces}")
+        return LogParseError(f"trace {name!r}: {message}")
 
-    def start(self, name: str, attrs: dict[str, str]):
-        local = name.rsplit(":", 1)[-1]
-        if local == "trace":
-            if self._trace_attrs is not None:
-                raise LogParseError(f"XES <trace> inside trace {self._trace_name()!r}")
-            self._trace_index += 1
-            self._trace_attrs = {}
-            self._trace_has_events = False
-            # The case id may come after the events; it is filled in at the end.
-            self._case = self.fold.new_case("")
-        elif local == "event":
-            if self._trace_attrs is None:
-                raise LogParseError("XES <event> outside of a <trace>")
-            if self._event_attrs is not None:
-                raise LogParseError(f"XES <event> inside an event of trace {self._trace_name()!r}")
-            self._event_attrs = {}
-        elif local in _XES_VALUE_TAGS and self._trace_attrs is not None:
-            key = attrs.get("key")
-            value = attrs.get("value")
-            if key is None or value is None:
-                return
-            if self._event_attrs is None:
-                self._trace_attrs[key] = self._coerce(local, key, value)
-            elif key == XES_TIMESTAMP_KEY:
-                self._event_attrs[key] = parse_timestamp(value)
-            else:
-                coerce = key != XES_ACTIVITY_KEY
-                self._event_attrs[key] = self._coerce(local, key, value) if coerce else value
-
-    def _coerce(self, tag: str, key: str, value: str) -> AttrValue:
+    def start(self, name: str, attrs: list[str]):
         try:
-            return _coerce_xes_value(tag, value)
-        except ValueError:
-            raise LogParseError(
-                f"trace {self._trace_name()!r}: <{tag}> attribute {key!r} has the value {value!r}"
-            ) from None
+            tag = self._tags[name]
+        except KeyError:
+            local = name.rpartition(":")[2]
+            tag = self._tags[name] = local if local in _XES_TAGS else None
+            if tag != "trace" and tag != "event":
+                self.ends[name] = None
+        values = self._values
+        if values is not None and tag in _XES_VALUE_TAGS:
+            if len(attrs) == 4 and attrs[0] == "key" and attrs[2] == "value":
+                key, value = attrs[1], attrs[3]
+            else:
+                named = dict(zip(attrs[::2], attrs[1::2]))
+                if "key" not in named or "value" not in named:
+                    return
+                key, value = named["key"], named["value"]
+            # An event's activity and timestamp stay text whatever the tag.
+            if tag in _XES_TYPES and (values is self._trace or key not in _XES_RESERVED):
+                try:
+                    value = _XES_TYPES[tag](value)
+                except (KeyError, ValueError):
+                    if self._unread is None:
+                        self._unread = f"<{tag}> attribute {key!r} has the value {value!r}"
+            values[key] = value
+        elif tag == "event":
+            if values is None:
+                raise LogParseError("XES <event> outside of a <trace>")
+            if values is not self._trace:
+                raise self._error("XES <event> inside an event")
+            self._values = {}
+            self._events.append(self._values)
+        elif tag == "trace":
+            if values is not None:
+                raise self._error("XES <trace> inside a trace")
+            self._n_traces += 1
+            self._trace = self._values = {}
+            self._events = []
 
     def end(self, name: str):
-        local = name.rsplit(":", 1)[-1]
-        if local == "event":
-            activity = self._event_attrs.pop(XES_ACTIVITY_KEY, None)
-            ts = self._event_attrs.pop(XES_TIMESTAMP_KEY, None)
+        if self._tags[name] == "event":
+            self._values = self._trace
+            return
+        if self._unread:
+            raise self._error(self._unread)
+        events = []
+        for attrs in self._events:
+            activity = attrs.pop(XES_ACTIVITY_KEY, None)
+            stamp = attrs.pop(XES_TIMESTAMP_KEY, None)
             if not activity:
-                raise LogParseError(
-                    f"event without {XES_ACTIVITY_KEY!r} or with an empty one "
-                    f"in trace {self._trace_name()!r}"
-                )
-            if ts is None:
-                raise LogParseError(
-                    f"event without {XES_TIMESTAMP_KEY!r} in trace {self._trace_name()!r}"
-                )
-            self.fold.event(self._case, activity, ts, self._event_attrs.items())
-            self._trace_has_events = True
-            self._event_attrs = None
-        elif local == "trace":
-            case_id = str(self._trace_attrs.get(XES_ACTIVITY_KEY, f"trace_{self._trace_index}"))
-            if not case_id or case_id in self.fold.index:
-                raise LogParseError(
-                    f"trace #{self._trace_index}: empty or duplicate case id {case_id!r}"
-                )
-            self.fold.index[case_id] = self._case
-            self.fold.log.case_ids[self._case] = case_id
-            if self._trace_has_events:
-                for key, value in self._trace_attrs.items():
-                    if key != XES_ACTIVITY_KEY:
-                        self.fold.put(self._case, key, value, None)
-            self._trace_attrs = None
+                raise self._error(f"event without {XES_ACTIVITY_KEY!r} or with an empty one")
+            if stamp is None:
+                raise self._error(f"event without {XES_TIMESTAMP_KEY!r}")
+            try:
+                events.append((parse_timestamp(stamp), activity, attrs))
+            except LogParseError as exc:
+                raise self._error(str(exc)) from None
+        self.fold.trace(self._n_traces, self._trace, events)
+        self._trace = self._values = None
 
 
 def parse_xes(source) -> CaseLog:
@@ -266,8 +290,9 @@ def parse_xes(source) -> CaseLog:
     """
     builder = _XesBuilder()
     parser = xml.parsers.expat.ParserCreate()
+    parser.ordered_attributes = True
     parser.StartElementHandler = builder.start
-    parser.EndElementHandler = builder.end
+    parser.EndElementHandler = builder.ends.__getitem__
     parser.buffer_text = True
     with _binary_input(source) as stream:
         try:
@@ -371,20 +396,17 @@ def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:
                     raise LogParseError(f"row {row_no}: empty activity", row=row_no)
                 ts = _csv_timestamp(row[i_ts], columns.timestamp_format, row_no)
                 cells = [(name, row[i]) for name, i in attr_cells if i < len(row) and row[i]]
-                fold.event(fold.case(case_id), activity, ts, cells)
+                fold.event(case_id, activity, ts, cells)
         except csv.Error as exc:
             raise LogParseError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     return fold.log
 
 
 def _csv_timestamp(text: str, fmt: str | None, row_no: int) -> datetime:
-    if fmt is None:
-        try:
-            return parse_timestamp(text)
-        except LogParseError as exc:
-            raise LogParseError(f"row {row_no}: {exc}", row=row_no) from None
     try:
+        if fmt is None:
+            return parse_timestamp(text)
         ts = datetime.strptime(text, fmt)
-    except ValueError:
+        return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
+    except (LogParseError, ValueError):
         raise LogParseError(f"row {row_no}: unparseable timestamp: {text!r}", row=row_no) from None
-    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)

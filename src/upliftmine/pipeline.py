@@ -7,10 +7,11 @@ either way. Artifacts are plain text or JSON to stay diff-able.
 
 Every stage runs in one frame, `_stage`: its inputs are checked first, and
 manifest.json is read and checked before anything in out_dir changes. The
-stage body does all its work before it replaces any artifact, and the
-manifest is written last. So a stage that fails on its input or on a
-treatment leaves out_dir as it was. An artifact that cannot be read or
-written is a ConfigError that names it.
+stage body writes its artifacts into a staging directory; only once all of
+them are written are they renamed over the old ones, and the manifest is
+written last. So a stage that fails on its input, on a treatment or on
+writing an artifact leaves out_dir as it was. An artifact that cannot be
+read or written is a ConfigError that names it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import sys
 from dataclasses import asdict
 
@@ -104,6 +106,39 @@ def _make_dir(path) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
 
 
+class _Staging:
+    """The artifacts of one stage, each written under its own name into a
+    staging directory in out_dir, so that out_dir keeps the old ones until
+    commit() renames them all in; stale files go once the new ones are in."""
+
+    def __init__(self, out_dir: str, stage: str):
+        self.out_dir = out_dir
+        self.dir = os.path.join(out_dir, f".{stage}.{os.getpid()}.tmp")
+        self.names: list[str] = []
+        self.stale: list[str] = []
+
+    def path(self, name: str) -> str:
+        """Where to write the artifact name, a path relative to out_dir."""
+        self.names.append(name)
+        path = os.path.join(self.dir, name)
+        _make_dir(os.path.dirname(path))
+        return path
+
+    def commit(self) -> None:
+        targets = [os.path.join(self.out_dir, name) for name in self.names]
+        for target in targets:
+            if os.path.isdir(target):
+                raise ConfigError(f"cannot write {target}: Is a directory")
+            _make_dir(os.path.dirname(target))
+        try:
+            for name, target in zip(self.names, targets):
+                os.replace(os.path.join(self.dir, name), target)
+            for path in set(self.stale).difference(targets):
+                os.remove(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot replace artifacts in {self.out_dir}: {exc}") from None
+
+
 # The stage that writes each artifact a later stage reads.
 _PRODUCERS = {CASE_TABLE_FILE: "ingest", TREATMENTS_FILE: "mine", SEGMENTS_FILE: "uplift"}
 
@@ -113,8 +148,10 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
     """The frame of every stage. Before the body runs, each input artifact
     must exist and manifest.json is read and checked, so neither a missing
     input nor a malformed manifest changes out_dir. The body fills the
-    yielded info dict; once it succeeds, the manifest records info under
-    stages.<name> and is written last, and one log line reports info."""
+    yielded info dict and writes each artifact where the yielded _Staging
+    says; once it succeeds, the artifacts are renamed in, the manifest
+    records info under stages.<name> and is written last, and one log line
+    reports info. A failed stage leaves no staged file behind."""
     for filename in input_files:
         path = os.path.join(config.out_dir, filename)
         if not os.path.exists(path):
@@ -128,7 +165,12 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
             "are an object; remove it or re-run the pipeline"
         )
     info: dict[str, int] = {}
-    yield info
+    staging = _Staging(config.out_dir, name)
+    try:
+        yield info, staging
+        staging.commit()
+    finally:
+        shutil.rmtree(staging.dir, ignore_errors=True)
     manifest["tool"] = {"name": "upliftmine", "version": __version__}
     manifest["config"] = config_to_dict(config)
     manifest["stages"][name] = info
@@ -209,7 +251,7 @@ def _read_table(config: PipelineConfig) -> CaseTable:
 
 
 def stage_ingest(config: PipelineConfig) -> dict:
-    with _stage(config, "ingest") as info:
+    with _stage(config, "ingest") as (info, staging):
         if config.input_format == "xes":
             case_log = parse_xes(config.input)
         else:
@@ -221,9 +263,8 @@ def stage_ingest(config: PipelineConfig) -> dict:
             table = discretize(table, config.bins)
         summary = _summarize_table(table)
         info.update(n_events=case_log.n_events, n_traces=len(case_log), n_cases=len(table))
-        _make_dir(config.out_dir)
-        _write_json(os.path.join(config.out_dir, CASE_TABLE_FILE), table_to_dict(table))
-        _write_text(os.path.join(config.out_dir, CASE_SUMMARY_FILE), summary)
+        _write_json(staging.path(CASE_TABLE_FILE), table_to_dict(table))
+        _write_text(staging.path(CASE_SUMMARY_FILE), summary)
     return info
 
 
@@ -277,7 +318,7 @@ def load_treatments(path) -> list[Treatment]:
 
 
 def stage_mine(config: PipelineConfig) -> dict:
-    with _stage(config, "mine", CASE_TABLE_FILE) as info:
+    with _stage(config, "mine", CASE_TABLE_FILE) as (info, staging):
         rules = mine_action_rules(
             _read_table(config),
             config.rules.min_support,
@@ -286,9 +327,9 @@ def stage_mine(config: PipelineConfig) -> dict:
         )
         treatments = extract_treatments(rules)
         info.update(n_rules=len(rules), n_treatments=len(treatments))
-        with _replacing(os.path.join(config.out_dir, RULES_FILE)) as tmp:
+        with _replacing(staging.path(RULES_FILE)) as tmp:
             save_rules(rules, tmp)
-        with _replacing(os.path.join(config.out_dir, TREATMENTS_FILE)) as tmp:
+        with _replacing(staging.path(TREATMENTS_FILE)) as tmp:
             save_treatments(treatments, tmp)
     return info
 
@@ -302,7 +343,7 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
     if treatments_path is None:
         inputs.append(TREATMENTS_FILE)
         treatments_path = os.path.join(config.out_dir, TREATMENTS_FILE)
-    with _stage(config, "uplift", *inputs) as info:
+    with _stage(config, "uplift", *inputs) as (info, staging):
         treatments = load_treatments(treatments_path)
         table = _read_table(config)
         entries, skipped, dots = [], [], []  # dots: (file name, DOT text) per tree
@@ -331,14 +372,13 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
         n_segments = sum(len(e["segments"]) for e in entries)
         info.update(n_treatments=len(entries), n_skipped=len(skipped), n_segments=n_segments)
         trees_dir = os.path.join(config.out_dir, TREES_DIR)
-        _make_dir(trees_dir)
-        for name in os.listdir(trees_dir):
-            if name.endswith(".dot"):
-                os.remove(os.path.join(trees_dir, name))
+        if os.path.isdir(trees_dir):
+            staging.stale = [
+                os.path.join(trees_dir, name) for name in os.listdir(trees_dir) if name.endswith(".dot")
+            ]
         for dot_name, text in dots:
-            _write_text(os.path.join(trees_dir, dot_name), text)
-        segments_path = os.path.join(config.out_dir, SEGMENTS_FILE)
-        _write_json(segments_path, {"treatments": entries, "skipped": skipped})
+            _write_text(staging.path(f"{TREES_DIR}/{dot_name}"), text)
+        _write_json(staging.path(SEGMENTS_FILE), {"treatments": entries, "skipped": skipped})
     return info
 
 
@@ -357,7 +397,7 @@ def _segment_from_dict(entry: dict) -> Segment:
 
 
 def stage_rank(config: PipelineConfig) -> dict:
-    with _stage(config, "rank", SEGMENTS_FILE) as info:
+    with _stage(config, "rank", SEGMENTS_FILE) as (info, staging):
         payload = _read_json(os.path.join(config.out_dir, SEGMENTS_FILE))
         pairs = []
         try:
@@ -377,7 +417,7 @@ def stage_rank(config: PipelineConfig) -> dict:
         recommendations = rank(pairs, cost_models=config.cost_overrides, default_model=config.cost)
         unprofitable = sum(1 for r in recommendations if r.unprofitable)
         info.update(n_recommendations=len(recommendations), n_unprofitable=unprofitable)
-        with _replacing(os.path.join(config.out_dir, RECOMMENDATIONS_FILE)) as tmp:
+        with _replacing(staging.path(RECOMMENDATIONS_FILE)) as tmp:
             write_recommendations(recommendations, tmp)
     return info
 

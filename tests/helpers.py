@@ -2,6 +2,7 @@
 
 import csv
 import io
+from datetime import datetime
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
@@ -110,30 +111,51 @@ def csv_log(rows) -> bytes:
 
 
 _XES_TAGS = {bool: "boolean", int: "int", float: "float", str: "string"}
+# Attribute orders of a value element: the usual one, value first, and one
+# with an attribute XES does not define.
+XES_LAYOUTS = ("key value", "value key", "key value extra")
 
 
-def _xes_attr(key, value) -> str:
-    tag = _XES_TAGS[type(value)]
-    return f"<{tag} key={quoteattr(key)} value={quoteattr(cell_text(value))}/>"
+def _xes_attr(key, value, prefix="", layout=XES_LAYOUTS[0]) -> str:
+    if isinstance(value, datetime):
+        tag, text = "date", value.isoformat()
+    else:
+        tag, text = _XES_TAGS[type(value)], cell_text(value)
+    named = {"key": quoteattr(key), "value": quoteattr(text), "extra": '"x"'}
+    attrs = " ".join(f"{name}={named[name]}" for name in layout.split())
+    return f"<{prefix}{tag} {attrs}/>"
 
 
-def xes_log(traces) -> bytes:
+def xes_log(traces, prefix="", layout=XES_LAYOUTS[0], orphans=False) -> bytes:
     """XES bytes of (case_id, trace_attrs, events, attrs_last) traces: a None
     case_id writes no concept:name; attrs_last puts the trace attributes
-    after the events; events are (activity, timestamp, attrs) in file order."""
-    parts = ["<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<log>"]
+    after the events; events are (activity, timestamp, attrs) in file order.
+    prefix goes before every element name, layout orders each value
+    element's attributes, and orphans adds to every trace and event a value
+    element without a value and one without a key, which carry nothing."""
+    def attr(key, value):
+        return _xes_attr(key, value, prefix, layout)
+
+    orphan = f'<{prefix}string key="orphan"/><{prefix}int value="1"/>' if orphans else ""
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<{prefix}log xmlns{prefix and ":" + prefix[:-1]}="http://www.xes-standard.org/">'
+    ]
     for case_id, trace_attrs, events, attrs_last in traces:
-        head = [_xes_attr(k, v) for k, v in trace_attrs.items()]
+        head = [attr(k, v) for k, v in trace_attrs.items()]
         if case_id is not None:
-            head.append(_xes_attr("concept:name", case_id))
+            head.append(attr("concept:name", case_id))
+        head.append(orphan)
         body = [
-            "<event>"
-            + _xes_attr("concept:name", activity)
-            + f'<date key="time:timestamp" value="{ts.isoformat()}"/>'
-            + "".join(_xes_attr(k, v) for k, v in attrs.items())
-            + "</event>"
+            f"<{prefix}event>"
+            + attr("concept:name", activity)
+            + attr("time:timestamp", ts)
+            + "".join(attr(k, v) for k, v in attrs.items())
+            + orphan
+            + f"</{prefix}event>"
             for activity, ts, attrs in events
         ]
-        parts.append("<trace>" + "".join(body + head if attrs_last else head + body) + "</trace>")
-    parts.append("</log>")
+        trace = "".join(body + head if attrs_last else head + body)
+        parts.append(f"<{prefix}trace>{trace}</{prefix}trace>")
+    parts.append(f"</{prefix}log>")
     return "\n".join(parts).encode("utf-8")

@@ -5,6 +5,8 @@ exact rational arithmetic (floats only appear inside log2 calls). These
 are the ground truth the fast implementations are checked against.
 """
 
+import re
+from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import combinations, product
 from math import log2
@@ -13,6 +15,7 @@ import numpy as np
 
 from upliftmine.actionrules import AtomicActionTerm
 from upliftmine.casetable import CaseTable
+from upliftmine.errors import LogParseError
 from upliftmine.logparse import CaseLog
 
 
@@ -327,3 +330,33 @@ def reference_fold(traces) -> CaseLog:
             last.setdefault(key, [None] * n)[i] = value
     n_events = sum(len(events) for _, _, events in traces)
     return CaseLog(case_ids, counts, last, n_events)
+
+
+_FRACTION_RE = re.compile(r"(\.\d+)")
+
+
+def reference_parse_timestamp(text: str) -> datetime:
+    """ISO-8601 text as an aware datetime, naive values taken as UTC: strip
+    whitespace, read a Z or z suffix as +00:00, pad or cut the first
+    fraction to 6 digits, then fromisoformat or one of three strptime
+    layouts. Raises LogParseError carrying the literal text on failure."""
+    raw = text
+    text = text.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    text = _FRACTION_RE.sub(lambda m: (m[1] + "000000")[:7], text, count=1)
+    try:
+        ts = datetime.fromisoformat(text)
+    except ValueError:
+        ts = None
+        for fmt in ("%Y-%m-%dT%H:%M:%S%z", "%Y-%m-%d %H:%M:%S", "%Y-%m-%d"):
+            try:
+                ts = datetime.strptime(text, fmt)
+                break
+            except ValueError:
+                continue
+        if ts is None:
+            raise LogParseError(f"unparseable timestamp: {raw!r}") from None
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts

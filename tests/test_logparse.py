@@ -2,11 +2,11 @@ import gzip
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cell_text, csv_log, xes_log
-from oracles import reference_fold
+from helpers import XES_LAYOUTS, cell_text, csv_log, xes_log
+from oracles import reference_fold, reference_parse_timestamp
 from upliftmine.errors import LogParseError, SchemaError
 from upliftmine.logparse import (
     CaseLog,
@@ -135,18 +135,51 @@ def test_parse_xes_bad_timestamp_reports_literal_text():
         parse_xes(doc)
 
 
-@pytest.mark.parametrize("tag", ["int", "float"])
-def test_parse_xes_wrongly_typed_value_names_trace_and_key(tag):
+@pytest.mark.parametrize(
+    "tag, value",
+    [("int", "abc"), ("float", "abc"), ("boolean", "abc"), ("boolean", "yes"), ("boolean", "10")],
+    ids=["int", "float", "boolean", "boolean-yes", "boolean-10"],
+)
+def test_parse_xes_wrongly_typed_value_names_trace_and_key(tag, value):
     doc = f"""<log><trace>
       <string key="concept:name" value="c5"/>
       <event>
         <string key="concept:name" value="A"/>
         <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
-        <{tag} key="Amount" value="abc"/>
+        <{tag} key="Amount" value="{value}"/>
       </event>
     </trace></log>""".encode()
-    with pytest.raises(LogParseError, match="'c5'.*'Amount'.*'abc'"):
+    with pytest.raises(LogParseError, match=f"'c5'.*<{tag}>.*'Amount'.*'{value}'"):
         parse_xes(doc)
+
+
+def test_parse_xes_bad_value_before_the_case_id_names_trace_and_key():
+    # The trace's concept:name comes after the event that holds the bad value.
+    doc = b"""<log><trace>
+      <event>
+        <string key="concept:name" value="A"/>
+        <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
+        <int key="Amount" value="12.5"/>
+      </event>
+      <string key="concept:name" value="late_name"/>
+    </trace></log>"""
+    with pytest.raises(LogParseError, match="'late_name'.*<int>.*'Amount'.*'12.5'"):
+        parse_xes(doc)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("true", True), ("false", False), ("1", True), ("0", False), (" TRUE ", True), ("False", False)],
+)
+def test_parse_xes_reads_xs_boolean_forms(text, expected):
+    doc = f"""<log><trace>
+      <event>
+        <string key="concept:name" value="A"/>
+        <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
+        <boolean key="Selected" value="{text}"/>
+      </event>
+    </trace></log>""".encode()
+    assert parse_xes(doc).last["Selected"][0] is expected
 
 
 def test_parse_xes_empty_activity_names_trace():
@@ -371,10 +404,12 @@ def test_parsed_traces_are_time_sorted(rows):
 
 @st.composite
 def xes_traces(draw):
-    """(case_id | None, trace_attrs, events, attrs_last) traces; some empty."""
+    """(case_id | None, trace_attrs, events, attrs_last) traces, some empty,
+    and the xes_log options that write them: a namespace prefix or none,
+    the order of a value element's attributes, and orphan value elements."""
     n_traces = draw(st.integers(min_value=0, max_value=4))
     names = draw(st.lists(_identifier, min_size=n_traces, max_size=n_traces, unique=True))
-    return [
+    traces = [
         (
             draw(st.one_of(st.none(), st.just(name))),
             draw(st.dictionaries(st.sampled_from(["color", "goal"]), _values)),
@@ -383,15 +418,70 @@ def xes_traces(draw):
         )
         for name in names
     ]
+    shape = {
+        "prefix": draw(st.sampled_from(["", "xes:"])),
+        "layout": draw(st.sampled_from(XES_LAYOUTS)),
+        "orphans": draw(st.booleans()),
+    }
+    return traces, shape
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(xes_traces())
-def test_parse_xes_matches_the_reference_fold(traces):
+def test_parse_xes_matches_the_reference_fold(drawn):
+    traces, shape = drawn
     expected = reference_fold(
         [
             (name if name is not None else f"trace_{k}", attrs, events)
             for k, (name, attrs, events, _) in enumerate(traces, start=1)
         ]
     )
-    assert parse_xes(xes_log(traces)) == expected
+    assert parse_xes(xes_log(traces, **shape)) == expected
+
+
+_padding = st.text(alphabet=" \t\n", max_size=2)
+
+
+@st.composite
+def timestamp_texts(draw):
+    """Timestamp text: ISO-8601 dates and times with a T, a space or a "."
+    between them, 1-9 fraction digits, a Z, z or +-hh:mm ending or none,
+    date-only, padded with whitespace, or arbitrary text."""
+    day = draw(st.dates()).isoformat()
+    clock = "{:02d}:{:02d}:{:02d}".format(*draw(st.tuples(*[st.integers(0, 59)] * 3)))
+    fraction = draw(st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=9)))
+    ending = draw(
+        st.one_of(
+            st.sampled_from(["", "Z", "z"]),
+            st.builds(
+                "{}{:02d}:{:02d}".format,
+                st.sampled_from("+-"),
+                st.integers(0, 23),
+                st.integers(0, 59),
+            ),
+        )
+    )
+    stamp = day + draw(st.sampled_from("T .")) + clock + (fraction and "." + fraction) + ending
+    text = draw(
+        st.one_of(
+            st.just(stamp),
+            st.just(day),
+            st.text(alphabet="0123456789-:.TZz+ ", max_size=32),
+            st.text(max_size=12),
+        )
+    )
+    return draw(_padding) + text + draw(_padding)
+
+
+@settings(max_examples=400, deadline=None)
+@given(timestamp_texts())
+@example("2016-01-01.09:00:00")  # a separator to fromisoformat, a fraction to the reference
+def test_parse_timestamp_matches_the_reference(text):
+    try:
+        expected = reference_parse_timestamp(text)
+    except LogParseError:
+        with pytest.raises(LogParseError, match="unparseable timestamp"):
+            parse_timestamp(text)
+        return
+    got = parse_timestamp(text)
+    assert (got, got.utcoffset()) == (expected, expected.utcoffset())

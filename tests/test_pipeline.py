@@ -22,6 +22,7 @@ from upliftmine.config import (
 )
 from upliftmine.errors import ConfigError, SchemaError
 from upliftmine.pipeline import (
+    CASE_SUMMARY_FILE,
     CASE_TABLE_FILE,
     MANIFEST_FILE,
     RECOMMENDATIONS_FILE,
@@ -863,6 +864,31 @@ def test_cli_artifact_that_is_a_directory_is_a_config_error(tmp_path, caplog, co
     assert "unexpected failure" not in caplog.text
     assert path.is_dir()
     assert not list((tmp_path / "out").rglob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [("ingest", CASE_SUMMARY_FILE), ("mine", TREATMENTS_FILE), ("uplift", SEGMENTS_FILE)],
+)
+def test_cli_stage_replaces_all_of_its_artifacts_or_none(tmp_path, caplog, command, blocked):
+    # The blocked artifact is written after the stage's others (the case
+    # table, rules.txt, the trees): none of them may be replaced either. The
+    # DOT files hold other bytes, as a file rewritten after its removal may
+    # get the old inode back.
+    config = _run_eight_rows(tmp_path)
+    out = tmp_path / "out"
+    for dot in (out / TREES_DIR).glob("*.dot"):
+        dot.write_text("digraph old {}\n", encoding="utf-8")
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV.replace("c7,", "c9,"), encoding="utf-8")
+    before = _files(out)
+    with caplog.at_level(logging.ERROR):
+        assert main([command, "--config", str(config)]) == 1
+    assert f"{out / blocked}: Is a directory" in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert _files(out) == before
+    assert not list(out.rglob("*.tmp"))
 
 
 def _unreadable(path: Path, how: str) -> None:
