@@ -239,6 +239,9 @@ class _XesBuilder:
             # An event's activity and timestamp stay text whatever the tag.
             if tag in _XES_TYPES and (values is self._trace or key not in _XES_RESERVED):
                 try:
+                    # int() and float() read "1_000"; xs:int and xs:double do not.
+                    if "_" in value:
+                        raise ValueError(value)
                     value = _XES_TYPES[tag](value)
                 except (KeyError, ValueError):
                     if self._unread is None:

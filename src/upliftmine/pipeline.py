@@ -20,6 +20,7 @@ import contextlib
 import ctypes
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -78,9 +79,45 @@ def _replacing(path):
         raise
 
 
+def _is_case_table(path) -> bool:
+    return os.path.basename(path) == CASE_TABLE_FILE
+
+
+# case_table.json's encoder: compact, which lets json use its C encoder, and
+# strict RFC 8259 JSON (see table_to_dict).
+_encode_compact = json.JSONEncoder(
+    ensure_ascii=False, allow_nan=False, sort_keys=True, separators=(",", ":")
+).encode
+
+# The C encoder keeps every piece of its output, ~70 bytes per list item,
+# until it joins them, so long lists go to it a slice at a time.
+_JSON_SLICE = 4096
+
+
+def _compact_pieces(value):
+    """_encode_compact(value), in pieces of at most _JSON_SLICE list items."""
+    if isinstance(value, dict):
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + _encode_compact(key) + ":"
+            yield from _compact_pieces(value[key])
+        yield "}" if value else "{}"
+    elif isinstance(value, list):
+        yield "["
+        for start in range(0, len(value), _JSON_SLICE):
+            yield ("," if start else "") + _encode_compact(value[start : start + _JSON_SLICE])[1:-1]
+        yield "]"
+    else:
+        yield _encode_compact(value)
+
+
 def _write_json(path, payload) -> None:
+    """case_table.json, by far the largest artifact, is written compactly;
+    the other JSON artifacts are indented."""
     with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        if _is_case_table(path):
+            fh.writelines(_compact_pieces(payload))
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
 
 
@@ -90,9 +127,12 @@ def _write_text(path, text: str) -> None:
 
 
 def _read_json(path):
+    def reject(token):
+        raise SchemaError(f"{path} holds {token}, which is not standard JSON")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject if _is_case_table(path) else None)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -182,14 +222,42 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
 # Case table artifact
 # ---------------------------------------------------------------------------
 
+# RFC 8259 JSON has no infinities: case_table.json holds them as these
+# strings, in numeric columns and bins only.
+_INFINITIES = {"inf": math.inf, "-inf": -math.inf}
+_INFINITY_TEXT = {math.inf: "inf", -math.inf: "-inf"}
+_NUMBER_TYPES = {int, float, type(None)}  # null: missing
+
+
+def _numbers_to_json(values: list) -> list:
+    if math.inf in values or -math.inf in values:
+        return [_INFINITY_TEXT.get(v, v) for v in values]
+    return values
+
+
+def _numbers_from_json(name: str, values: list) -> list:
+    """values with "inf" and "-inf" read as floats; any other text, and
+    true or false, is not a number."""
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        return values
+    for v in values:
+        if type(v) not in _NUMBER_TYPES and not (type(v) is str and v in _INFINITIES):
+            raise SchemaError(f"attribute {name!r}: {v!r} is not a number")
+    return [_INFINITIES[v] if type(v) is str else v for v in values]
+
+
 def table_to_dict(table: CaseTable) -> dict:
+    numeric = {a.name for a in table.schema if a.kind == NUMERIC}
+    columns = {name: table.column(name) for name in table.attribute_names}
     return {
         "schema": [asdict(a) for a in table.schema],
         "outcome": table.outcome_name,
         "case_ids": table.case_ids,
         "outcomes": table.outcomes(),
-        "columns": {name: table.column(name) for name in table.attribute_names},
-        "bins": table.bins,
+        "columns": {
+            name: _numbers_to_json(c) if name in numeric else c for name, c in columns.items()
+        },
+        "bins": {name: _numbers_to_json(bounds) for name, bounds in table.bins.items()},
     }
 
 
@@ -203,13 +271,15 @@ def table_from_dict(payload: dict) -> CaseTable:
         arrays = [payload["case_ids"], payload["outcomes"], *payload["columns"].values()]
         if not isinstance(payload["bins"], dict) or not all(isinstance(a, list) for a in arrays):
             raise TypeError("bins must be an object; case_ids, outcomes and columns arrays")
+        schema = [AttributeSchema(**entry) for entry in payload["schema"]]
+        numeric = {a.name for a in schema if a.kind == NUMERIC}
+        columns = {
+            name: _numbers_from_json(name, c) if name in numeric else c
+            for name, c in payload["columns"].items()
+        }
+        bins = {name: _numbers_from_json(name, b) for name, b in payload["bins"].items()}
         return CaseTable(
-            [AttributeSchema(**entry) for entry in payload["schema"]],
-            payload["outcome"],
-            payload["case_ids"],
-            payload["outcomes"],
-            payload["columns"],
-            payload["bins"],
+            schema, payload["outcome"], payload["case_ids"], payload["outcomes"], columns, bins
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise SchemaError(

@@ -35,6 +35,9 @@ PRIOR_EPS = 1e-9
 
 MAX_NUMERIC_CANDIDATES = 100
 
+# Evenly spaced fractions of the quantiles that thin a node's thresholds.
+_QUANTILE_FRACTIONS = np.arange(1, MAX_NUMERIC_CANDIDATES + 1) / (MAX_NUMERIC_CANDIDATES + 1)
+
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -279,46 +282,62 @@ def normalization_from_counts(
 # Split search
 # ---------------------------------------------------------------------------
 
-def _numeric_thresholds(distinct: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Candidate thresholds of a node whose ascending distinct values occur
-    counts times: midpoints of consecutive distinct values. Above
+def _numeric_thresholds(distinct: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Candidate thresholds of a node whose ascending distinct values have
+    cumulative counts ends: midpoints of consecutive distinct values. Above
     MAX_NUMERIC_CANDIDATES the list is thinned to evenly spaced quantiles of
-    the node's values, each snapped up to the next midpoint."""
+    the node's values, each snapped up to the next midpoint. The quantiles
+    are np.quantile's (method "linear"), bit for bit, read off ends."""
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     if mids.size <= MAX_NUMERIC_CANDIDATES:
         return mids
-    fractions = np.arange(1, MAX_NUMERIC_CANDIDATES + 1) / (MAX_NUMERIC_CANDIDATES + 1)
-    qs = np.quantile(np.repeat(distinct, counts), fractions)
-    return np.unique(mids[np.minimum(np.searchsorted(mids, qs), mids.size - 1)])
+    # numpy's order of operations: the virtual rank, its floor and, where the
+    # fraction t >= 0.5, interpolation back from the upper value.
+    virtual = (ends[-1] - 1) * _QUANTILE_FRACTIONS
+    below = np.floor(virtual)
+    t = virtual - below
+    a, b = distinct[np.searchsorted(ends, (below, below + 1), side="right")]
+    qs = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    # Sort the snapped indices: a quantile between -inf and a finite value is
+    # NaN, which snaps to the last midpoint. Mids hold no NaN here, but
+    # subnormal ones can round to the same value, so keep each value once.
+    tests = mids[np.sort(np.minimum(np.searchsorted(mids, qs), mids.size - 1))]
+    return tests[np.concatenate(([True], tests[1:] != tests[:-1]))]
 
 
 def _candidates(table: CaseTable, treat_idx, ctrl_idx, feature_names):
     """Per attribute, in scan order: whether it is numeric, the ascending
     thresholds or labels of its candidate tests, and a 4-row array of each
     test's left treated rows, their positives, left control rows and their
-    positives, read off histograms of the node over CaseTable.ranked."""
+    positives, read off one histogram of the node over CaseTable.ranked."""
     groups = []
     for rows in (treat_idx, ctrl_idx):
         groups += [rows, rows[table.outcome[rows] == 1]]
+    rows = np.concatenate(groups)
+    group = np.repeat(np.arange(4), [len(g) for g in groups])
     for attribute in sorted(feature_names):
         values, ranks = table.ranked(attribute)
-        size = len(values) + 1
-        hist = np.stack([np.bincount(ranks[rows], minlength=size) for rows in groups])
+        size = len(values) + 1  # the last bucket holds missing rows
+        hist = np.bincount(group * size + ranks[rows], minlength=4 * size).reshape(4, size)
         node = hist[0] + hist[2]
-        present = np.flatnonzero(node[:-1] > 0)  # the last bucket holds missing rows
+        present = np.flatnonzero(node[:-1])
         if present.size < 2:
             continue
         if table.attribute(attribute).kind != NUMERIC:
             yield attribute, False, values[present], hist[:, present]
             continue
+        # Left counts at each cut: none, after each present value, and after
+        # the missing rows too, which only a NaN threshold takes.
+        cumulative = np.zeros((4, present.size + 2), dtype=np.int64)
+        np.cumsum(hist[:, present], axis=1, out=cumulative[:, 1:-1])
+        cumulative[:, -1] = cumulative[:, -2] + hist[:, -1]
         distinct = values[present]
-        tests = _numeric_thresholds(distinct, node[present])
+        tests = _numeric_thresholds(distinct, cumulative[0, 1:-1] + cumulative[2, 1:-1])
         # Left rows hold value <= t, so a NaN t (from -inf and +inf) takes the
         # missing rows too, as a sorted search with NaN last does. A midpoint
         # that overflows to -inf lies below every value: at = 0, no rows.
-        at = np.searchsorted(np.append(distinct, np.nan), tests, side="right")
-        cumulative = np.cumsum(hist[:, np.append(present, size - 1)], axis=1)
-        yield attribute, True, tests, np.pad(cumulative, ((0, 0), (1, 0)))[:, at]
+        at = np.searchsorted(distinct, tests, side="right") + np.isnan(tests)
+        yield attribute, True, tests, cumulative[:, at]
 
 
 def best_split(

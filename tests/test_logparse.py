@@ -137,8 +137,13 @@ def test_parse_xes_bad_timestamp_reports_literal_text():
 
 @pytest.mark.parametrize(
     "tag, value",
-    [("int", "abc"), ("float", "abc"), ("boolean", "abc"), ("boolean", "yes"), ("boolean", "10")],
-    ids=["int", "float", "boolean", "boolean-yes", "boolean-10"],
+    [
+        ("int", "abc"), ("float", "abc"), ("boolean", "abc"), ("boolean", "yes"), ("boolean", "10"),
+        # Python's int() and float() take digit separators; XML Schema does not.
+        ("int", "1_000"), ("float", "1_0.5"),
+    ],
+    ids=["int", "float", "boolean", "boolean-yes", "boolean-10", "int-underscore",
+         "float-underscore"],
 )
 def test_parse_xes_wrongly_typed_value_names_trace_and_key(tag, value):
     doc = f"""<log><trace>

@@ -5,6 +5,7 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -390,10 +391,13 @@ def test_treatments_file_escapes_xes_names(tmp_path):
 
 _label = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
 _number = st.floats(allow_nan=False)
+# Numbers whose JSON form needs care: signed zeros, infinities and NaN, the
+# table's missing value.
+_edge_number = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]) | _number
 
 
 @st.composite
-def case_tables(draw):
+def case_tables(draw, number=_number):
     n = draw(st.integers(min_value=0, max_value=8))
     column = lambda values: draw(st.lists(values, min_size=n, max_size=n))  # noqa: E731
     schema = [
@@ -401,7 +405,7 @@ def case_tables(draw):
         AttributeSchema("b", "numeric"),
         AttributeSchema("x", "numeric", source="count", source_arg="act"),
     ]
-    bound = st.one_of(st.just(-math.inf), st.floats(allow_nan=False, allow_infinity=False))
+    bound = st.floats(allow_nan=False)
     bounds = sorted(draw(st.sets(bound, max_size=3)))
     return CaseTable(
         schema,
@@ -410,8 +414,8 @@ def case_tables(draw):
         column(st.integers(min_value=0, max_value=1)),
         {
             "c": column(st.one_of(st.none(), _label)),
-            "b": column(st.one_of(st.none(), _number)),
-            "x": column(st.one_of(st.none(), _number)),
+            "b": column(st.one_of(st.none(), number)),
+            "x": column(st.one_of(st.none(), number)),
         },
         {"b": bounds},
     )
@@ -432,6 +436,31 @@ def test_case_table_json_round_trip(tmp_path_factory, table):
     assert decoded(again.coded("b")) == decoded(table.coded("b"))
     _write_json(out / "second.json", table_to_dict(again))
     assert (out / "second.json").read_bytes() == (out / "first.json").read_bytes()
+
+
+def _reject(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def _bits(numbers) -> list[int]:
+    """Bit patterns of numbers, with every NaN (a missing value) as one."""
+    array = np.asarray(numbers, dtype=np.float64)
+    return np.where(np.isnan(array), np.nan, array).view(np.int64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case_tables(_edge_number))
+def test_case_table_json_is_strict_and_round_trips_bit_for_bit(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("case_table") / CASE_TABLE_FILE
+    _write_json(path, table_to_dict(table))
+    text = path.read_text(encoding="utf-8")
+    payload = json.loads(text, parse_constant=_reject)
+    compact = json.dumps(payload, separators=(",", ":"), sort_keys=True, ensure_ascii=False)
+    assert text == compact + "\n"
+    again = table_from_dict(_read_json(path))
+    for name in ("b", "x"):
+        assert _bits(again.numeric(name)) == _bits(table.numeric(name))
+    assert _bits(again.bins["b"]) == _bits(table.bins["b"])
 
 
 def test_case_table_without_a_key_is_a_schema_error(tmp_path):
@@ -720,6 +749,17 @@ def _edit_column(name, values):
     return _edited(lambda payload: {**payload, "columns": {**payload["columns"], name: values}})
 
 
+def _numbers(values):
+    """The eight-row case table plus a numeric attribute n holding values."""
+
+    def edit(payload):
+        payload = _binned_n(payload, [3.5])
+        payload["columns"]["n"] = values
+        return payload
+
+    return _edited(edit)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -735,9 +775,16 @@ def _edit_column(name, values):
         _edited(lambda payload: {**payload, "case_ids": "abcdefgh"}),
         _edit_column("S", "xxxxxxyy"),
         _edit_column("S", {f"c{i}": "x" for i in range(8)}),
+        _numbers([math.inf] * 8),
+        _binned([-math.inf]),
+        _numbers(["1.5"] * 8),
+        _numbers(["Infinity"] * 8),
+        _numbers([True] * 8),
     ],
     ids=["row-layout", "truncated", "not-utf8", "empty", "non-increasing", "text", "nan",
-         "previous-layout", "bins-list", "case-ids-text", "column-text", "column-object"],
+         "previous-layout", "bins-list", "case-ids-text", "column-text", "column-object",
+         "infinity-token", "infinity-token-bins", "number-text", "infinity-text",
+         "number-boolean"],
 )
 def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corrupt):
     (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
@@ -814,9 +861,38 @@ def test_cli_malformed_segments_or_manifest_is_a_data_error(tmp_path, caplog, fi
 
 
 def _files(out: Path) -> dict:
-    """Bytes and inode of every file under out. Artifacts are replaced by
-    rename, so a rewrite with the same bytes still shows as a new inode."""
-    return {p: (p.read_bytes(), p.stat().st_ino) for p in out.rglob("*") if p.is_file()}
+    """Bytes, inode and mtime of every file under out. Artifacts are replaced
+    by rename, so a rewrite with the same bytes shows as a new inode or, as a
+    removed file's inode can come back, as a new mtime (see _backdated_files)."""
+    return {
+        p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+        for p in out.rglob("*")
+        if p.is_file()
+    }
+
+
+def _backdated_files(out: Path) -> dict:
+    """_files(out) once every file under out is backdated to the epoch, so
+    that any later write moves its mtime."""
+    for p in out.rglob("*"):
+        if p.is_file():
+            os.utime(p, ns=(0, 0))
+    return _files(out)
+
+
+def test_files_sees_a_rewrite_with_the_same_bytes(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "artifact.txt"
+    path.write_text("same\n", encoding="utf-8")
+    before = _backdated_files(out)
+    copy = tmp_path / "copy.txt"
+    shutil.copyfile(path, copy)
+    os.replace(copy, path)
+    after = _files(out)
+    assert after != before
+    assert after[path][0] == before[path][0]
+    assert after[path][2] != before[path][2]
 
 
 @pytest.mark.parametrize("command", ["ingest", "mine", "uplift", "rank"])
@@ -825,7 +901,7 @@ def test_cli_malformed_manifest_leaves_every_artifact_untouched(tmp_path, caplog
     out = tmp_path / "out"
     assert list((out / TREES_DIR).glob("*.dot"))
     _write_json(out / MANIFEST_FILE, [])
-    before = _files(out)
+    before = _backdated_files(out)
     with caplog.at_level(logging.ERROR):
         assert main([command, "--config", str(config)]) == 2
     assert MANIFEST_FILE in caplog.text
@@ -840,7 +916,7 @@ def test_cli_failed_uplift_leaves_every_artifact_untouched(tmp_path, caplog, lin
     assert list((out / TREES_DIR).glob("*.dot"))
     treatments = tmp_path / "treatments.txt"
     treatments.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    before = _files(out)
+    before = _backdated_files(out)
     with caplog.at_level(logging.ERROR):
         assert main(["uplift", "--config", str(config), "--treatments", str(treatments)]) == 2
     assert "'nope'" in caplog.text
@@ -872,17 +948,13 @@ def test_cli_artifact_that_is_a_directory_is_a_config_error(tmp_path, caplog, co
 )
 def test_cli_stage_replaces_all_of_its_artifacts_or_none(tmp_path, caplog, command, blocked):
     # The blocked artifact is written after the stage's others (the case
-    # table, rules.txt, the trees): none of them may be replaced either. The
-    # DOT files hold other bytes, as a file rewritten after its removal may
-    # get the old inode back.
+    # table, rules.txt, the trees): none of them may be replaced either.
     config = _run_eight_rows(tmp_path)
     out = tmp_path / "out"
-    for dot in (out / TREES_DIR).glob("*.dot"):
-        dot.write_text("digraph old {}\n", encoding="utf-8")
     (out / blocked).unlink()
     (out / blocked).mkdir()
     (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV.replace("c7,", "c9,"), encoding="utf-8")
-    before = _files(out)
+    before = _backdated_files(out)
     with caplog.at_level(logging.ERROR):
         assert main([command, "--config", str(config)]) == 1
     assert f"{out / blocked}: Is a directory" in caplog.text

@@ -490,9 +490,33 @@ OVERFLOW_NODE = (
 )
 
 
+# Two -inf values ahead of 120 distinct negative subnormals: the first
+# quantile interpolates between -inf and a finite value, is NaN and snaps to
+# the last midpoint, so the snapped indices do not ascend.
+_NEGATIVE_SUBNORMALS = np.concatenate(([-np.inf, -np.inf], -np.arange(1, 121) * 5e-324))
+NAN_QUANTILE_NODE = (
+    _NEGATIVE_SUBNORMALS,
+    np.arange(_NEGATIVE_SUBNORMALS.size) % 2,
+    np.arange(0, _NEGATIVE_SUBNORMALS.size, 2),
+    np.arange(1, _NEGATIVE_SUBNORMALS.size, 2),
+)
+
+# 120 subnormals 1 ulp apart, each 1-3 times: consecutive midpoints round to
+# the same even value, so distinct snapped indices hold equal thresholds.
+_ULP_RUN = np.repeat(np.arange(120) * 5e-324, np.arange(120) % 3 + 1)
+EQUAL_MIDPOINTS_NODE = (
+    _ULP_RUN,
+    (np.arange(_ULP_RUN.size) % 3 == 0).astype(int),
+    np.arange(0, _ULP_RUN.size, 2),
+    np.arange(1, _ULP_RUN.size, 2),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @example(INF_NODE)
 @example(OVERFLOW_NODE)
+@example(NAN_QUANTILE_NODE)
+@example(EQUAL_MIDPOINTS_NODE)
 @given(numeric_nodes())
 def test_ranked_numeric_candidates_match_the_per_node_reference(node):
     values, outcome, treat, ctrl = node
