@@ -17,6 +17,7 @@ import contextlib
 import csv
 import gzip
 import io
+import math
 import re
 import weakref
 import xml.parsers.expat
@@ -184,8 +185,18 @@ def _xes_boolean(raw: str) -> bool:
     return {"true": True, "1": True, "false": False, "0": False}[raw.strip().lower()]
 
 
+def _xes_double(raw: str) -> float:
+    """An xs:double, else ValueError. float() reads "infinity" or " nan " in
+    any case, and an overflowing exponent as inf; a non-finite value reads
+    only from xs:double's own INF, +INF, -INF and NaN."""
+    value = float(raw)
+    if not math.isfinite(value) and raw.strip() not in ("INF", "+INF", "-INF", "NaN"):
+        raise ValueError(raw)
+    return value
+
+
 # How typed values are read; other values stay text (dates too, timestamps aside).
-_XES_TYPES = {"int": int, "float": float, "boolean": _xes_boolean}
+_XES_TYPES = {"int": int, "float": _xes_double, "boolean": _xes_boolean}
 _XES_RESERVED = (XES_ACTIVITY_KEY, XES_TIMESTAMP_KEY)
 
 
@@ -239,8 +250,9 @@ class _XesBuilder:
             # An event's activity and timestamp stay text whatever the tag.
             if tag in _XES_TYPES and (values is self._trace or key not in _XES_RESERVED):
                 try:
-                    # int() and float() read "1_000"; xs:int and xs:double do not.
-                    if "_" in value:
+                    # int() and float() read "1_000" and non-ASCII digits;
+                    # xs:int and xs:double do not.
+                    if "_" in value or not value.isascii():
                         raise ValueError(value)
                     value = _XES_TYPES[tag](value)
                 except (KeyError, ValueError):

@@ -6,12 +6,12 @@ literally the composition of the stages and produces byte-identical files
 either way. Artifacts are plain text or JSON to stay diff-able.
 
 Every stage runs in one frame, `_stage`: its inputs are checked first, and
-manifest.json is read and checked before anything in out_dir changes. The
-stage body writes its artifacts into a staging directory; only once all of
-them are written are they renamed over the old ones, and the manifest is
-written last. So a stage that fails on its input, on a treatment or on
-writing an artifact leaves out_dir as it was. An artifact that cannot be
-read or written is a ConfigError that names it.
+manifest.json is read and checked before anything in out_dir changes. Every
+file the CLI writes, simulate's included, goes into a staging directory
+(`_Staging`); only once all of a stage's files are written are they renamed
+over the old ones, the manifest last. So a stage that fails on its input, on
+a treatment or on writing an artifact leaves out_dir as it was. An artifact
+that cannot be read or written is a ConfigError that names it.
 """
 
 from __future__ import annotations
@@ -62,27 +62,6 @@ GROUND_TRUTH_FILE = "ground_truth.json"
 PIPELINE_CONFIG_FILE = "pipeline.yaml"
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """Yield a temporary path beside path and rename it over path once the
-    block has written it: readers never see a partial artifact, and a failed
-    write leaves the old one untouched."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-        raise
-
-
-def _is_case_table(path) -> bool:
-    return os.path.basename(path) == CASE_TABLE_FILE
-
-
 # case_table.json's encoder: compact, which lets json use its C encoder, and
 # strict RFC 8259 JSON (see table_to_dict).
 _encode_compact = json.JSONEncoder(
@@ -111,18 +90,18 @@ def _compact_pieces(value):
 
 
 def _write_json(path, payload) -> None:
-    """case_table.json, by far the largest artifact, is written compactly;
-    the other JSON artifacts are indented."""
-    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        if _is_case_table(path):
+    """Strict RFC 8259 JSON. case_table.json, by far the largest artifact, is
+    written compactly; the other JSON artifacts are indented."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if os.path.basename(path) == CASE_TABLE_FILE:
             fh.writelines(_compact_pieces(payload))
         else:
-            json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+            json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
         fh.write("\n")
 
 
 def _write_text(path, text: str) -> None:
-    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -132,7 +111,7 @@ def _read_json(path):
 
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject if _is_case_table(path) else None)
+            return json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -149,7 +128,11 @@ def _make_dir(path) -> None:
 class _Staging:
     """The artifacts of one stage, each written under its own name into a
     staging directory in out_dir, so that out_dir keeps the old ones until
-    commit() renames them all in; stale files go once the new ones are in."""
+    commit() renames them all in, in the order they were staged; stale files
+    go once the new ones are in. As a context manager it makes out_dir on
+    entry, commits on a clean exit and removes the staging directory whatever
+    happens; an OSError from a staged write is a ConfigError that names the
+    artifact."""
 
     def __init__(self, out_dir: str, stage: str):
         self.out_dir = out_dir
@@ -178,6 +161,20 @@ class _Staging:
         except OSError as exc:
             raise ConfigError(f"cannot replace artifacts in {self.out_dir}: {exc}") from None
 
+    def __enter__(self) -> _Staging:
+        _make_dir(self.out_dir)
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        try:
+            if exc is None:
+                self.commit()
+            elif isinstance(exc, OSError) and self.names:
+                target = os.path.join(self.out_dir, self.names[-1])
+                raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
+        finally:
+            shutil.rmtree(self.dir, ignore_errors=True)
+
 
 # The stage that writes each artifact a later stage reads.
 _PRODUCERS = {CASE_TABLE_FILE: "ingest", TREATMENTS_FILE: "mine", SEGMENTS_FILE: "uplift"}
@@ -189,9 +186,9 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
     must exist and manifest.json is read and checked, so neither a missing
     input nor a malformed manifest changes out_dir. The body fills the
     yielded info dict and writes each artifact where the yielded _Staging
-    says; once it succeeds, the artifacts are renamed in, the manifest
-    records info under stages.<name> and is written last, and one log line
-    reports info. A failed stage leaves no staged file behind."""
+    says; once it succeeds, the manifest records info under stages.<name>
+    and is staged last, so that it is the last file renamed in, and one log
+    line reports info. A failed stage leaves no staged file behind."""
     for filename in input_files:
         path = os.path.join(config.out_dir, filename)
         if not os.path.exists(path):
@@ -205,16 +202,12 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
             "are an object; remove it or re-run the pipeline"
         )
     info: dict[str, int] = {}
-    staging = _Staging(config.out_dir, name)
-    try:
+    with _Staging(config.out_dir, name) as staging:
         yield info, staging
-        staging.commit()
-    finally:
-        shutil.rmtree(staging.dir, ignore_errors=True)
-    manifest["tool"] = {"name": "upliftmine", "version": __version__}
-    manifest["config"] = config_to_dict(config)
-    manifest["stages"][name] = info
-    _write_json(manifest_path, manifest)
+        manifest["tool"] = {"name": "upliftmine", "version": __version__}
+        manifest["config"] = config_to_dict(config)
+        manifest["stages"][name] = info
+        _write_json(staging.path(MANIFEST_FILE), manifest)
     log.info("%s: %s", name, ", ".join(f"{n} {key.removeprefix('n_')}" for key, n in info.items()))
 
 
@@ -222,8 +215,8 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
 # Case table artifact
 # ---------------------------------------------------------------------------
 
-# RFC 8259 JSON has no infinities: case_table.json holds them as these
-# strings, in numeric columns and bins only.
+# RFC 8259 JSON has no infinities: they are these strings, in case_table.json's
+# numeric columns and bins and in segments.json's thresholds only.
 _INFINITIES = {"inf": math.inf, "-inf": -math.inf}
 _INFINITY_TEXT = {math.inf: "inf", -math.inf: "-inf"}
 _NUMBER_TYPES = {int, float, type(None)}  # null: missing
@@ -397,10 +390,8 @@ def stage_mine(config: PipelineConfig) -> dict:
         )
         treatments = extract_treatments(rules)
         info.update(n_rules=len(rules), n_treatments=len(treatments))
-        with _replacing(staging.path(RULES_FILE)) as tmp:
-            save_rules(rules, tmp)
-        with _replacing(staging.path(TREATMENTS_FILE)) as tmp:
-            save_treatments(treatments, tmp)
+        save_rules(rules, staging.path(RULES_FILE))
+        save_treatments(treatments, staging.path(TREATMENTS_FILE))
     return info
 
 
@@ -436,7 +427,7 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
                         for t in treatment.changes
                     ],
                     "tree_file": f"{TREES_DIR}/{dot_name}",
-                    "segments": [asdict(seg) for seg in segments],
+                    "segments": [_segment_to_dict(seg) for seg in segments],
                 }
             )
         n_segments = sum(len(e["segments"]) for e in entries)
@@ -452,14 +443,25 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
     return info
 
 
+def _segment_to_dict(segment: Segment) -> dict:
+    """One segments.json segment; an infinite threshold is "inf" or "-inf"."""
+    conditions = [[a, op, _INFINITY_TEXT.get(v, v)] for a, op, v in segment.conditions]
+    return {**asdict(segment), "conditions": conditions}
+
+
 def _segment_from_dict(entry: dict) -> Segment:
     """One segments.json segment; TypeError or ValueError when it is malformed."""
-    segment = Segment(**{**entry, "conditions": tuple(map(tuple, entry["conditions"]))})
-    for attribute, op, value in segment.conditions:
+    conditions = []
+    for attribute, op, value in entry["conditions"]:
+        numeric = op in ("<=", ">")
+        if numeric:
+            value = _INFINITIES.get(value, value)
         if op not in ("<=", ">", "==", "!=") or isinstance(value, bool) or not isinstance(
-            value, (int, float) if op in ("<=", ">") else str
+            value, (int, float) if numeric else str
         ):
             raise ValueError(f"malformed condition {[attribute, op, value]!r}")
+        conditions.append((attribute, op, value))
+    segment = Segment(**{**entry, "conditions": tuple(conditions)})
     counts = (segment.n_treat, segment.n_ctrl, segment.n_reachable)
     if not all(type(n) is int for n in counts) or type(segment.uplift) not in (int, float):
         raise ValueError(f"segment counts must be integers and uplift a number: {entry!r}")
@@ -487,8 +489,7 @@ def stage_rank(config: PipelineConfig) -> dict:
         recommendations = rank(pairs, cost_models=config.cost_overrides, default_model=config.cost)
         unprofitable = sum(1 for r in recommendations if r.unprofitable)
         info.update(n_recommendations=len(recommendations), n_unprofitable=unprofitable)
-        with _replacing(staging.path(RECOMMENDATIONS_FILE)) as tmp:
-            write_recommendations(recommendations, tmp)
+        write_recommendations(recommendations, staging.path(RECOMMENDATIONS_FILE))
     return info
 
 
@@ -524,26 +525,24 @@ def run(config: PipelineConfig) -> dict:
 def stage_simulate(scenario: SyntheticScenario, out_dir: str) -> dict:
     """Sample a scenario into out_dir along with ground truth and a ready
     pipeline config, so `run` on that config consumes the simulated log."""
-    _make_dir(out_dir)
-    case_log, effects = generate(scenario)
-    with _replacing(os.path.join(out_dir, SCENARIO_LOG_FILE)) as tmp:
-        write_log(case_log, tmp)
-    _write_json(
-        os.path.join(out_dir, GROUND_TRUTH_FILE),
-        {
-            "scenario": asdict(scenario),
-            "cate_by_subgroup": {str(cell): value for cell, value in effects.items()},
-            "naive_pooled_uplift": naive_pooled_uplift(scenario),
-        },
-    )
-    config = PipelineConfig(
-        input=SCENARIO_LOG_FILE,
-        outcome=OUTCOME,
-        attributes=scenario.schema(),
-        out_dir=".",
-    )
-    with _replacing(os.path.join(out_dir, PIPELINE_CONFIG_FILE)) as tmp:
-        save_config(config, tmp)
+    with _Staging(out_dir, "simulate") as staging:
+        case_log, effects = generate(scenario)
+        config = PipelineConfig(
+            input=SCENARIO_LOG_FILE,
+            outcome=OUTCOME,
+            attributes=scenario.schema(),
+            out_dir=".",
+        )
+        write_log(case_log, staging.path(SCENARIO_LOG_FILE))
+        _write_json(
+            staging.path(GROUND_TRUTH_FILE),
+            {
+                "scenario": asdict(scenario),
+                "cate_by_subgroup": {str(cell): value for cell, value in effects.items()},
+                "naive_pooled_uplift": naive_pooled_uplift(scenario),
+            },
+        )
+        save_config(config, staging.path(PIPELINE_CONFIG_FILE))
     info = {"n_cases": scenario.n_cases, "out_dir": out_dir}
     log.info("simulate: %d cases -> %s", scenario.n_cases, out_dir)
     return info

@@ -287,22 +287,25 @@ def _numeric_thresholds(distinct: np.ndarray, ends: np.ndarray) -> np.ndarray:
     cumulative counts ends: midpoints of consecutive distinct values. Above
     MAX_NUMERIC_CANDIDATES the list is thinned to evenly spaced quantiles of
     the node's values, each snapped up to the next midpoint. The quantiles
-    are np.quantile's (method "linear"), bit for bit, read off ends."""
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    if mids.size <= MAX_NUMERIC_CANDIDATES:
-        return mids
-    # numpy's order of operations: the virtual rank, its floor and, where the
-    # fraction t >= 0.5, interpolation back from the upper value.
-    virtual = (ends[-1] - 1) * _QUANTILE_FRACTIONS
-    below = np.floor(virtual)
-    t = virtual - below
-    a, b = distinct[np.searchsorted(ends, (below, below + 1), side="right")]
-    qs = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
-    # Sort the snapped indices: a quantile between -inf and a finite value is
-    # NaN, which snaps to the last midpoint. Mids hold no NaN here, but
-    # subnormal ones can round to the same value, so keep each value once.
-    tests = mids[np.sort(np.minimum(np.searchsorted(mids, qs), mids.size - 1))]
-    return tests[np.concatenate(([True], tests[1:] != tests[:-1]))]
+    are np.quantile's (method "linear"), bit for bit, read off ends. A
+    midpoint or quantile next to an infinite or near-overflow value is inf
+    or NaN by design (see _candidates), so numpy is not asked to warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mids = (distinct[:-1] + distinct[1:]) / 2.0
+        if mids.size <= MAX_NUMERIC_CANDIDATES:
+            return mids
+        # numpy's order of operations: the virtual rank, its floor and, where
+        # the fraction t >= 0.5, interpolation back from the upper value.
+        virtual = (ends[-1] - 1) * _QUANTILE_FRACTIONS
+        below = np.floor(virtual)
+        t = virtual - below
+        a, b = distinct[np.searchsorted(ends, (below, below + 1), side="right")]
+        qs = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+        # Sort the snapped indices: a quantile between -inf and a finite value
+        # is NaN, which snaps to the last midpoint. Mids hold no NaN here, but
+        # subnormal ones can round to the same value, so keep each value once.
+        tests = mids[np.sort(np.minimum(np.searchsorted(mids, qs), mids.size - 1))]
+        return tests[np.concatenate(([True], tests[1:] != tests[:-1]))]
 
 
 def _candidates(table: CaseTable, treat_idx, ctrl_idx, feature_names):
@@ -405,9 +408,6 @@ class Node:
 @dataclass
 class UpliftTree:
     root: Node
-    params: TreeParams
-    treatment: Optional[Treatment]
-    feature_names: list[str]
 
     def leaves(self) -> list[tuple[Node, list[tuple[str, str, object]]]]:
         """Leaf nodes with their root-to-leaf condition paths; conditions are
@@ -459,13 +459,7 @@ def build_tree(
         node.right = grow(treat_idx[~left_t], ctrl_idx[~left_c], stats, depth + 1)
         return node
 
-    root = grow(assignment.treated, assignment.control, None, 0)
-    return UpliftTree(
-        root=root,
-        params=params,
-        treatment=assignment.treatment,
-        feature_names=feature_names,
-    )
+    return UpliftTree(grow(assignment.treated, assignment.control, None, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -276,11 +276,12 @@ def reference_numeric_candidates(values, outcome, treat_rows, ctrl_rows, max_can
     observed = values[np.concatenate([treat_rows, ctrl_rows])]
     observed = observed[~np.isnan(observed)]
     distinct = np.unique(observed)
-    thresholds = (distinct[:-1] + distinct[1:]) / 2.0
-    if thresholds.size > max_candidates:
-        qs = np.quantile(observed, np.arange(1, max_candidates + 1) / (max_candidates + 1))
-        snapped = np.minimum(np.searchsorted(thresholds, qs), thresholds.size - 1)
-        thresholds = np.unique(thresholds[snapped])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are expected
+        thresholds = (distinct[:-1] + distinct[1:]) / 2.0
+        if thresholds.size > max_candidates:
+            qs = np.quantile(observed, np.arange(1, max_candidates + 1) / (max_candidates + 1))
+            snapped = np.minimum(np.searchsorted(thresholds, qs), thresholds.size - 1)
+            thresholds = np.unique(thresholds[snapped])
     counts = []
     for rows in (treat_rows, ctrl_rows):
         order = np.argsort(values[rows])

@@ -1,4 +1,6 @@
 import gzip
+import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -139,11 +141,16 @@ def test_parse_xes_bad_timestamp_reports_literal_text():
     "tag, value",
     [
         ("int", "abc"), ("float", "abc"), ("boolean", "abc"), ("boolean", "yes"), ("boolean", "10"),
-        # Python's int() and float() take digit separators; XML Schema does not.
-        ("int", "1_000"), ("float", "1_0.5"),
+        # Python's int() and float() take digit separators, non-ASCII digits
+        # and other spellings of infinity and NaN; XML Schema does not.
+        ("int", "1_000"), ("float", "1_0.5"), ("int", "１２"), ("float", "１.５"),
+        ("boolean", "\u00a0true"), ("float", "infinity"), ("float", "inf"),
+        ("float", " nan "), ("float", "-NaN"), ("float", "1e400"),
     ],
     ids=["int", "float", "boolean", "boolean-yes", "boolean-10", "int-underscore",
-         "float-underscore"],
+         "float-underscore", "int-fullwidth", "float-fullwidth", "boolean-nbsp",
+         "float-infinity", "float-inf", "float-padded-nan", "float-signed-nan",
+         "float-overflow"],
 )
 def test_parse_xes_wrongly_typed_value_names_trace_and_key(tag, value):
     doc = f"""<log><trace>
@@ -154,8 +161,25 @@ def test_parse_xes_wrongly_typed_value_names_trace_and_key(tag, value):
         <{tag} key="Amount" value="{value}"/>
       </event>
     </trace></log>""".encode()
-    with pytest.raises(LogParseError, match=f"'c5'.*<{tag}>.*'Amount'.*'{value}'"):
+    with pytest.raises(LogParseError, match=f"'c5'.*<{tag}>.*'Amount'.*{re.escape(repr(value))}"):
         parse_xes(doc)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("INF", math.inf), (" +INF ", math.inf), ("-INF", -math.inf), ("NaN", math.nan),
+     ("1e308", 1e308), (" -0.5 ", -0.5)],
+)
+def test_parse_xes_reads_xs_double_forms(text, expected):
+    doc = f"""<log><trace>
+      <event>
+        <string key="concept:name" value="A"/>
+        <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
+        <float key="Rate" value="{text}"/>
+      </event>
+    </trace></log>""".encode()
+    value = parse_xes(doc).last["Rate"][0]
+    assert value == expected or (math.isnan(value) and math.isnan(expected))
 
 
 def test_parse_xes_bad_value_before_the_case_id_names_trace_and_key():

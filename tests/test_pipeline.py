@@ -43,7 +43,7 @@ from upliftmine.pipeline import (
     table_from_dict,
     table_to_dict,
 )
-from upliftmine.pipeline import _read_json, _write_json
+from upliftmine.pipeline import _read_json, _Staging, _write_json
 
 EIGHT_ROW_CSV = "case_id,activity,timestamp,S,F,Y\n" + "".join(
     f"c{i},apply,2020-01-01T00:00:{i:02d}Z,{s},{f},{y}\n"
@@ -472,13 +472,25 @@ def test_case_table_without_a_key_is_a_schema_error(tmp_path):
 
 
 def test_write_json_failure_keeps_the_old_file(tmp_path):
+    # A write is all-or-nothing through the stage's staging directory: a
+    # staged _write_json that fails leaves the target as it was.
     path = tmp_path / "artifact.json"
-    _write_json(path, {"x": 1})
+    with _Staging(str(tmp_path), "test") as staging:
+        _write_json(staging.path("artifact.json"), {"x": 1})
     before = path.read_bytes()
-    with pytest.raises(TypeError):
-        _write_json(path, {"x": object()})
+    with pytest.raises(TypeError), _Staging(str(tmp_path), "test") as staging:
+        _write_json(staging.path("artifact.json"), {"x": object()})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["artifact.json"]
+
+
+def test_staged_write_error_is_a_config_error_that_names_the_artifact(tmp_path):
+    with pytest.raises(ConfigError, match=f"cannot write {tmp_path / 'artifact.json'}: "):
+        with _Staging(str(tmp_path), "test") as staging:
+            path = staging.path("artifact.json")
+            os.mkdir(path)
+            _write_json(path, {"x": 1})
+    assert os.listdir(tmp_path) == []
 
 
 def test_failed_rules_write_keeps_the_old_file(eight_row_config, tmp_path):
@@ -839,6 +851,7 @@ def _edit_segments(edit):
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S"]]})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", "x"]]})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", True]]})),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", "nan"]]})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "uplift": "high"})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "n_treat": "3"})),
         (MANIFEST_FILE, lambda payload: []),
@@ -846,7 +859,8 @@ def _edit_segments(edit):
     ],
     ids=[
         "segments-object", "segments-list", "no-changes", "no-conditions",
-        "condition-arity", "text-threshold", "bool-threshold", "text-uplift", "text-count",
+        "condition-arity", "text-threshold", "bool-threshold", "nan-threshold", "text-uplift",
+        "text-count",
         "manifest-list", "manifest-stages-list",
     ],
 )
@@ -857,6 +871,59 @@ def test_cli_malformed_segments_or_manifest_is_a_data_error(tmp_path, caplog, fi
     with caplog.at_level(logging.ERROR):
         assert main(["rank", "--config", str(config)]) == 2
     assert filename in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+def _minus_inf_log() -> str:
+    """800 cases: x is -inf in half of them, where F = b lifts Y, and 1 in
+    the rest, where it barely does; the tree splits x at -inf."""
+    rows = []
+    for i in range(800):
+        f = "ab"[i // 2 % 2]
+        if i % 2 == 0:
+            x, y = "-inf", (f == "b") == (i % 10 != 0)
+        else:
+            x, y = "1", i // 4 % 2
+        rows.append(f"c{i},apply,2020-01-01T00:00:00Z,{x},{f},{int(y)}\n")
+    return "case_id,activity,timestamp,x,F,Y\n" + "".join(rows)
+
+
+def test_infinite_threshold_is_strict_json_in_segments(tmp_path):
+    (tmp_path / "log.csv").write_text(_minus_inf_log(), encoding="utf-8")
+    raw = minimal_raw(tmp_path)
+    raw["attributes"][0] = {"name": "x", "kind": "numeric"}
+    raw.update(
+        out_dir=str(tmp_path / "out"),
+        bins={"x": [0.0]},
+        rules={"min_support": 0.01, "min_confidence": 0.01},
+        tree={"min_samples_split": 10, "min_samples_treatment": 5},
+    )
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject)
+    segments = _read_json(out / SEGMENTS_FILE)["treatments"][0]["segments"]
+    assert [["x", "<=", "-inf"]] in [s["conditions"] for s in segments]
+    recommendations = (out / RECOMMENDATIONS_FILE).read_text(encoding="utf-8")
+    assert "F:a->b,x <= -inf,400," in recommendations
+    assert any("x <= -inf" in p.read_text(encoding="utf-8") for p in (out / TREES_DIR).iterdir())
+
+
+@pytest.mark.parametrize("filename", [SEGMENTS_FILE, MANIFEST_FILE])
+def test_cli_non_standard_json_token_is_a_data_error(tmp_path, caplog, filename):
+    config = _run_eight_rows(tmp_path)
+    path = tmp_path / "out" / filename
+    payload = _read_json(path)
+    if filename == SEGMENTS_FILE:
+        payload = _edit_segments(lambda s: {**s, "uplift": math.nan})(payload)
+    else:
+        payload["stages"]["ingest"]["n_events"] = math.inf
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["rank", "--config", str(config)]) == 2
+    assert f"{filename} holds" in caplog.text
     assert "unexpected failure" not in caplog.text
 
 
@@ -963,6 +1030,26 @@ def test_cli_stage_replaces_all_of_its_artifacts_or_none(tmp_path, caplog, comma
     assert not list(out.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("blocked", ["pipeline.yaml", "ground_truth.json"])
+def test_cli_simulate_replaces_all_of_its_files_or_none(tmp_path, caplog, blocked):
+    # scenario_log.csv is written before either blocked file: it may not be
+    # replaced either, or the log and its ground truth come from two seeds.
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO_YAML, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(scenario), "--out", str(out)]
+    assert main(argv) == 0
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    before = _backdated_files(out)
+    with caplog.at_level(logging.ERROR):
+        assert main([*argv, "--seed", "12"]) == 1
+    assert f"{out / blocked}: Is a directory" in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert _files(out) == before
+    assert not list(out.rglob("*.tmp"))
+
+
 def _unreadable(path: Path, how: str) -> None:
     if how == "directory":
         path.mkdir()
@@ -1012,6 +1099,6 @@ def test_cli_out_naming_a_file_is_a_config_error(tmp_path, caplog, command):
     taken.write_text("not a directory\n", encoding="utf-8")
     with caplog.at_level(logging.ERROR):
         assert main([command, "--config", str(config), "--out", str(taken)]) == 1
-    assert f"cannot create output directory {taken}" in caplog.text
+    assert f"cannot create output directory {taken}: " in caplog.text
     assert "unexpected failure" not in caplog.text
     assert taken.read_text(encoding="utf-8") == "not a directory\n"

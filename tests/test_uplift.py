@@ -1,4 +1,5 @@
 import math
+import warnings
 
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from upliftmine.uplift import (
     DIVERGENCE_KINDS,
     MAX_NUMERIC_CANDIDATES,
     NodeStats,
+    TreatmentAssignment,
     TreeParams,
     assign_groups,
     best_split,
@@ -536,6 +538,22 @@ def test_ranked_numeric_candidates_match_the_per_node_reference(node):
     np.testing.assert_array_equal(thresholds.view(np.int64), want[0].view(np.int64))
     for got, expected in zip(counts, want[1:]):
         np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("node", [OVERFLOW_NODE, NAN_QUANTILE_NODE], ids=["overflow", "nan"])
+def test_tree_on_infinite_or_near_overflow_values_warns_nothing(node):
+    # Midpoints and quantiles of such values are -inf or NaN by design.
+    values, outcome, treat, ctrl = node
+    table = make_table(
+        [("x", "numeric", False)],
+        [({"x": v}, y) for v, y in zip(values.tolist(), outcome.tolist())],
+    )
+    excluded = np.setdiff1d(np.arange(len(values)), np.concatenate([treat, ctrl]))
+    assignment = TreatmentAssignment(None, treat, ctrl, excluded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = build_tree(table, assignment, SMALL_PARAMS)
+    assert tree.leaves()
 
 
 def test_build_tree_deterministic():
