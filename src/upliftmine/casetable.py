@@ -14,7 +14,9 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from math import floor
+from itertools import compress, repeat
+from math import floor, nan
+from operator import is_not
 from typing import NamedTuple
 
 import numpy as np
@@ -240,17 +242,35 @@ def _coerce_outcome(value, positive_labels: frozenset[str], attr: str, case_id: 
         raise SchemaError(
             f"attribute {attr!r}: non-binary outcome {value!r} in case {case_id!r}"
         )
-    text = str(value).strip().lower()
-    return 1 if text in positive_labels else 0
+    return _text_outcome(str(value), positive_labels)
+
+
+def _text_outcome(text: str, positive_labels: frozenset[str]) -> int:
+    return 1 if text.strip().lower() in positive_labels else 0
+
+
+def _non_numeric(attr: str, value, case_id: str) -> SchemaError:
+    return SchemaError(f"attribute {attr!r}: non-numeric value {value!r} in case {case_id!r}")
 
 
 def _coerce_numeric(value, attr: str, case_id: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise SchemaError(
-            f"attribute {attr!r}: non-numeric value {value!r} in case {case_id!r}"
-        ) from None
+        raise _non_numeric(attr, value, case_id) from None
+
+
+def _text_numbers(texts: list, attr: str, case_ids: list[str]) -> np.ndarray:
+    """float() of each text, once per distinct text, NaN where missing; a
+    text that float() rejects names the first case that holds it."""
+    numbers = {None: nan}
+    for text in dict.fromkeys(texts):  # in order of first appearance
+        if text not in numbers:
+            try:
+                numbers[text] = float(text)
+            except ValueError:
+                raise _non_numeric(attr, text, case_ids[texts.index(text)]) from None
+    return np.fromiter(map(numbers.__getitem__, texts), np.float64, len(texts))
 
 
 def _label(value) -> str:
@@ -261,13 +281,24 @@ def _label(value) -> str:
     return str(value)
 
 
+def _is_text(values: list) -> bool:
+    """Whether every value is text or missing, as in every CSV column. Typed
+    values, as XES gives them, cannot be converted once per distinct value:
+    True == 1 == 1.0 and -0.0 == 0.0 are equal keys, yet they label and
+    serialize differently."""
+    return set(map(type, values)) <= {str, type(None)}
+
+
 def encode_cases(
     case_log: CaseLog,
     schema: list[AttributeSchema],
     outcome_name: str,
     positive_labels: frozenset[str] | None = None,
 ) -> CaseTable:
-    """One row per case of the log; cases without the outcome drop."""
+    """One row per case of the log; cases without the outcome drop. A
+    column of text converts each distinct value once: a numeric one by
+    float(), the outcome by the positive labels, while a categorical label
+    is the text itself."""
     positive_labels = positive_labels or DEFAULT_POSITIVE_LABELS
     positive_labels = frozenset(s.lower() for s in positive_labels)
     by_name = {a.name: a for a in schema}
@@ -289,28 +320,41 @@ def encode_cases(
         return case_log.last.get(key, [None] * n)
 
     raw_outcomes = observe(outcome_attr)
-    kept = [i for i, value in enumerate(raw_outcomes) if value is not None]
+    kept = list(compress(range(n), map(is_not, raw_outcomes, repeat(None))))
     if not kept:
         raise SchemaError(
             f"outcome attribute {outcome_name!r} never observed in any case"
         )
     if len(kept) < n:
         log.info("dropped %d cases with missing outcome %r", n - len(kept), outcome_name)
-    case_ids = [case_log.case_ids[i] for i in kept]
-    outcomes = [
-        _coerce_outcome(raw_outcomes[i], positive_labels, outcome_name, case_id)
-        for i, case_id in zip(kept, case_ids)
-    ]
+
+    def of_kept(values: list) -> list:
+        return values if len(kept) == n else list(map(values.__getitem__, kept))
+
+    case_ids = of_kept(case_log.case_ids)
+    raw_outcomes = of_kept(raw_outcomes)
+    if _is_text(raw_outcomes):
+        coded = {text: _text_outcome(text, positive_labels) for text in set(raw_outcomes)}
+        outcomes = list(map(coded.__getitem__, raw_outcomes))
+    else:
+        outcomes = [
+            _coerce_outcome(value, positive_labels, outcome_name, case_id)
+            for value, case_id in zip(raw_outcomes, case_ids)
+        ]
     columns = {}
     for attr in feature_schema:
-        values = observe(attr)
-        if attr.kind == NUMERIC:
+        values = of_kept(observe(attr))
+        if attr.kind == NUMERIC and _is_text(values):
+            columns[attr.name] = _text_numbers(values, attr.name, case_ids)
+        elif attr.kind == NUMERIC:
             columns[attr.name] = [
-                None if values[i] is None else _coerce_numeric(values[i], attr.name, case_id)
-                for i, case_id in zip(kept, case_ids)
+                None if value is None else _coerce_numeric(value, attr.name, case_id)
+                for value, case_id in zip(values, case_ids)
             ]
+        elif _is_text(values):
+            columns[attr.name] = values
         else:
-            columns[attr.name] = [None if values[i] is None else _label(values[i]) for i in kept]
+            columns[attr.name] = [None if value is None else _label(value) for value in values]
     return CaseTable(feature_schema, outcome_name, case_ids, outcomes, columns)
 
 

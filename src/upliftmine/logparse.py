@@ -1,7 +1,7 @@
 """Event-log ingestion: XES and CSV readers that fold events into cases.
 
-Both readers stream their input into one fold: a CSV row is folded into its
-case as it arrives, an XES trace's events wait for its </trace>. A case
+Both readers stream their input: CSV rows are folded into their cases a
+chunk at a time, an XES trace's events wait for its </trace>. A case
 keeps its id (cases are numbered in order of first appearance), how often
 each activity occurred, and the last observed value of each attribute: the
 value carried by the latest-stamped event that carries it, the later event
@@ -22,11 +22,15 @@ import re
 import weakref
 import xml.parsers.expat
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from operator import itemgetter
+from itertools import compress, count, filterfalse, islice, repeat
+from operator import attrgetter, itemgetter, sub
 from pathlib import Path
 from typing import Union
+
+import numpy as np
 
 from .errors import ConfigError, LogParseError, SchemaError, require
 
@@ -61,22 +65,20 @@ class CaseLog:
 
 
 class _Fold:
-    """Builds a CaseLog by the last-value rule: the latest-stamped event that
+    """Builds the CaseLog of XES traces by the last-value rule: trace()
+    takes a whole trace, stable-sorts its events by timestamp and lays their
+    values over the trace attributes, so that the latest-stamped event that
     carries an attribute sets it, the later one in the file on a tie; trace
     attributes rank below every event value and vanish when the trace has no
-    events. CSV rows come through event(), in any order, stamps[key][case]
-    holding the stamp that set last[key][case]; XES traces through trace()."""
+    events."""
 
     def __init__(self):
         self.log = CaseLog()
         self.index: dict[str, int] = {}
-        self.stamps: dict[str, list[datetime | None]] = {}
 
     def new_case(self, case_id: str) -> int:
         """Open a case: one more entry in every column."""
-        for columns, fill in (
-            (self.log.counts, 0), (self.log.last, None), (self.stamps, None)
-        ):
+        for columns, fill in ((self.log.counts, 0), (self.log.last, None)):
             for column in columns.values():
                 column.append(fill)
         self.index[case_id] = len(self.log)
@@ -89,20 +91,6 @@ class _Fold:
         if counts is None:
             counts = self.log.counts[activity] = [0] * len(self.log)
         counts[case] += 1
-
-    def event(self, case_id: str, activity: str, ts: datetime, attrs) -> None:
-        case = self.index.get(case_id)
-        if case is None:
-            case = self.new_case(case_id)
-        self.count(case, activity)
-        for key, value in attrs:
-            stamps = self.stamps.get(key)
-            if stamps is None:
-                stamps = self.stamps[key] = [None] * len(self.log)
-                self.log.last[key] = [None] * len(self.log)
-            if stamps[case] is None or ts >= stamps[case]:
-                stamps[case] = ts
-                self.log.last[key][case] = value
 
     def trace(self, number: int, attrs: dict, events: list) -> None:
         """Add the number-th trace as a case, named by its concept:name or
@@ -360,61 +348,199 @@ class CsvColumns:
                 require(name, str, f"attributes[{i}]")
 
 
-def _utf8_lines(stream):
-    """The stream's lines, decoded; invalid UTF-8 raises LogParseError with
-    the offending byte's offset."""
+# Rows a CSV is read and folded in at a time.
+_CSV_CHUNK = 256
+# Below every stamp: the stamp of an attribute no row of the case has set.
+_NO_STAMP = np.iinfo(np.int64).min
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_DELTA_PARTS = (attrgetter("days"), attrgetter("seconds"), attrgetter("microseconds"))
+# What reading a row can raise besides a fault of the row itself.
+_CSV_READ_ERRORS = (UnicodeDecodeError, csv.Error, OSError, EOFError, zlib.error)
+
+
+def _csv_chunks(stream):
+    """The stream's CSV rows, header included, in lists of up to _CSV_CHUNK
+    rows. Lines split as bytes and decode as UTF-8 one by one. A row that
+    cannot be read ends the rows: those read before it come first, so that
+    their own faults are found first, and then its error is raised."""
+    reader = csv.reader(map(bytes.decode, stream))
+    while True:
+        rows = []
+        try:
+            # extend keeps what it took before the iterator raised.
+            rows.extend(islice(reader, _CSV_CHUNK))
+        except _CSV_READ_ERRORS as exc:
+            if rows:
+                yield rows
+            if isinstance(exc, UnicodeDecodeError):
+                offset = _invalid_utf8_offset(stream)
+                raise LogParseError(
+                    f"invalid UTF-8 at byte {offset}", byte_offset=offset
+                ) from None
+            if isinstance(exc, csv.Error):
+                raise LogParseError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+            raise
+        if len(rows) < _CSV_CHUNK:
+            if rows:
+                yield rows
+            return
+        yield rows
+
+
+def _invalid_utf8_offset(stream) -> int:
+    """The offset of the stream's first byte that is not UTF-8, read again
+    from the start."""
+    stream.seek(0)
     offset = 0
     for line in stream:
         try:
-            yield line.decode("utf-8")
+            line.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise LogParseError(
-                f"invalid UTF-8 at byte {offset + exc.start}", byte_offset=offset + exc.start
-            ) from None
+            return offset + exc.start
         offset += len(line)
+    return offset
+
+
+def _epoch_micros(stamps: list[datetime]) -> np.ndarray:
+    """Each aware datetime as int64 microseconds since the epoch."""
+    deltas = list(map(sub, stamps, repeat(_EPOCH)))
+    days, seconds, micros = (
+        np.fromiter(map(part, deltas), np.int64, len(deltas)) for part in _DELTA_PARTS
+    )
+    return (days * 86400 + seconds) * 1_000_000 + micros
+
+
+def _codes(index: dict, keys) -> np.ndarray:
+    """Each key's int32 code in index; a key new to index gets the next
+    free code, in order of first appearance."""
+    new = dict.fromkeys(filterfalse(index.__contains__, keys))
+    index.update(zip(new, count(len(index))))
+    return np.fromiter(map(index.__getitem__, keys), np.int32, len(keys))
+
+
+class _CsvFold:
+    """The last-value rule over CSV rows, folded a chunk at a time.
+
+    Per case it keeps, for each attribute, the last value and the int64
+    stamp that set it (_NO_STAMP if none), in a list and an array that grow
+    in place; per event only the int32 codes of its case and activity, for
+    the counts. In a chunk, one stable lexsort by (case, stamp) puts each
+    case's winning row for an attribute last among the rows that carry it;
+    a winner replaces the kept value when its stamp is >= the kept one."""
+
+    def __init__(self, header: list[str], columns: CsvColumns):
+        index = {name: i for i, name in enumerate(header)}
+        mapped = (columns.case_id, columns.activity, columns.timestamp)
+        for name in mapped + tuple(columns.attributes or ()):
+            if name not in index:
+                raise SchemaError(f"mapped CSV column not found: {name!r}")
+        names = columns.attributes
+        if names is None:
+            names = [name for name in header if name not in mapped]
+        self.names = list(dict.fromkeys(names))
+        self.cells = [index[name] for name in self.names]
+        self.i_case, self.i_activity, self.i_ts = (index[name] for name in mapped)
+        self.n_cells = 1 + max(self.i_case, self.i_activity, self.i_ts)
+        self.width = max([self.n_cells] + [i + 1 for i in self.cells])
+        self.fmt = columns.timestamp_format
+        self.next_row = 1
+        self.cases: dict[str, int] = {}  # case id -> code
+        self.activities: dict[str, int] = {}  # activity -> code
+        self.event_cases = array("i")
+        self.event_activities = array("i")
+        self.values: dict[str, list] = {name: [] for name in self.names}
+        self.stamps = {name: array("q") for name in self.names}
+        self.seen: dict[str, None] = {}  # attributes with a value, by first appearance
+
+    def add(self, rows: list[list[str]]) -> None:
+        """Fold the next rows of the file. Blank rows are skipped; the first
+        faulty row raises LogParseError."""
+        numbers = range(self.next_row, self.next_row + len(rows))
+        self.next_row += len(rows)
+        columns = list(zip(*rows))
+        short = len(rows)
+        if len(columns) < self.width or not all(columns[self.i_case]):
+            keep = list(map(any, rows))
+            numbers, rows = list(compress(numbers, keep)), list(compress(rows, keep))
+            lengths = [len(row) for row in rows]
+            short = next((i for i, n in enumerate(lengths) if n < self.n_cells), len(rows))
+            # A row that ends early lacks the attributes past its end.
+            rows = [row + [""] * (self.width - n) for row, n in zip(rows, lengths)]
+            columns = list(zip(*rows)) or [()] * self.width
+        case_ids = list(map(str.strip, columns[self.i_case]))
+        activities = list(map(str.strip, columns[self.i_activity]))
+        faulty = min(
+            short,
+            len(rows) if all(case_ids) else case_ids.index(""),
+            len(rows) if all(activities) else activities.index(""),
+        )
+        texts = columns[self.i_ts][:faulty]
+        stamps = _epoch_micros(list(map(_csv_timestamp, texts, repeat(self.fmt), numbers)))
+        if faulty < len(rows):
+            row_no = numbers[faulty]
+            if faulty == short:
+                message = f"{lengths[short]} cells, expected at least {self.n_cells}"
+            else:
+                message = "empty case id" if not case_ids[faulty] else "empty activity"
+            raise LogParseError(f"row {row_no}: {message}", row=row_no)
+        if not rows:
+            return
+        n_old = len(self.cases)
+        cases = _codes(self.cases, case_ids)
+        self.event_cases.frombytes(cases.tobytes())
+        self.event_activities.frombytes(_codes(self.activities, activities).tobytes())
+        n_new = len(self.cases) - n_old
+        order = np.lexsort((stamps, cases))
+        first_seen = []
+        for position, (name, cell) in enumerate(zip(self.names, self.cells)):
+            self.stamps[name].frombytes(np.full(n_new, _NO_STAMP).tobytes())
+            values = self.values[name]
+            values.extend([None] * n_new)
+            column = columns[cell]
+            carrying = order
+            if not all(column):
+                carrying = order[np.fromiter(map(bool, column), bool, len(column))[order]]
+            if not carrying.size:
+                continue
+            if name not in self.seen:
+                first_seen.append((carrying.min(), position, name))
+            # The last row of each case among those carrying the attribute,
+            # if it is no older than the value kept.
+            of_case = cases[carrying]
+            winners = carrying[np.append(of_case[1:] != of_case[:-1], True)]
+            kept = np.frombuffer(self.stamps[name], np.int64)
+            winners = winners[stamps[winners] >= kept[cases[winners]]]
+            kept[cases[winners]] = stamps[winners]
+            for case, row in zip(cases[winners].tolist(), winners.tolist()):
+                values[case] = column[row]
+        self.seen.update(dict.fromkeys(name for *_, name in sorted(first_seen)))
+
+    def log(self) -> CaseLog:
+        n = len(self.cases)
+        cases = np.frombuffer(self.event_cases, np.int32)
+        activities = np.frombuffer(self.event_activities, np.int32)
+        by_activity = cases[np.argsort(activities, kind="stable")]
+        ends = np.cumsum(np.bincount(activities, minlength=len(self.activities))).tolist()
+        counts = {
+            activity: np.bincount(by_activity[start:end], minlength=n).tolist()
+            for activity, start, end in zip(self.activities, [0] + ends, ends)
+        }
+        last = {name: self.values[name] for name in self.seen}
+        return CaseLog(list(self.cases), counts, last, len(cases))
 
 
 def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:
     """Parse a UTF-8 CSV event stream with a header row, one event a row."""
-    columns = columns or CsvColumns()
-    fold = _Fold()
+    fold = None
     with _binary_input(source) as stream:
-        reader = csv.reader(_utf8_lines(stream))
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise LogParseError("CSV input has no header row")
-            index = {name: i for i, name in enumerate(header)}
-            mapped = (columns.case_id, columns.activity, columns.timestamp)
-            for name in mapped + tuple(columns.attributes or ()):
-                if name not in index:
-                    raise SchemaError(f"mapped CSV column not found: {name!r}")
-            attr_names = columns.attributes
-            if attr_names is None:
-                attr_names = [name for name in header if name not in mapped]
-            attr_cells = [(name, index[name]) for name in attr_names]
-            i_case, i_activity, i_ts = (index[name] for name in mapped)
-            n_cells = 1 + max(i_case, i_activity, i_ts)
-            for row_no, row in enumerate(reader, start=1):
-                if not any(row):
-                    continue
-                if len(row) < n_cells:
-                    raise LogParseError(
-                        f"row {row_no}: {len(row)} cells, expected at least {n_cells}",
-                        row=row_no,
-                    )
-                case_id = row[i_case].strip()
-                if not case_id:
-                    raise LogParseError(f"row {row_no}: empty case id", row=row_no)
-                activity = row[i_activity].strip()
-                if not activity:
-                    raise LogParseError(f"row {row_no}: empty activity", row=row_no)
-                ts = _csv_timestamp(row[i_ts], columns.timestamp_format, row_no)
-                cells = [(name, row[i]) for name, i in attr_cells if i < len(row) and row[i]]
-                fold.event(case_id, activity, ts, cells)
-        except csv.Error as exc:
-            raise LogParseError(f"malformed CSV at line {reader.line_num}: {exc}") from None
-    return fold.log
+        for rows in _csv_chunks(stream):
+            if fold is None:
+                fold = _CsvFold(rows.pop(0), columns or CsvColumns())
+            fold.add(rows)
+            rows.clear()  # before the next chunk is read
+    if fold is None:
+        raise LogParseError("CSV input has no header row")
+    return fold.log()
 
 
 def _csv_timestamp(text: str, fmt: str | None, row_no: int) -> datetime:

@@ -105,9 +105,18 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+# The stage that writes each artifact a later stage reads.
+_PRODUCERS = {CASE_TABLE_FILE: "ingest", TREATMENTS_FILE: "mine", SEGMENTS_FILE: "uplift"}
+
+
 def _read_json(path):
+    """A JSON artifact; one that is not strict JSON is a SchemaError, which
+    names the stage to re-run when a stage produces the file."""
+    producer = _PRODUCERS.get(os.path.basename(path))
+    rerun = f"; re-run {producer}" if producer else ""
+
     def reject(token):
-        raise SchemaError(f"{path} holds {token}, which is not standard JSON")
+        raise SchemaError(f"{path} holds {token}, which is not standard JSON{rerun}")
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -115,7 +124,7 @@ def _read_json(path):
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+        raise SchemaError(f"{path} is not valid JSON: {exc}{rerun}") from None
 
 
 def _make_dir(path) -> None:
@@ -174,10 +183,6 @@ class _Staging:
                 raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
         finally:
             shutil.rmtree(self.dir, ignore_errors=True)
-
-
-# The stage that writes each artifact a later stage reads.
-_PRODUCERS = {CASE_TABLE_FILE: "ingest", TREATMENTS_FILE: "mine", SEGMENTS_FILE: "uplift"}
 
 
 @contextlib.contextmanager
@@ -322,10 +327,13 @@ def stage_ingest(config: PipelineConfig) -> dict:
         table = encode_cases(
             case_log, list(config.attributes), config.outcome, frozenset(config.positive_labels)
         )
+        info.update(n_events=case_log.n_events, n_traces=len(case_log), n_cases=len(table))
+        # The log's values are not needed past encoding; freeing them before
+        # the JSON payload is built lowers ingest's peak memory.
+        del case_log
         if config.bins:
             table = discretize(table, config.bins)
         summary = _summarize_table(table)
-        info.update(n_events=case_log.n_events, n_traces=len(case_log), n_cases=len(table))
         _write_json(staging.path(CASE_TABLE_FILE), table_to_dict(table))
         _write_text(staging.path(CASE_SUMMARY_FILE), summary)
     return info

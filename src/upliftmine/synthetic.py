@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from datetime import datetime, timedelta, timezone
 from itertools import repeat
 
 import numpy as np
@@ -31,7 +30,8 @@ TREATMENT_ATTR = "treatment"
 OUTCOME = "outcome"
 ACTIVITY = "observed"
 
-_T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+# The stamp of case 0, UTC.
+_T0 = np.datetime64("2020-01-01T00:00:00", "s")
 
 ProbTable = tuple[tuple[float, float], tuple[float, float]]
 
@@ -219,7 +219,8 @@ def write_log(case_log: CaseLog, path) -> None:
     """Write a generated log as CSV: case i is one ACTIVITY event at i
     seconds past 2020-01-01 UTC, with the attributes in name order."""
     names = sorted(case_log.last)
-    stamps = ((_T0 + timedelta(seconds=i)).isoformat() for i in range(len(case_log)))
+    seconds = np.datetime_as_string(_T0 + np.arange(len(case_log)), unit="s")
+    stamps = (text + "+00:00" for text in seconds.tolist())
     columns = (case_log.case_ids, repeat(ACTIVITY), stamps, *map(case_log.last.get, names))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

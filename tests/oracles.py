@@ -333,6 +333,73 @@ def reference_fold(traces) -> CaseLog:
     return CaseLog(case_ids, counts, last, n_events)
 
 
+def reference_encode(case_log, schema, outcome_name, positive_labels=frozenset({"1", "true"})):
+    """The case table of a case log, each value converted where it stands.
+
+    Cases without the outcome drop. An outcome is a bool, a number equal to
+    0 or 1, or text whose stripped, lowercased form is positive or not. A
+    numeric value is float() of it; a categorical label is "true"/"false"
+    for a bool, repr() for a float, str() otherwise. The outcome column is
+    converted first, then each feature column in schema order; the first
+    value that does not convert raises a SchemaError naming it and its case.
+    """
+    from upliftmine.casetable import NUMERIC, SOURCE_COUNT, SOURCE_LAST, CaseTable
+    from upliftmine.errors import SchemaError
+
+    n = len(case_log)
+    positive = {label.lower() for label in positive_labels}
+
+    def observe(attr):
+        if attr.source == SOURCE_COUNT:
+            return case_log.counts.get(attr.source_arg, [0] * n)
+        key = attr.source_arg if attr.source == SOURCE_LAST else attr.name
+        return case_log.last.get(key, [None] * n)
+
+    by_name = {attr.name: attr for attr in schema}
+    raw = observe(by_name[outcome_name])
+    kept = [i for i in range(n) if raw[i] is not None]
+    if not kept:
+        raise SchemaError(f"outcome attribute {outcome_name!r} never observed in any case")
+    case_ids = [case_log.case_ids[i] for i in kept]
+    outcomes = []
+    for i, case_id in zip(kept, case_ids):
+        value = raw[i]
+        if isinstance(value, bool):
+            outcomes.append(int(value))
+        elif isinstance(value, (int, float)):
+            if value not in (0, 1):
+                raise SchemaError(
+                    f"attribute {outcome_name!r}: non-binary outcome {value!r} in case {case_id!r}"
+                )
+            outcomes.append(int(value))
+        else:
+            outcomes.append(int(str(value).strip().lower() in positive))
+    features = [attr for attr in schema if attr.name != outcome_name]
+    columns = {}
+    for attr in features:
+        raw = observe(attr)
+        column = []
+        for i, case_id in zip(kept, case_ids):
+            value = raw[i]
+            if value is None:
+                column.append(None)
+            elif attr.kind == NUMERIC:
+                try:
+                    column.append(float(value))
+                except (TypeError, ValueError):
+                    raise SchemaError(
+                        f"attribute {attr.name!r}: non-numeric value {value!r} in case {case_id!r}"
+                    ) from None
+            elif isinstance(value, bool):
+                column.append("true" if value else "false")
+            elif isinstance(value, float):
+                column.append(repr(value))
+            else:
+                column.append(str(value))
+        columns[attr.name] = column
+    return CaseTable(features, outcome_name, case_ids, outcomes, columns)
+
+
 _FRACTION_RE = re.compile(r"(\.\d+)")
 
 

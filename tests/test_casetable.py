@@ -1,6 +1,7 @@
 import math
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,9 @@ from upliftmine.casetable import (
     equal_frequency_bounds,
 )
 from helpers import csv_log, decoded
-from oracles import reference_bin_labels, reference_fold
+from oracles import reference_bin_labels, reference_encode, reference_fold
 from upliftmine.errors import ConfigError, SchemaError
-from upliftmine.logparse import parse_csv
+from upliftmine.logparse import CaseLog, parse_csv
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -125,6 +126,72 @@ def test_literal_nan_cell_is_missing():
     out = discretize(table, {"RequestedAmount": [3.0]})
     assert decoded(out.coded("RequestedAmount")) == [MISSING_LABEL, ">3"]
     assert out.column("RequestedAmount") == [None, 5.0]
+
+
+# Values that are equal as dict keys yet convert differently (True, 1, 1.0;
+# -0.0, 0.0), NaN, and texts that float() reads but XES typing does not.
+_TEXTS = ["1", "0", "true", " TRUE ", "1.0", "-0.0", "0.0", "nan", " 2 ", "1_000", "x", ""]
+_TYPED = [True, False, 1, 0, 1.0, 0.0, -0.0, math.nan, 2, 2.5]
+ENCODE_SCHEMA = [
+    AttributeSchema("cat", "categorical"),
+    AttributeSchema("num", "numeric"),
+    AttributeSchema("last_num", "numeric", source="last", source_arg="cat"),
+    AttributeSchema("n_A", "numeric", source="count", source_arg="A"),
+    AttributeSchema("n_A_label", "categorical", source="count", source_arg="A"),
+    AttributeSchema("Y", "categorical"),
+]
+
+
+@st.composite
+def value_logs(draw):
+    """A case log whose columns hold only text and None, as from a CSV, or
+    typed values mixed with text, as from an XES log."""
+    n = draw(st.integers(min_value=1, max_value=8))
+
+    def column():
+        pool = _TEXTS if draw(st.booleans()) else _TEXTS + _TYPED
+        return draw(st.lists(st.sampled_from(pool + [None]), min_size=n, max_size=n))
+
+    last = {name: column() for name in ("cat", "num", "Y")}
+    counts = {"A": draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))}
+    return CaseLog([f"c{i}" for i in range(n)], counts, last, n)
+
+
+def _log(**last) -> CaseLog:
+    n = len(last["Y"])
+    return CaseLog([f"c{i}" for i in range(n)], {"A": [i % 2 for i in range(n)]}, last, n)
+
+
+def _converted(case_log):
+    try:
+        return encode_cases(case_log, ENCODE_SCHEMA, "Y")
+    except SchemaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_logs())
+@example(_log(cat=["1", "1"], num=[" 2 ", "1_000"], Y=["1", "true"]))
+@example(_log(cat=[True, 1], num=[-0.0, 0.0], Y=[1.0, True]))
+@example(_log(cat=[None, "a", "b"], num=["1", "x", "y"], Y=["0", "1", "0"]))
+def test_encode_cases_matches_the_per_value_reference(case_log):
+    got = _converted(case_log)
+    try:
+        want = reference_encode(case_log, ENCODE_SCHEMA, "Y")
+    except SchemaError as exc:
+        assert got == str(exc)
+        return
+    assert not isinstance(got, str), got
+    assert got.case_ids == want.case_ids
+    assert got.outcome.tolist() == want.outcome.tolist()
+    for attr in want.schema:
+        if attr.kind == "numeric":
+            # Compared bit for bit, so that -0.0 and 0.0 differ.
+            bits = [t.numeric(attr.name).view(np.int64).tolist() for t in (got, want)]
+            assert bits[0] == bits[1]
+        else:
+            assert decoded(got.coded(attr.name)) == decoded(want.coded(attr.name))
+            assert got.coded(attr.name).labels == want.coded(attr.name).labels
 
 
 def _numeric_table(values, extra_attr=False):

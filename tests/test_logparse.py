@@ -365,6 +365,85 @@ def test_parse_csv_custom_timestamp_format():
     assert parse_csv(data, CsvColumns(timestamp_format=fmt)).last["v"] == ["right"]
 
 
+def _long_row(row: int) -> list[str]:
+    """The cells of a row of _long_csv: 40 interleaved cases, stamps that
+    wrap every 1440 rows, each row carrying a value."""
+    hour, minute = divmod(row % 1440, 60)
+    return [f"c{row % 40}", f"A{row % 3}", f"2020-01-01T{hour:02d}:{minute:02d}:00Z", f"v{row}"]
+
+
+def _long_csv(n_rows: int, lines: dict | None = None) -> bytes:
+    """A valid CSV log of n_rows rows, several reading chunks long. lines
+    replaces the line of the given row numbers (1-based, header excluded);
+    None drops it."""
+    out = [b"case_id,activity,timestamp,v"]
+    for row in range(1, n_rows + 1):
+        line = ",".join(_long_row(row)).encode()
+        out.append((lines or {}).get(row, line))
+    return b"\n".join(line for line in out if line is not None) + b"\n"
+
+
+def test_parse_csv_matches_the_reference_fold_across_chunks():
+    # Rows r and r + 1440 share a case and a stamp, so their tie falls across
+    # chunks, and the wrapping minutes put a case's stamps out of order across
+    # chunks. Every seventh row leaves v empty; w is first set late in the log.
+    rows = []
+    for row in range(1, 3001):
+        cells = _long_row(row)
+        if row % 7 == 0:
+            cells[3] = ""
+        rows.append(cells + [f"w{row}" if row > 2000 and row % 11 == 0 else ""])
+    data = "\n".join(["case_id,activity,timestamp,v,w"] + [",".join(r) for r in rows]).encode()
+    events: dict[str, list] = {}
+    for case_id, activity, stamp, *cells in rows:
+        attrs = {key: cell for key, cell in zip("vw", cells) if cell}
+        events.setdefault(case_id, []).append(
+            (activity, reference_parse_timestamp(stamp), attrs)
+        )
+    expected = reference_fold([(cid, {}, evs) for cid, evs in events.items()])
+    assert parse_csv(data) == expected
+
+
+@pytest.mark.parametrize(
+    "lines, row, message",
+    [
+        ({1500: b"c1,,2020-01-01", 1510: b"c1,A,never"}, 1500, "empty activity"),
+        ({1500: b"c1,A,never", 1510: b"c1,,2020-01-01"}, 1500, "unparseable timestamp"),
+        ({700: b",A,2020-01-01", 705: b"c1,A"}, 700, "empty case id"),
+        ({700: b"c1,A", 705: b",A,2020-01-01"}, 700, "2 cells, expected at least 3"),
+        ({2000: b"c1,A,2020-01-01,\xff", 1990: b",A,2020-01-01"}, 1990, "empty case id"),
+    ],
+    ids=["activity-then-stamp", "stamp-then-activity", "case-then-short", "short-then-case",
+         "case-then-utf8"],
+)
+def test_parse_csv_reports_the_first_faulty_row_of_a_long_log(lines, row, message):
+    with pytest.raises(LogParseError, match=message) as err:
+        parse_csv(_long_csv(3000, lines))
+    assert err.value.row == row
+    assert str(err.value).startswith(f"row {row}: ")
+
+
+@pytest.mark.parametrize("row", [300, 1025, 2999])
+def test_parse_csv_invalid_utf8_in_a_long_log_reports_byte_offset(row):
+    data = _long_csv(3000, {row: b"c1,A,2020-01-01,caf\xc3"})
+    with pytest.raises(LogParseError, match="invalid UTF-8") as err:
+        parse_csv(data)
+    assert err.value.byte_offset == data.index(b"caf\xc3") + 3
+
+
+def test_parse_csv_blank_rows_keep_later_row_numbers():
+    # Blank rows around every multiple of 64 rows straddle any chunk
+    # boundary a reader of 64, 128, 256, ... rows would meet.
+    blank = {row: b"" for m in range(64, 3000, 64) for row in (m - 1, m, m + 1)}
+    blank.update({row: b",,," for row in range(2000, 2010)})
+    parsed = parse_csv(_long_csv(3000, blank))
+    assert parsed == parse_csv(_long_csv(3000, dict.fromkeys(blank)))
+    assert parsed.n_events == 3000 - len(blank)
+    with pytest.raises(LogParseError) as err:
+        parse_csv(_long_csv(3000, {**blank, 2999: b"c1,A,never"}))
+    assert err.value.row == 2999
+
+
 _identifier = st.text(
     alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=6
 )

@@ -927,6 +927,25 @@ def test_cli_non_standard_json_token_is_a_data_error(tmp_path, caplog, filename)
     assert "unexpected failure" not in caplog.text
 
 
+@pytest.mark.parametrize(
+    "filename, command, stage",
+    [(SEGMENTS_FILE, "rank", "uplift"), (CASE_TABLE_FILE, "mine", "ingest")],
+)
+def test_cli_stale_non_standard_json_names_the_stage_to_rerun(
+    tmp_path, caplog, filename, command, stage
+):
+    # An artifact written before JSON artifacts were strict can hold a bare
+    # -Infinity; the error says which stage writes the file anew.
+    config = _run_eight_rows(tmp_path)
+    path = tmp_path / "out" / filename
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("[", "[-Infinity,", 1), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main([command, "--config", str(config)]) == 2
+    assert f"{filename} holds -Infinity, which is not standard JSON; re-run {stage}" in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
 def _files(out: Path) -> dict:
     """Bytes, inode and mtime of every file under out. Artifacts are replaced
     by rename, so a rewrite with the same bytes shows as a new inode or, as a

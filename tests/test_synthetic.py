@@ -1,8 +1,11 @@
+import csv
+from datetime import datetime, timedelta, timezone
+
 import pytest
 
 from upliftmine.casetable import encode_cases
 from upliftmine.errors import ConfigError, PositivityError
-from upliftmine.logparse import parse_csv
+from upliftmine.logparse import CaseLog, parse_csv
 from upliftmine.synthetic import (
     CONFOUNDER,
     OUTCOME,
@@ -107,6 +110,19 @@ def test_written_log_parses_back_to_the_generated_one(tmp_path):
     lines = (tmp_path / "log.csv").read_bytes().split(b"\r\n")
     assert lines[0] == b"case_id,activity,timestamp,confounder,outcome,subgroup,treatment"
     assert lines[2].startswith(b"case_000001,observed,2020-01-01T00:00:01+00:00,")
+
+
+def test_written_stamps_equal_isoformat_across_midnight(tmp_path):
+    # 90,000 cases reach 2020-01-02T01:00; case i is stamped i seconds past
+    # 2020-01-01 UTC, as datetime.isoformat writes it.
+    n = 90_000
+    log = CaseLog([f"c{i}" for i in range(n)], {"observed": [1] * n}, {}, n)
+    write_log(log, tmp_path / "log.csv")
+    with open(tmp_path / "log.csv", newline="", encoding="utf-8") as fh:
+        stamps = [row[2] for row in csv.reader(fh)][1:]
+    t0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    assert stamps == [(t0 + timedelta(seconds=i)).isoformat() for i in range(n)]
+    assert stamps[86_400] == "2020-01-02T00:00:00+00:00"
 
 
 def test_generate_refuses_deterministic_assignment():
