@@ -213,7 +213,7 @@ def _encode_labels(name: str, values, n: int) -> Coded:
 def _encode_floats(name: str, values, n: int) -> np.ndarray:
     try:
         column = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"attribute {name!r}: non-numeric values") from None
     if column.shape != (n,):
         raise SchemaError(f"attribute {name!r}: column length differs from cases")
@@ -254,10 +254,17 @@ def _non_numeric(attr: str, value, case_id: str) -> SchemaError:
 
 
 def _coerce_numeric(value, attr: str, case_id: str) -> float:
+    """float() of the value, NaN for None."""
+    if value is None:
+        return nan
     try:
         return float(value)
     except (TypeError, ValueError):
         raise _non_numeric(attr, value, case_id) from None
+    except OverflowError:
+        raise SchemaError(
+            f"attribute {attr!r}: value in case {case_id!r} is too large for a float"
+        ) from None
 
 
 def _text_numbers(texts: list, attr: str, case_ids: list[str]) -> np.ndarray:
@@ -298,7 +305,8 @@ def encode_cases(
     """One row per case of the log; cases without the outcome drop. A
     column of text converts each distinct value once: a numeric one by
     float(), the outcome by the positive labels, while a categorical label
-    is the text itself."""
+    is the text itself. Outcomes and numeric columns go straight into
+    arrays, with no per-case list in between."""
     positive_labels = positive_labels or DEFAULT_POSITIVE_LABELS
     positive_labels = frozenset(s.lower() for s in positive_labels)
     by_name = {a.name: a for a in schema}
@@ -320,37 +328,37 @@ def encode_cases(
         return case_log.last.get(key, [None] * n)
 
     raw_outcomes = observe(outcome_attr)
-    kept = list(compress(range(n), map(is_not, raw_outcomes, repeat(None))))
-    if not kept:
+    n_missing = raw_outcomes.count(None)
+    if n_missing == n:
         raise SchemaError(
             f"outcome attribute {outcome_name!r} never observed in any case"
         )
-    if len(kept) < n:
-        log.info("dropped %d cases with missing outcome %r", n - len(kept), outcome_name)
+    kept = None  # the index of every kept case, when some case drops
+    if n_missing:
+        log.info("dropped %d cases with missing outcome %r", n_missing, outcome_name)
+        kept = list(compress(range(n), map(is_not, raw_outcomes, repeat(None))))
 
     def of_kept(values: list) -> list:
-        return values if len(kept) == n else list(map(values.__getitem__, kept))
+        return values if kept is None else list(map(values.__getitem__, kept))
 
     case_ids = of_kept(case_log.case_ids)
     raw_outcomes = of_kept(raw_outcomes)
     if _is_text(raw_outcomes):
         coded = {text: _text_outcome(text, positive_labels) for text in set(raw_outcomes)}
-        outcomes = list(map(coded.__getitem__, raw_outcomes))
+        outcomes = map(coded.__getitem__, raw_outcomes)
     else:
-        outcomes = [
-            _coerce_outcome(value, positive_labels, outcome_name, case_id)
-            for value, case_id in zip(raw_outcomes, case_ids)
-        ]
+        outcomes = map(
+            _coerce_outcome, raw_outcomes, repeat(positive_labels), repeat(outcome_name), case_ids
+        )
+    outcomes = np.fromiter(outcomes, np.int64, len(case_ids))
     columns = {}
     for attr in feature_schema:
         values = of_kept(observe(attr))
         if attr.kind == NUMERIC and _is_text(values):
             columns[attr.name] = _text_numbers(values, attr.name, case_ids)
         elif attr.kind == NUMERIC:
-            columns[attr.name] = [
-                None if value is None else _coerce_numeric(value, attr.name, case_id)
-                for value, case_id in zip(values, case_ids)
-            ]
+            numbers = map(_coerce_numeric, values, repeat(attr.name), case_ids)
+            columns[attr.name] = np.fromiter(numbers, np.float64, len(values))
         elif _is_text(values):
             columns[attr.name] = values
         else:

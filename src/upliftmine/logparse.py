@@ -64,17 +64,29 @@ class CaseLog:
         return len(self.case_ids)
 
 
+class _Shared(dict):
+    """Each value it is indexed by maps to the first equal value it was
+    indexed by, so that a fold keeps one object per distinct value. Only
+    exact str and int values go through it: True == 1 == 1.0 and -0.0 == 0.0
+    are equal keys, yet they label and serialize differently."""
+
+    def __missing__(self, value):
+        self[value] = value
+        return value
+
+
 class _Fold:
     """Builds the CaseLog of XES traces by the last-value rule: trace()
     takes a whole trace, stable-sorts its events by timestamp and lays their
     values over the trace attributes, so that the latest-stamped event that
     carries an attribute sets it, the later one in the file on a tie; trace
     attributes rank below every event value and vanish when the trace has no
-    events."""
+    events. Kept str and int values are shared per distinct value."""
 
     def __init__(self):
         self.log = CaseLog()
         self.index: dict[str, int] = {}
+        self.shared = _Shared()
 
     def new_case(self, case_id: str) -> int:
         """Open a case: one more entry in every column."""
@@ -85,13 +97,6 @@ class _Fold:
         self.log.case_ids.append(case_id)
         return self.index[case_id]
 
-    def count(self, case: int, activity: str) -> None:
-        self.log.n_events += 1
-        counts = self.log.counts.get(activity)
-        if counts is None:
-            counts = self.log.counts[activity] = [0] * len(self.log)
-        counts[case] += 1
-
     def trace(self, number: int, attrs: dict, events: list) -> None:
         """Add the number-th trace as a case, named by its concept:name or
         trace_<number>: attrs are its trace attributes, events its
@@ -100,14 +105,19 @@ class _Fold:
         if not case_id or case_id in self.index:
             raise LogParseError(f"trace #{number}: empty or duplicate case id {case_id!r}")
         case = self.new_case(case_id)
+        counts, last, shared = self.log.counts, self.log.last, self.shared
         for _, activity, values in sorted(events, key=itemgetter(0)):
-            self.count(case, activity)
-            attrs |= values
-        for key, value in attrs.items() if events else ():
-            column = self.log.last.get(key)
+            column = counts.get(activity)
             if column is None:
-                column = self.log.last[key] = [None] * len(self.log)
-            column[case] = value
+                column = counts[activity] = [0] * len(self.log)
+            column[case] += 1
+            attrs |= values
+        self.log.n_events += len(events)
+        for key, value in attrs.items() if events else ():
+            column = last.get(key)
+            if column is None:
+                column = last[key] = [None] * len(self.log)
+            column[case] = shared[value] if type(value) in (str, int) else value
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -426,7 +436,8 @@ class _CsvFold:
     in place; per event only the int32 codes of its case and activity, for
     the counts. In a chunk, one stable lexsort by (case, stamp) puts each
     case's winning row for an attribute last among the rows that carry it;
-    a winner replaces the kept value when its stamp is >= the kept one."""
+    a winner replaces the kept value when its stamp is >= the kept one. Kept
+    values, all text, are shared per distinct value."""
 
     def __init__(self, header: list[str], columns: CsvColumns):
         index = {name: i for i, name in enumerate(header)}
@@ -450,6 +461,7 @@ class _CsvFold:
         self.event_activities = array("i")
         self.values: dict[str, list] = {name: [] for name in self.names}
         self.stamps = {name: array("q") for name in self.names}
+        self.shared = _Shared()
         self.seen: dict[str, None] = {}  # attributes with a value, by first appearance
 
     def add(self, rows: list[list[str]]) -> None:
@@ -491,6 +503,7 @@ class _CsvFold:
         self.event_activities.frombytes(_codes(self.activities, activities).tobytes())
         n_new = len(self.cases) - n_old
         order = np.lexsort((stamps, cases))
+        shared = self.shared
         first_seen = []
         for position, (name, cell) in enumerate(zip(self.names, self.cells)):
             self.stamps[name].frombytes(np.full(n_new, _NO_STAMP).tobytes())
@@ -512,11 +525,16 @@ class _CsvFold:
             winners = winners[stamps[winners] >= kept[cases[winners]]]
             kept[cases[winners]] = stamps[winners]
             for case, row in zip(cases[winners].tolist(), winners.tolist()):
-                values[case] = column[row]
+                values[case] = shared[column[row]]
         self.seen.update(dict.fromkeys(name for *_, name in sorted(first_seen)))
 
     def log(self) -> CaseLog:
-        n = len(self.cases)
+        """The folded CaseLog. The case codes and the stamps are freed
+        before the counts are built, so the fold is spent."""
+        case_ids = list(self.cases)
+        self.cases.clear()
+        self.stamps.clear()
+        n = len(case_ids)
         cases = np.frombuffer(self.event_cases, np.int32)
         activities = np.frombuffer(self.event_activities, np.int32)
         by_activity = cases[np.argsort(activities, kind="stable")]
@@ -526,7 +544,7 @@ class _CsvFold:
             for activity, start, end in zip(self.activities, [0] + ends, ends)
         }
         last = {name: self.values[name] for name in self.seen}
-        return CaseLog(list(self.cases), counts, last, len(cases))
+        return CaseLog(case_ids, counts, last, len(cases))
 
 
 def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:

@@ -1,3 +1,4 @@
+import copy
 import math
 from datetime import datetime, timedelta, timezone
 
@@ -174,6 +175,9 @@ def _converted(case_log):
 @example(_log(cat=["1", "1"], num=[" 2 ", "1_000"], Y=["1", "true"]))
 @example(_log(cat=[True, 1], num=[-0.0, 0.0], Y=[1.0, True]))
 @example(_log(cat=[None, "a", "b"], num=["1", "x", "y"], Y=["0", "1", "0"]))
+# Every case has its outcome; then some cases lack it, before and after kept ones.
+@example(_log(cat=["a", 2, True], num=[3, "4", None], Y=[True, "0", 1]))
+@example(_log(cat=["a", 2, True, "b"], num=[None, 3, "x", 2.5], Y=[None, 0, None, "1"]))
 def test_encode_cases_matches_the_per_value_reference(case_log):
     got = _converted(case_log)
     try:
@@ -192,6 +196,22 @@ def test_encode_cases_matches_the_per_value_reference(case_log):
         else:
             assert decoded(got.coded(attr.name)) == decoded(want.coded(attr.name))
             assert got.coded(attr.name).labels == want.coded(attr.name).labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(value_logs())
+@example(_log(cat=["a", 2, True], num=[3, "4", None], Y=[None, "1", 0]))
+def test_encode_cases_leaves_its_case_log_unchanged(case_log):
+    before = copy.deepcopy(case_log)
+    _converted(case_log)
+    assert case_log == before
+
+
+@pytest.mark.parametrize("number", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_encode_int_too_large_for_a_float_names_attribute_and_case(number):
+    case_log = _log(cat=["a", "b"], num=[1, number], Y=["1", "0"])
+    with pytest.raises(SchemaError, match="attribute 'num': value in case 'c1' is too large"):
+        encode_cases(case_log, ENCODE_SCHEMA, "Y")
 
 
 def _numeric_table(values, extra_attr=False):

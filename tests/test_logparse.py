@@ -263,6 +263,48 @@ def test_parse_xes_skips_attributes_without_a_value():
     assert (log.counts, log.last) == ({"A": [1]}, {})
 
 
+def _one_object_per_value(column: list) -> bool:
+    return len({id(value) for value in column}) == len(set(column))
+
+
+def test_parse_xes_keeps_one_object_per_distinct_label_and_int():
+    labels, numbers = ["red", "green", "blue"], [1000, 70000, -123456]
+    t0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    traces = [
+        (
+            f"c{i}",
+            {"goal": labels[i % 2], "score": numbers[i % 3]},
+            [
+                ("A", t0 + timedelta(minutes=j), {"color": labels[(i + j) % 3], "n": numbers[j]})
+                for j in range(3)
+            ],
+            False,
+        )
+        for i in range(30)
+    ]
+    log = parse_xes(xes_log(traces))
+    assert log.last["color"] == [labels[(i + 2) % 3] for i in range(30)]
+    for key in ("goal", "score", "color", "n"):
+        assert _one_object_per_value(log.last[key]), key
+
+
+def test_parse_xes_keeps_each_typed_value_as_read():
+    # Equal as dict keys (True == 1 == 1.0, -0.0 == 0.0), yet each labels and
+    # serializes differently, so no case may be given another case's value.
+    values = [True, 1, 1.0, -0.0, 0.0, math.nan]
+    elements = ['boolean value="true"', 'int value="1"', 'float value="1.0"',
+                'float value="-0.0"', 'float value="0.0"', 'float value="NaN"']
+    traces = "".join(
+        f'<trace><string key="concept:name" value="c{i}"/><event>'
+        '<string key="concept:name" value="A"/>'
+        '<date key="time:timestamp" value="2020-01-01T00:00:00Z"/>'
+        f'<{element} key="x"/></event></trace>'
+        for i, element in enumerate(elements)
+    )
+    log = parse_xes(f"<log>{traces}</log>".encode())
+    assert [(type(v), repr(v)) for v in log.last["x"]] == [(type(v), repr(v)) for v in values]
+
+
 def test_parse_timestamp_accepts_z_suffix_and_offsets():
     z = parse_timestamp("2016-01-01T09:51:15.304Z")
     off = parse_timestamp("2016-01-01T10:51:15.304+01:00")
@@ -442,6 +484,19 @@ def test_parse_csv_blank_rows_keep_later_row_numbers():
     with pytest.raises(LogParseError) as err:
         parse_csv(_long_csv(3000, {**blank, 2999: b"c1,A,never"}))
     assert err.value.row == 2999
+
+
+def test_parse_csv_keeps_one_object_per_distinct_value():
+    # 400 cases over 3,000 rows, several reading chunks, with 7 labels.
+    lines = ["case_id,activity,timestamp,v,w"]
+    for row in range(1, 3001):
+        _, activity, stamp, _ = _long_row(row)
+        lines.append(f"c{row % 400},{activity},{stamp},label{row % 7},{row % 3 * 1000}")
+    log = parse_csv("\n".join(lines).encode())
+    assert len(log) == 400
+    for key in ("v", "w"):
+        assert len(set(log.last[key])) > 1
+        assert _one_object_per_value(log.last[key]), key
 
 
 _identifier = st.text(

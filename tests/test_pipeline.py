@@ -637,6 +637,23 @@ def test_cli_undecodable_log_value_is_a_data_error(tmp_path, caplog, log_name, d
     assert "unexpected failure" not in caplog.text
 
 
+def test_cli_int_too_large_for_a_float_is_a_data_error(tmp_path, caplog):
+    # A 400-digit <int> reads as an int, but float() of it overflows.
+    data = XES_WRONGLY_TYPED.replace(
+        '<int key="S" value="abc"/>', f'<int key="S" value="{"9" * 400}"/><int key="Y" value="1"/>'
+    )
+    (tmp_path / "log.xes").write_text(data, encoding="utf-8")
+    raw = minimal_raw(tmp_path)
+    raw["attributes"][0]["kind"] = "numeric"
+    raw.update(input=str(tmp_path / "log.xes"), format="xes", out_dir=str(tmp_path / "out"))
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["ingest", "--config", str(config)]) == 2
+    assert "attribute 'S': value in case 'c1' is too large for a float" in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
 @pytest.mark.parametrize(
     "section, value, message",
     [
@@ -792,11 +809,12 @@ def _numbers(values):
         _numbers(["1.5"] * 8),
         _numbers(["Infinity"] * 8),
         _numbers([True] * 8),
+        _numbers([10**400] * 8),
     ],
     ids=["row-layout", "truncated", "not-utf8", "empty", "non-increasing", "text", "nan",
          "previous-layout", "bins-list", "case-ids-text", "column-text", "column-object",
          "infinity-token", "infinity-token-bins", "number-text", "infinity-text",
-         "number-boolean"],
+         "number-boolean", "number-too-large"],
 )
 def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corrupt):
     (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
