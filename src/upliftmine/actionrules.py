@@ -86,8 +86,13 @@ class Treatment:
 
     @property
     def key(self) -> str:
+        """The treatment's line in treatments.txt: attribute:from->to terms
+        joined by "&"; parse_treatment_key reads it back."""
         return "&".join(
-            f"{t.attribute}:{t.from_value}->{t.to_value}" for t in self.changes
+            "{}:{}->{}".format(
+                *(_escape(text, _KEY_SPECIAL) for text in (t.attribute, t.from_value, t.to_value))
+            )
+            for t in self.changes
         )
 
 
@@ -270,53 +275,56 @@ def measure(rule: ActionRule, table: CaseTable) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Rule file format
+# Text forms: rules.txt and treatments.txt
 # ---------------------------------------------------------------------------
-# One rule per line:
+# Both files write a name or label with a backslash before "\" and before
+# each delimiter of its field, and a line break as \n or \r, so any text
+# reads back unchanged; text without those characters keeps its bytes.
+
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+_LINE_BREAKS = {"\n": "n", "\r": "r"}
+_UNESCAPES = {"n": "\n", "r": "\r"}
+
+
+def _escape(text: str, special: re.Pattern) -> str:
+    r"""text with a backslash before each match of special, which matches
+    "\" and line breaks too; a line break is written \n or \r."""
+    return special.sub(lambda m: "\\" + _LINE_BREAKS.get(m[0], m[0]), text)
+
+
+def _unescape(text: str) -> str:
+    return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[1]), text)
+
+
+# rules.txt holds one rule per line:
 #   [(A: v) ∧ (B: x → y)] ⟹ [Outcome: 0 → 1], with support 0.057 and confidence 0.764
 # Stable terms print as (attr: value), flexible ones as (attr: from → to);
-# stable terms come first, each group sorted by attribute. No name or label
-# may hold a reserved token or a line break; a label printed between the
-# spaces around it may not either.
-
-_LABEL_RESERVED = (" ∧ ", " ⟹ ", " → ", "\n", "\r")
-_ATTR_RESERVED = _LABEL_RESERVED + (": ",)
-
-_LINE_RE = re.compile(
-    r"^\[(?P<antecedent>.*)\] ⟹ \[(?P<outcome>[^:]*): 0 → 1\], "
-    r"with support (?P<support>\S+) and confidence (?P<confidence>\S+)$"
+# stable terms come first, each group sorted by attribute. Every field
+# escapes "→", "∧" and "⟹"; attribute and outcome names also escape ": ".
+_LABEL_SPECIAL = re.compile(r"[\\\n\r→∧⟹]")
+_NAME_SPECIAL = re.compile(r"[\\\n\r→∧⟹]|: ")
+_LABEL = r"(?:\\.|[^\\\n\r→∧⟹])*"
+_NAME = r"(?:\\.|[^\\\n\r→∧⟹:]|:(?! ))*"
+_TERM = re.compile(rf"\(({_NAME}): ({_LABEL})(?: → ({_LABEL}))?\)", re.DOTALL)
+_LINE = re.compile(
+    rf"\[(?P<antecedent>(?:{_TERM.pattern}(?: ∧ {_TERM.pattern})*)?)\] "
+    rf"⟹ \[(?P<outcome>{_NAME}): 0 → 1\], "
+    r"with support (?P<support>\S+) and confidence (?P<confidence>\S+)",
+    re.DOTALL,
 )
 
 
-def _check_printable(
-    text: str, what: str, reserved: tuple[str, ...], pad: str = ""
-) -> str:
-    for token in reserved:
-        if token in f"{pad}{text}{pad}":
-            raise SchemaError(
-                f"{what} {text!r} contains {token!r} when printed, "
-                "which the rule format reserves"
-            )
-    return text
-
-
 def format_term(term: AtomicActionTerm) -> str:
-    attr = _check_printable(term.attribute, "attribute", _ATTR_RESERVED)
-    what = f"attribute {attr!r}: label"
-    from_value, to_value = (
-        _check_printable(label, what, _LABEL_RESERVED, pad=" ")
-        for label in (term.from_value, term.to_value)
-    )
+    attr = _escape(term.attribute, _NAME_SPECIAL)
+    from_value = _escape(term.from_value, _LABEL_SPECIAL)
     if term.is_stable:
         return f"({attr}: {from_value})"
-    return f"({attr}: {from_value} → {to_value})"
+    return f"({attr}: {from_value} → {_escape(term.to_value, _LABEL_SPECIAL)})"
 
 
 def format_rule(rule: ActionRule) -> str:
-    parts = [format_term(t) for t in sorted(rule.stable)]
-    parts += [format_term(t) for t in sorted(rule.flexible)]
-    antecedent = " ∧ ".join(parts)
-    outcome = _check_printable(rule.outcome, "outcome", _ATTR_RESERVED + (":",))
+    antecedent = " ∧ ".join(map(format_term, sorted(rule.stable) + sorted(rule.flexible)))
+    outcome = _escape(rule.outcome, _NAME_SPECIAL)
     return (
         f"[{antecedent}] ⟹ [{outcome}: 0 → 1], "
         f"with support {rule.support!r} and confidence {rule.confidence!r}"
@@ -325,27 +333,23 @@ def format_rule(rule: ActionRule) -> str:
 
 def parse_rule(line: str) -> ActionRule:
     """Inverse of format_rule; SchemaError for a line it cannot have written."""
-    m = _LINE_RE.match(line.strip())
+    m = _LINE.fullmatch(line.strip())
     if m is None:
         raise SchemaError(f"unparseable rule line: {line!r}")
     stable, flexible = [], []
-    antecedent = m.group("antecedent")
-    for chunk in antecedent.split(" ∧ ") if antecedent else []:
-        attr, colon, rest = chunk[1:-1].partition(": ")
-        if not (chunk.startswith("(") and chunk.endswith(")") and colon):
-            raise SchemaError(f"unparseable rule term: {chunk!r}")
-        if " → " in rest:
-            from_value, _, to_value = rest.partition(" → ")
-            flexible.append(AtomicActionTerm(attr, from_value, to_value))
+    for term in _TERM.finditer(m["antecedent"]):
+        attr, from_value = _unescape(term[1]), _unescape(term[2])
+        if term[3] is None:
+            stable.append(AtomicActionTerm(attr, from_value, from_value))
         else:
-            stable.append(AtomicActionTerm(attr, rest, rest))
+            flexible.append(AtomicActionTerm(attr, from_value, _unescape(term[3])))
     try:
         return ActionRule(
             stable=tuple(sorted(stable)),
             flexible=tuple(sorted(flexible)),
-            outcome=m.group("outcome"),
-            support=float(m.group("support")),
-            confidence=float(m.group("confidence")),
+            outcome=_unescape(m["outcome"]),
+            support=float(m["support"]),
+            confidence=float(m["confidence"]),
         )
     except ValueError as exc:
         raise SchemaError(f"unparseable rule line {line!r}: {exc}") from None
@@ -353,10 +357,41 @@ def parse_rule(line: str) -> ActionRule:
 
 def save_rules(rules: Iterable[ActionRule], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rule in rules:
-            fh.write(format_rule(rule) + "\n")
+        fh.writelines(format_rule(rule) + "\n" for rule in rules)
 
 
 def load_rules(path) -> list[ActionRule]:
     lines = read_text(path, "rules file").split("\n")
     return [parse_rule(line) for line in lines if line.strip()]
+
+
+# treatments.txt holds one Treatment.key per line; each field escapes ":",
+# "&" and "->".
+_KEY_SPECIAL = re.compile(r"[\\:&\n\r]|->")
+_KEY_FIELD = r"((?:\\.|[^\\:&-]|-(?!>))+)"
+_KEY_TERM = re.compile(f"{_KEY_FIELD}:{_KEY_FIELD}->{_KEY_FIELD}", re.DOTALL)
+_KEY = re.compile(f"{_KEY_TERM.pattern}(?:&{_KEY_TERM.pattern})*", re.DOTALL)
+
+
+def parse_treatment_key(key: str) -> Treatment:
+    """Inverse of Treatment.key: only unescaped ':', '->' and '&' delimit,
+    so any non-empty attribute name or label reads back unchanged."""
+    if not _KEY.fullmatch(key):
+        raise ConfigError(f"malformed treatment {key!r}; expected attribute:from->to")
+    changes = [
+        AtomicActionTerm(*map(_unescape, m.groups())) for m in _KEY_TERM.finditer(key)
+    ]
+    try:
+        return Treatment(tuple(changes))
+    except ValueError as exc:
+        raise ConfigError(f"bad treatment {key!r}: {exc}") from None
+
+
+def save_treatments(treatments: Iterable[Treatment], path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(treatment.key + "\n" for treatment in treatments)
+
+
+def load_treatments(path) -> list[Treatment]:
+    lines = read_text(path, "treatments file").split("\n")
+    return [parse_treatment_key(line) for line in lines if line.strip()]

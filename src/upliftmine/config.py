@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import yaml
 
+from .actionrules import parse_treatment_key
 from .casetable import DEFAULT_POSITIVE_LABELS, NUMERIC, AttributeSchema
 from .errors import ConfigError, SchemaError, read_text, require
 from .logparse import CsvColumns
@@ -154,10 +155,18 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     cost_raw.setdefault("outcome_value", 1.0)
     cost_raw.setdefault("impression_cost", 0.0)
     cost = _build(CostModel, cost_raw, "cost")
-    cost_overrides = {
-        key: _build(CostModel, entry, f"cost.overrides[{key}]")
-        for key, entry in overrides_raw.items()
-    }
+    # Overrides are keyed as Treatment.key, so that a key whose terms come in
+    # another order, or escape what needs no escape, still finds its treatment.
+    cost_overrides = {}
+    for key, entry in overrides_raw.items():
+        where = f"cost.overrides[{key}]"
+        try:
+            treatment_key = parse_treatment_key(str(key)).key
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if treatment_key in cost_overrides:
+            raise ConfigError(f"{where}: treatment {treatment_key} is priced twice")
+        cost_overrides[treatment_key] = _build(CostModel, entry, where)
 
     labels = raw.get("positive_labels")
     if labels is not None and (

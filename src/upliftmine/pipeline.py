@@ -34,13 +34,15 @@ from .actionrules import (
     AtomicActionTerm,
     Treatment,
     extract_treatments,
+    load_treatments,
     mine_action_rules,
     save_rules,
+    save_treatments,
 )
 from .casetable import NUMERIC, AttributeSchema, CaseTable
 from .casetable import discretize, encode_cases
 from .config import PipelineConfig, config_to_dict, save_config
-from .errors import ConfigError, PositivityError, SchemaError, read_text
+from .errors import ConfigError, PositivityError, SchemaError
 from .logparse import parse_csv, parse_xes
 from .ranking import rank, write_recommendations
 from .synthetic import OUTCOME, SyntheticScenario, generate, naive_pooled_uplift, write_log
@@ -337,55 +339,6 @@ def stage_ingest(config: PipelineConfig) -> dict:
         _write_json(staging.path(CASE_TABLE_FILE), table_to_dict(table))
         _write_text(staging.path(CASE_SUMMARY_FILE), summary)
     return info
-
-
-# treatments.txt holds one treatment per line, written as Treatment.key but
-# with a backslash before every "\", ":", "&" and "->" inside a name or label,
-# and line breaks written as \n and \r.
-_KEY_SPECIAL = re.compile(r"[\\:&\n\r]|->")
-_KEY_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
-_LINE_BREAKS = {"\n": "n", "\r": "r"}
-_UNESCAPES = {"n": "\n", "r": "\r"}
-_KEY_FIELD = r"((?:\\.|[^\\:&-]|-(?!>))+)"
-_KEY_TERM = re.compile(f"{_KEY_FIELD}:{_KEY_FIELD}->{_KEY_FIELD}", re.DOTALL)
-_KEY = re.compile(f"{_KEY_TERM.pattern}(?:&{_KEY_TERM.pattern})*", re.DOTALL)
-
-
-def _escape(text: str) -> str:
-    return _KEY_SPECIAL.sub(lambda m: "\\" + _LINE_BREAKS.get(m[0], m[0]), text)
-
-
-def _unescape(text: str) -> str:
-    return _KEY_ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[1]), text)
-
-
-def save_treatments(treatments, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for treatment in treatments:
-            terms = (
-                f"{_escape(t.attribute)}:{_escape(t.from_value)}->{_escape(t.to_value)}"
-                for t in treatment.changes
-            )
-            fh.write("&".join(terms) + "\n")
-
-
-def parse_treatment_key(key: str) -> Treatment:
-    """Inverse of a save_treatments line: only unescaped ':', '->' and '&'
-    delimit, so any attribute name or label reads back unchanged."""
-    if not _KEY.fullmatch(key):
-        raise ConfigError(f"malformed treatment {key!r}; expected attribute:from->to")
-    changes = [
-        AtomicActionTerm(*map(_unescape, m.groups())) for m in _KEY_TERM.finditer(key)
-    ]
-    try:
-        return Treatment(tuple(changes))
-    except ValueError as exc:
-        raise ConfigError(f"bad treatment {key!r}: {exc}") from None
-
-
-def load_treatments(path) -> list[Treatment]:
-    lines = read_text(path, "treatments file").split("\n")
-    return [parse_treatment_key(line) for line in lines if line.strip()]
 
 
 def stage_mine(config: PipelineConfig) -> dict:

@@ -6,6 +6,7 @@ from datetime import datetime
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
+from hypothesis import strategies as st
 
 from upliftmine.actionrules import AtomicActionTerm, Treatment
 from upliftmine.casetable import AttributeSchema, CaseTable
@@ -45,6 +46,16 @@ EIGHT_ROW_TABLE = make_table(
 )
 
 F_A_TO_B = Treatment((AtomicActionTerm("F", "a", "b"),))
+
+# Names and labels built from the delimiters and escapes of rules.txt and
+# treatments.txt, and from any other character.
+tricky_text = st.lists(
+    st.sampled_from(
+        [" ", ":", ": ", "∧", "⟹", "→", "(", ")", "[", "]", "\n", "\r", "\\", "&", "->", "-", "a"]
+    )
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+).map("".join)
 
 
 def random_split_table(rng: np.random.Generator):

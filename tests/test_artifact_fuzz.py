@@ -9,9 +9,8 @@ subclasses, which the CLI maps to its documented exit codes.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from upliftmine.actionrules import load_rules, parse_rule
+from upliftmine.actionrules import load_rules, load_treatments, parse_rule, parse_treatment_key
 from upliftmine.errors import UpliftMineError
-from upliftmine.pipeline import load_treatments, parse_treatment_key
 
 TREATMENT_LINE = "F:a->b&org\\:resource:User_1->User_2"
 RULE_LINE = "[(S: x) ∧ (F: a → b)] ⟹ [Y: 0 → 1], with support 0.375 and confidence 1.0"
@@ -37,6 +36,7 @@ TREATMENT_PIECES = [":", "->", "-", ">", "&", "\\", "\\:", "\\n", "\\r", "\n", "
 RULE_PIECES = [
     "[", "]", "(", ")", ": ", ":", " ∧ ", " ⟹ ", " → ", "0 → 1", ", with support ",
     " and confidence ", "0.5", "nan", "1e999", "-", "x", "Y", " ", "\n", "\r",
+    "\\", "\\\\", "\\→", "\\∧", "\\⟹", "\\: ", "\\n",
 ]
 
 

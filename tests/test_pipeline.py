@@ -8,11 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import decoded, make_table
-from upliftmine.actionrules import AtomicActionTerm, Treatment
+from helpers import decoded, make_table, tricky_text
+from upliftmine import pipeline
+from upliftmine.actionrules import (
+    AtomicActionTerm,
+    Treatment,
+    extract_treatments,
+    load_rules,
+    load_treatments,
+    mine_action_rules,
+    parse_treatment_key,
+    save_treatments,
+)
 from upliftmine.casetable import MISSING_LABEL, AttributeSchema, CaseTable, discretize
 from upliftmine.cli import main
 from upliftmine.config import (
@@ -32,10 +42,7 @@ from upliftmine.pipeline import (
     TREATMENTS_FILE,
     TREES_DIR,
     _summarize_table,
-    load_treatments,
-    parse_treatment_key,
     run,
-    save_treatments,
     stage_ingest,
     stage_mine,
     stage_rank,
@@ -238,6 +245,41 @@ def test_config_dict_round_trip(tmp_path):
     assert config_from_dict(config_to_dict(config)) == config
 
 
+def test_config_reads_override_keys_as_treatments(tmp_path):
+    raw = minimal_raw(tmp_path)
+    model = {"outcome_value": 9.0, "impression_cost": 0.0}
+    raw["cost"] = {"overrides": {"G:x->y&F:a->b": model, "org\\:resource:u->v": model}}
+    config = config_from_dict(raw)
+    g_and_f = Treatment((AtomicActionTerm("G", "x", "y"), AtomicActionTerm("F", "a", "b")))
+    resource = Treatment((AtomicActionTerm("org:resource", "u", "v"),))
+    assert list(config.cost_overrides) == [g_and_f.key, resource.key]
+    assert g_and_f.key == "F:a->b&G:x->y"
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        (["F:a"], "cost.overrides[F:a]: malformed treatment"),
+        (["F:a->a"], "cost.overrides[F:a->a]: bad treatment"),
+        (["F:a->b&F:b->c"], "cost.overrides[F:a->b&F:b->c]: bad treatment"),
+        (
+            ["F:a->b&G:x->y", "G:x->y&F:a->b"],
+            "cost.overrides[G:x->y&F:a->b]: treatment F:a->b&G:x->y is priced twice",
+        ),
+    ],
+    ids=["no-arrow", "unchanged", "attribute-twice", "priced-twice"],
+)
+def test_cli_malformed_override_key_is_a_config_error(tmp_path, caplog, keys, message):
+    raw = minimal_raw(tmp_path)
+    model = {"outcome_value": 1.0, "impression_cost": 0.0}
+    raw["cost"] = {"overrides": {key: model for key in keys}}
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", "--config", str(config)]) == 1
+    assert message in caplog.text
+
+
 def test_load_config_resolves_relative_paths(tmp_path):
     raw = minimal_raw(tmp_path)
     raw["input"] = "log.csv"
@@ -357,7 +399,10 @@ def test_parse_treatment_key_round_trips():
             parse_treatment_key(bad)
 
 
-_text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+_text = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
+    tricky_text.filter(len),
+)
 
 
 @st.composite
@@ -371,11 +416,19 @@ def treatments(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@example(
+    [
+        Treatment((AtomicActionTerm("a:b", "x", "y"),)),
+        Treatment((AtomicActionTerm("a", "b:x", "y"),)),
+    ]
+)
 @given(st.lists(treatments(), max_size=4))
 def test_treatments_file_round_trips_any_treatment(tmp_path_factory, written):
     path = tmp_path_factory.mktemp("treatments") / TREATMENTS_FILE
     save_treatments(written, path)
     assert load_treatments(path) == written
+    # So two different treatments never share a key.
+    assert [parse_treatment_key(t.key) for t in written] == written
 
 
 def test_treatments_file_escapes_xes_names(tmp_path):
@@ -493,7 +546,7 @@ def test_staged_write_error_is_a_config_error_that_names_the_artifact(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_failed_rules_write_keeps_the_old_file(eight_row_config, tmp_path):
+def test_failed_rules_write_keeps_the_old_file(eight_row_config, tmp_path, monkeypatch):
     stage_ingest(eight_row_config)
     stage_mine(eight_row_config)
     out = Path(eight_row_config.out_dir)
@@ -503,7 +556,13 @@ def test_failed_rules_write_keeps_the_old_file(eight_row_config, tmp_path):
         EIGHT_ROW_CSV.replace(",a,", ",a → b,"), encoding="utf-8"
     )
     stage_ingest(eight_row_config)
-    with pytest.raises(SchemaError, match="a → b"):
+
+    def fail(treatments, path):
+        raise OSError(28, "No space left on device")
+
+    # rules.txt is staged before treatments.txt fails to write.
+    monkeypatch.setattr(pipeline, "save_treatments", fail)
+    with pytest.raises(ConfigError, match="treatments.txt: No space left on device"):
         stage_mine(eight_row_config)
     assert (out / RULES_FILE).read_bytes() == before
     assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
@@ -724,20 +783,24 @@ def test_cli_negative_seed_override_is_a_config_error(tmp_path, caplog):
     assert "unexpected failure" not in caplog.text
 
 
-def test_cli_reserved_rule_token_is_a_data_error(tmp_path, caplog):
+def test_cli_run_writes_labels_with_line_breaks_and_arrows(tmp_path):
     (tmp_path / "log.csv").write_text(
-        EIGHT_ROW_CSV.replace(",a,", ",a → b,"), encoding="utf-8"
+        EIGHT_ROW_CSV.replace(",x,", ',"line one\nline two",').replace(",a,", ",a → b,"),
+        encoding="utf-8",
     )
     raw = minimal_raw(tmp_path)
     raw["out_dir"] = str(tmp_path / "out")
     raw["rules"] = {"min_support": 0.25, "min_confidence": 0.75}
     config = tmp_path / "pipeline.yaml"
     config.write_text(yaml.safe_dump(raw), encoding="utf-8")
-    with caplog.at_level(logging.ERROR):
-        assert main(["run", "--config", str(config)]) == 2
-    assert "attribute 'F': label 'a → b'" in caplog.text
-    assert "unexpected failure" not in caplog.text
-    assert not (tmp_path / "out" / RULES_FILE).exists()
+    assert main(["run", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert (out / RECOMMENDATIONS_FILE).exists()
+    rules = mine_action_rules(table_from_dict(_read_json(out / CASE_TABLE_FILE)), 0.25, 0.75)
+    assert AtomicActionTerm("S", "line one\nline two", "line one\nline two") in rules[0].stable
+    assert AtomicActionTerm("F", "a → b", "b") in rules[0].flexible
+    assert load_rules(out / RULES_FILE) == rules
+    assert load_treatments(out / TREATMENTS_FILE) == extract_treatments(rules)
 
 
 def _row_layout(path: Path) -> bytes:
