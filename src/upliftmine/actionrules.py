@@ -366,16 +366,16 @@ def load_rules(path) -> list[ActionRule]:
 
 
 # treatments.txt holds one Treatment.key per line; each field escapes ":",
-# "&" and "->".
+# "&" and "->". A label may be empty (an XES value=""), a name may not.
 _KEY_SPECIAL = re.compile(r"[\\:&\n\r]|->")
-_KEY_FIELD = r"((?:\\.|[^\\:&-]|-(?!>))+)"
-_KEY_TERM = re.compile(f"{_KEY_FIELD}:{_KEY_FIELD}->{_KEY_FIELD}", re.DOTALL)
+_KEY_CHAR = r"(?:\\.|[^\\:&-]|-(?!>))"
+_KEY_TERM = re.compile(f"({_KEY_CHAR}+):({_KEY_CHAR}*)->({_KEY_CHAR}*)", re.DOTALL)
 _KEY = re.compile(f"{_KEY_TERM.pattern}(?:&{_KEY_TERM.pattern})*", re.DOTALL)
 
 
 def parse_treatment_key(key: str) -> Treatment:
     """Inverse of Treatment.key: only unescaped ':', '->' and '&' delimit,
-    so any non-empty attribute name or label reads back unchanged."""
+    so any non-empty attribute name and any label read back unchanged."""
     if not _KEY.fullmatch(key):
         raise ConfigError(f"malformed treatment {key!r}; expected attribute:from->to")
     changes = [

@@ -249,10 +249,6 @@ def _text_outcome(text: str, positive_labels: frozenset[str]) -> int:
     return 1 if text.strip().lower() in positive_labels else 0
 
 
-def _non_numeric(attr: str, value, case_id: str) -> SchemaError:
-    return SchemaError(f"attribute {attr!r}: non-numeric value {value!r} in case {case_id!r}")
-
-
 def _coerce_numeric(value, attr: str, case_id: str) -> float:
     """float() of the value, NaN for None."""
     if value is None:
@@ -260,24 +256,13 @@ def _coerce_numeric(value, attr: str, case_id: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise _non_numeric(attr, value, case_id) from None
+        raise SchemaError(
+            f"attribute {attr!r}: non-numeric value {value!r} in case {case_id!r}"
+        ) from None
     except OverflowError:
         raise SchemaError(
             f"attribute {attr!r}: value in case {case_id!r} is too large for a float"
         ) from None
-
-
-def _text_numbers(texts: list, attr: str, case_ids: list[str]) -> np.ndarray:
-    """float() of each text, once per distinct text, NaN where missing; a
-    text that float() rejects names the first case that holds it."""
-    numbers = {None: nan}
-    for text in dict.fromkeys(texts):  # in order of first appearance
-        if text not in numbers:
-            try:
-                numbers[text] = float(text)
-            except ValueError:
-                raise _non_numeric(attr, text, case_ids[texts.index(text)]) from None
-    return np.fromiter(map(numbers.__getitem__, texts), np.float64, len(texts))
 
 
 def _label(value) -> str:
@@ -303,8 +288,9 @@ def encode_cases(
     positive_labels: frozenset[str] | None = None,
 ) -> CaseTable:
     """One row per case of the log; cases without the outcome drop. A
-    column of text converts each distinct value once: a numeric one by
-    float(), the outcome by the positive labels, while a categorical label
+    numeric column converts in one numpy pass, which reads each value as
+    float() does and None as NaN. An outcome column of text converts each
+    distinct value once by the positive labels, while a categorical label
     is the text itself. Outcomes and numeric columns go straight into
     arrays, with no per-case list in between."""
     positive_labels = positive_labels or DEFAULT_POSITIVE_LABELS
@@ -354,11 +340,13 @@ def encode_cases(
     columns = {}
     for attr in feature_schema:
         values = of_kept(observe(attr))
-        if attr.kind == NUMERIC and _is_text(values):
-            columns[attr.name] = _text_numbers(values, attr.name, case_ids)
-        elif attr.kind == NUMERIC:
-            numbers = map(_coerce_numeric, values, repeat(attr.name), case_ids)
-            columns[attr.name] = np.fromiter(numbers, np.float64, len(values))
+        if attr.kind == NUMERIC:
+            try:
+                columns[attr.name] = np.array(values, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                # Value by value, so that the error names the first bad case.
+                numbers = map(_coerce_numeric, values, repeat(attr.name), case_ids)
+                columns[attr.name] = np.fromiter(numbers, np.float64, len(values))
         elif _is_text(values):
             columns[attr.name] = values
         else:

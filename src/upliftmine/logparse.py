@@ -7,8 +7,8 @@ each activity occurred, and the last observed value of each attribute: the
 value carried by the latest-stamped event that carries it, the later event
 in the file winning a tie. XES trace-level attributes rank below every event
 value of their trace, and vanish when the trace has no events. Both readers
-return the same CaseLog, stored column by column, so everything downstream
-(encoding, mining, trees) is format-agnostic.
+write into one _Fold, which returns the CaseLog, stored column by column, so
+everything downstream (encoding, mining, trees) is format-agnostic.
 """
 
 from __future__ import annotations
@@ -76,48 +76,44 @@ class _Shared(dict):
 
 
 class _Fold:
-    """Builds the CaseLog of XES traces by the last-value rule: trace()
-    takes a whole trace, stable-sorts its events by timestamp and lays their
-    values over the trace attributes, so that the latest-stamped event that
-    carries an attribute sets it, the later one in the file on a tie; trace
-    attributes rank below every event value and vanish when the trace has no
-    events. Kept str and int values are shared per distinct value."""
+    """Where a reader's cases become a CaseLog. Cases are numbered in order
+    of first appearance; each event adds the int32 codes of its case and its
+    activity, from which log() counts the activities; each attribute keeps
+    its per-case last value in a list made the first time some case gets a
+    value. Kept str and int values are shared per distinct value."""
 
     def __init__(self):
-        self.log = CaseLog()
-        self.index: dict[str, int] = {}
+        self.cases: dict[str, int] = {}  # case id -> code
+        self.activities: dict[str, int] = {}  # activity -> code
+        self.event_cases = array("i")
+        self.event_activities = array("i")
+        self.last: dict[str, list] = {}
         self.shared = _Shared()
 
-    def new_case(self, case_id: str) -> int:
-        """Open a case: one more entry in every column."""
-        for columns, fill in ((self.log.counts, 0), (self.log.last, None)):
-            for column in columns.values():
-                column.append(fill)
-        self.index[case_id] = len(self.log)
-        self.log.case_ids.append(case_id)
-        return self.index[case_id]
+    def column(self, name: str) -> list:
+        """The attribute's per-case last values, made on first use."""
+        values = self.last.get(name)
+        if values is None:
+            values = self.last[name] = [None] * len(self.cases)
+        return values
 
-    def trace(self, number: int, attrs: dict, events: list) -> None:
-        """Add the number-th trace as a case, named by its concept:name or
-        trace_<number>: attrs are its trace attributes, events its
-        (timestamp, activity, attrs) in file order."""
-        case_id = str(attrs.pop(XES_ACTIVITY_KEY, f"trace_{number}"))
-        if not case_id or case_id in self.index:
-            raise LogParseError(f"trace #{number}: empty or duplicate case id {case_id!r}")
-        case = self.new_case(case_id)
-        counts, last, shared = self.log.counts, self.log.last, self.shared
-        for _, activity, values in sorted(events, key=itemgetter(0)):
-            column = counts.get(activity)
-            if column is None:
-                column = counts[activity] = [0] * len(self.log)
-            column[case] += 1
-            attrs |= values
-        self.log.n_events += len(events)
-        for key, value in attrs.items() if events else ():
-            column = last.get(key)
-            if column is None:
-                column = last[key] = [None] * len(self.log)
-            column[case] = shared[value] if type(value) in (str, int) else value
+    def log(self) -> CaseLog:
+        """The folded CaseLog. The case codes are freed before the counts
+        are built, and the event codes once they are grouped by activity, so
+        the fold is spent."""
+        case_ids = list(self.cases)
+        self.cases.clear()
+        n = len(case_ids)
+        cases = np.frombuffer(self.event_cases, np.int32)
+        activities = np.frombuffer(self.event_activities, np.int32)
+        by_activity = cases[np.argsort(activities)]  # a count needs no order
+        ends = np.cumsum(np.bincount(activities, minlength=len(self.activities))).tolist()
+        del cases, activities, self.event_cases, self.event_activities
+        counts = {
+            activity: np.bincount(by_activity[start:end], minlength=n).tolist()
+            for activity, start, end in zip(self.activities, [0] + ends, ends)
+        }
+        return CaseLog(case_ids, counts, self.last, len(by_activity))
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -211,7 +207,10 @@ class _Ends(dict):
 class _XesBuilder:
     """expat handlers. A trace's values and each event's values wait in a dict
     each until </trace>, where the events are checked and folded; a typed
-    value that does not read raises there, once the trace's name is known."""
+    value that does not read raises there, once the trace's name is known.
+    The events' values are laid over the trace's own in a stable order by
+    stamp, so the latest-stamped event that carries an attribute sets it,
+    the later one in the file on a tie."""
 
     def __init__(self):
         self.fold = _Fold()
@@ -289,7 +288,27 @@ class _XesBuilder:
                 events.append((parse_timestamp(stamp), activity, attrs))
             except LogParseError as exc:
                 raise self._error(str(exc)) from None
-        self.fold.trace(self._n_traces, self._trace, events)
+        fold, attrs = self.fold, self._trace
+        case_id = str(attrs.pop(XES_ACTIVITY_KEY, f"trace_{self._n_traces}"))
+        if not case_id or case_id in fold.cases:
+            raise LogParseError(
+                f"trace #{self._n_traces}: empty or duplicate case id {case_id!r}"
+            )
+        case = fold.cases[case_id] = len(fold.cases)
+        for column in fold.last.values():
+            column.append(None)
+        # Trace attributes rank below every event value, and vanish when the
+        # trace has no events.
+        events.sort(key=itemgetter(0))
+        fold.event_cases.extend(repeat(case, len(events)))
+        activities, codes = fold.activities, fold.event_activities
+        for _, activity, values in events:
+            codes.append(activities.setdefault(activity, len(activities)))
+            attrs |= values
+        last, shared = fold.last, fold.shared
+        for key, value in attrs.items() if events else ():
+            column = last.get(key) or fold.column(key)  # never empty: it holds this case
+            column[case] = shared[value] if type(value) in (str, int) else value
         self._trace = self._values = None
 
 
@@ -324,7 +343,7 @@ def parse_xes(source) -> CaseLog:
             # expat hands encodings it lacks to Python's codecs, which may
             # not know the XML declaration's encoding or be multi-byte.
             raise LogParseError(f"XES input in an unsupported encoding: {exc}") from None
-    return builder.fold.log
+    return builder.fold.log()
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +447,17 @@ def _codes(index: dict, keys) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, keys), np.int32, len(keys))
 
 
-class _CsvFold:
+class _CsvFold(_Fold):
     """The last-value rule over CSV rows, folded a chunk at a time.
 
-    Per case it keeps, for each attribute, the last value and the int64
-    stamp that set it (_NO_STAMP if none), in a list and an array that grow
-    in place; per event only the int32 codes of its case and activity, for
-    the counts. In a chunk, one stable lexsort by (case, stamp) puts each
-    case's winning row for an attribute last among the rows that carry it;
-    a winner replaces the kept value when its stamp is >= the kept one. Kept
-    values, all text, are shared per distinct value."""
+    Besides each attribute's last values, it keeps per case the int64 stamp
+    that set each one (_NO_STAMP if none), in an array that grows in place.
+    In a chunk, one stable lexsort by (case, stamp) puts each case's winning
+    row for an attribute last among the rows that carry it; a winner
+    replaces the kept value when its stamp is >= the kept one."""
 
     def __init__(self, header: list[str], columns: CsvColumns):
+        super().__init__()
         index = {name: i for i, name in enumerate(header)}
         mapped = (columns.case_id, columns.activity, columns.timestamp)
         for name in mapped + tuple(columns.attributes or ()):
@@ -455,14 +473,7 @@ class _CsvFold:
         self.width = max([self.n_cells] + [i + 1 for i in self.cells])
         self.fmt = columns.timestamp_format
         self.next_row = 1
-        self.cases: dict[str, int] = {}  # case id -> code
-        self.activities: dict[str, int] = {}  # activity -> code
-        self.event_cases = array("i")
-        self.event_activities = array("i")
-        self.values: dict[str, list] = {name: [] for name in self.names}
         self.stamps = {name: array("q") for name in self.names}
-        self.shared = _Shared()
-        self.seen: dict[str, None] = {}  # attributes with a value, by first appearance
 
     def add(self, rows: list[list[str]]) -> None:
         """Fold the next rows of the file. Blank rows are skipped; the first
@@ -502,21 +513,18 @@ class _CsvFold:
         self.event_cases.frombytes(cases.tobytes())
         self.event_activities.frombytes(_codes(self.activities, activities).tobytes())
         n_new = len(self.cases) - n_old
+        for values in self.last.values():
+            values.extend([None] * n_new)
         order = np.lexsort((stamps, cases))
         shared = self.shared
-        first_seen = []
-        for position, (name, cell) in enumerate(zip(self.names, self.cells)):
+        for name, cell in zip(self.names, self.cells):
             self.stamps[name].frombytes(np.full(n_new, _NO_STAMP).tobytes())
-            values = self.values[name]
-            values.extend([None] * n_new)
             column = columns[cell]
             carrying = order
             if not all(column):
                 carrying = order[np.fromiter(map(bool, column), bool, len(column))[order]]
             if not carrying.size:
                 continue
-            if name not in self.seen:
-                first_seen.append((carrying.min(), position, name))
             # The last row of each case among those carrying the attribute,
             # if it is no older than the value kept.
             of_case = cases[carrying]
@@ -524,27 +532,9 @@ class _CsvFold:
             kept = np.frombuffer(self.stamps[name], np.int64)
             winners = winners[stamps[winners] >= kept[cases[winners]]]
             kept[cases[winners]] = stamps[winners]
+            values = self.column(name)
             for case, row in zip(cases[winners].tolist(), winners.tolist()):
                 values[case] = shared[column[row]]
-        self.seen.update(dict.fromkeys(name for *_, name in sorted(first_seen)))
-
-    def log(self) -> CaseLog:
-        """The folded CaseLog. The case codes and the stamps are freed
-        before the counts are built, so the fold is spent."""
-        case_ids = list(self.cases)
-        self.cases.clear()
-        self.stamps.clear()
-        n = len(case_ids)
-        cases = np.frombuffer(self.event_cases, np.int32)
-        activities = np.frombuffer(self.event_activities, np.int32)
-        by_activity = cases[np.argsort(activities, kind="stable")]
-        ends = np.cumsum(np.bincount(activities, minlength=len(self.activities))).tolist()
-        counts = {
-            activity: np.bincount(by_activity[start:end], minlength=n).tolist()
-            for activity, start, end in zip(self.activities, [0] + ends, ends)
-        }
-        last = {name: self.values[name] for name in self.seen}
-        return CaseLog(case_ids, counts, last, len(cases))
 
 
 def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:
@@ -558,6 +548,7 @@ def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:
             rows.clear()  # before the next chunk is read
     if fold is None:
         raise LogParseError("CSV input has no header row")
+    fold.stamps.clear()  # before log() builds the counts
     return fold.log()
 
 

@@ -269,8 +269,12 @@ def table_from_dict(payload: dict) -> CaseTable:
         if set(payload) != _CASE_TABLE_KEYS:
             raise KeyError(sorted(set(payload) ^ _CASE_TABLE_KEYS))
         arrays = [payload["case_ids"], payload["outcomes"], *payload["columns"].values()]
-        if not isinstance(payload["bins"], dict) or not all(isinstance(a, list) for a in arrays):
-            raise TypeError("bins must be an object; case_ids, outcomes and columns arrays")
+        if not (
+            isinstance(payload["outcome"], str)
+            and isinstance(payload["bins"], dict)
+            and all(isinstance(a, list) for a in arrays)
+        ):
+            raise TypeError("outcome must be a string, bins an object, the rest arrays")
         schema = [AttributeSchema(**entry) for entry in payload["schema"]]
         numeric = {a.name for a in schema if a.kind == NUMERIC}
         columns = {
@@ -417,8 +421,11 @@ def _segment_from_dict(entry: dict) -> Segment:
         numeric = op in ("<=", ">")
         if numeric:
             value = _INFINITIES.get(value, value)
-        if op not in ("<=", ">", "==", "!=") or isinstance(value, bool) or not isinstance(
-            value, (int, float) if numeric else str
+        if (
+            op not in ("<=", ">", "==", "!=")
+            or not isinstance(attribute, str)
+            or isinstance(value, bool)
+            or not isinstance(value, (int, float) if numeric else str)
         ):
             raise ValueError(f"malformed condition {[attribute, op, value]!r}")
         conditions.append((attribute, op, value))
@@ -435,12 +442,10 @@ def stage_rank(config: PipelineConfig) -> dict:
         pairs = []
         try:
             for entry in payload["treatments"]:
-                treatment = Treatment(
-                    tuple(
-                        AtomicActionTerm(c["attribute"], c["from"], c["to"])
-                        for c in entry["changes"]
-                    )
-                )
+                terms = [(c["attribute"], c["from"], c["to"]) for c in entry["changes"]]
+                if not all(isinstance(text, str) for term in terms for text in term):
+                    raise TypeError("a change's attribute, from and to must be strings")
+                treatment = Treatment(tuple(AtomicActionTerm(*term) for term in terms))
                 pairs.append((treatment, [_segment_from_dict(s) for s in entry["segments"]]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(

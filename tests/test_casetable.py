@@ -130,8 +130,12 @@ def test_literal_nan_cell_is_missing():
 
 
 # Values that are equal as dict keys yet convert differently (True, 1, 1.0;
-# -0.0, 0.0), NaN, and texts that float() reads but XES typing does not.
-_TEXTS = ["1", "0", "true", " TRUE ", "1.0", "-0.0", "0.0", "nan", " 2 ", "1_000", "x", ""]
+# -0.0, 0.0), NaN, and texts that float() reads but XES typing does not,
+# which a numeric column's one numpy pass must read as float() does.
+_TEXTS = [
+    "1", "0", "true", " TRUE ", "1.0", "-0.0", "0.0", "nan", " 2 ", "1_000", "x", "",
+    "１２", "infinity", "1e400", " -0 ",
+]
 _TYPED = [True, False, 1, 0, 1.0, 0.0, -0.0, math.nan, 2, 2.5]
 ENCODE_SCHEMA = [
     AttributeSchema("cat", "categorical"),

@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import shutil
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import decoded, make_table, tricky_text
+from helpers import decoded, make_table, tricky_text, xes_log
 from upliftmine import pipeline
 from upliftmine.actionrules import (
     AtomicActionTerm,
@@ -394,21 +395,25 @@ def test_parse_treatment_key_round_trips():
         (AtomicActionTerm("F", "a", "b"), AtomicActionTerm("G", "[6-48]", "[97-120]"))
     )
     assert parse_treatment_key(treatment.key) == treatment
-    for bad in ("", "F", "F:a", "F:->b", ":a->b", "F:a->", "F:a->a"):
+    # An empty label, as an XES value="" gives, reads back; an empty name
+    # and a change to the same label do not.
+    for key in ("F:->b", "F:a->"):
+        assert parse_treatment_key(key).key == key
+    for bad in ("", "F", "F:a", ":a->b", "F:->", "F:a->a"):
         with pytest.raises(ConfigError):
             parse_treatment_key(bad)
 
 
 _text = st.one_of(
-    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
-    tricky_text.filter(len),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    tricky_text,
 )
 
 
 @st.composite
 def treatments(draw):
     changes = []
-    for attr in draw(st.lists(_text, min_size=1, max_size=3, unique=True)):
+    for attr in draw(st.lists(_text.filter(len), min_size=1, max_size=3, unique=True)):
         from_value = draw(_text)
         to_value = draw(_text.filter(lambda v: v != from_value))
         changes.append(AtomicActionTerm(attr, from_value, to_value))
@@ -803,6 +808,31 @@ def test_cli_run_writes_labels_with_line_breaks_and_arrows(tmp_path):
     assert load_treatments(out / TREATMENTS_FILE) == extract_treatments(rules)
 
 
+def test_cli_run_mines_an_empty_xes_label(tmp_path):
+    # F is value="" in half the traces and "b", which lifts Y, in the rest.
+    stamp = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    traces = []
+    for i in range(40):
+        f = "b" if i % 2 else ""
+        y = str(int((f == "b") != (i % 10 == 1)))
+        traces.append((f"c{i}", {}, [("apply", stamp, {"S": "x", "F": f, "Y": y})], False))
+    (tmp_path / "log.xes").write_bytes(xes_log(traces))
+    raw = minimal_raw(tmp_path)
+    raw.update(
+        input=str(tmp_path / "log.xes"),
+        format="xes",
+        out_dir=str(tmp_path / "out"),
+        rules={"min_support": 0.25, "min_confidence": 0.75},
+        tree={"min_samples_split": 4, "min_samples_treatment": 1},
+    )
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert load_treatments(out / TREATMENTS_FILE) == [Treatment((AtomicActionTerm("F", "", "b"),))]
+    assert "\nF:->b," in (out / RECOMMENDATIONS_FILE).read_text(encoding="utf-8")
+
+
 def _row_layout(path: Path) -> bytes:
     """The case table as versions before the columnar layout wrote it."""
     payload = _read_json(path)
@@ -873,11 +903,12 @@ def _numbers(values):
         _numbers(["Infinity"] * 8),
         _numbers([True] * 8),
         _numbers([10**400] * 8),
+        _edited(lambda payload: {**payload, "outcome": 5}),
     ],
     ids=["row-layout", "truncated", "not-utf8", "empty", "non-increasing", "text", "nan",
          "previous-layout", "bins-list", "case-ids-text", "column-text", "column-object",
          "infinity-token", "infinity-token-bins", "number-text", "infinity-text",
-         "number-boolean", "number-too-large"],
+         "number-boolean", "number-too-large", "outcome-number"],
 )
 def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corrupt):
     (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
@@ -928,8 +959,15 @@ def _edit_segments(edit):
         (SEGMENTS_FILE, lambda payload: {}),
         (SEGMENTS_FILE, lambda payload: []),
         (SEGMENTS_FILE, lambda payload: _edit_first_treatment(payload, changes=[])),
+        (
+            SEGMENTS_FILE,
+            lambda payload: _edit_first_treatment(
+                payload, changes=[{**payload["treatments"][0]["changes"][0], "from": 1}]
+            ),
+        ),
         (SEGMENTS_FILE, _edit_segments(lambda s: {k: v for k, v in s.items() if k != "conditions"})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S"]]})),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [[1, "==", "x"]]})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", "x"]]})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", True]]})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", "nan"]]})),
@@ -939,9 +977,9 @@ def _edit_segments(edit):
         (MANIFEST_FILE, lambda payload: {**payload, "stages": []}),
     ],
     ids=[
-        "segments-object", "segments-list", "no-changes", "no-conditions",
-        "condition-arity", "text-threshold", "bool-threshold", "nan-threshold", "text-uplift",
-        "text-count",
+        "segments-object", "segments-list", "no-changes", "number-from", "no-conditions",
+        "condition-arity", "number-attribute", "text-threshold", "bool-threshold",
+        "nan-threshold", "text-uplift", "text-count",
         "manifest-list", "manifest-stages-list",
     ],
 )
