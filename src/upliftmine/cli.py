@@ -7,7 +7,7 @@ import dataclasses
 import logging
 import sys
 
-from .config import load_config
+from .config import INPUT_FORMATS, load_config
 from .errors import ConfigError, UpliftMineError
 from .pipeline import (
     pin_mmap_threshold,
@@ -37,14 +37,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument(
+        "--log-level", default="info", choices=("debug", "info", "warning", "error")
+    )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline config YAML")
     common.add_argument("--out", help="override the configured output directory")
-    common.add_argument(
-        "--log-level",
-        default="info",
-        choices=("debug", "info", "warning", "error"),
-    )
 
     parser = _Parser(
         prog="upliftmine",
@@ -61,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("uplift", "grow one uplift tree per treatment and cut segments"),
         ("rank", "rank segments by net value under the cost model"),
     ):
-        stage = sub.add_parser(name, parents=[common], help=help_text)
+        stage = sub.add_parser(name, parents=[common, levels], help=help_text)
         if name in ("run", "ingest"):
             stage.add_argument("--input", help="override the configured input path")
             stage.add_argument(
                 "--format",
-                choices=("csv", "xes"),
+                choices=INPUT_FORMATS,
                 help="override the configured input format",
             )
         if name == "uplift":
@@ -75,17 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
                 help="treatments file to use instead of the mine stage artifact",
             )
 
-    sim = sub.add_parser(
+    # simulate's own options come first, as a parent, so --log-level is last.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", required=True, help="scenario YAML")
+    scenario.add_argument("--out", required=True, help="output directory")
+    scenario.add_argument("--seed", type=int, help="override the scenario seed")
+    sub.add_parser(
         "simulate",
+        parents=[scenario, levels],
         help="sample a synthetic scenario into a log plus a ready pipeline config",
-    )
-    sim.add_argument("--config", required=True, help="scenario YAML")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--seed", type=int, help="override the scenario seed")
-    sim.add_argument(
-        "--log-level",
-        default="info",
-        choices=("debug", "info", "warning", "error"),
     )
     return parser
 

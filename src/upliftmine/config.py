@@ -79,17 +79,18 @@ class PipelineConfig:
             if not _is_bin_spec(how):
                 raise ConfigError(
                     f"bins for {attr!r} must be a bin count >= 2 or a list of "
-                    f"finite boundaries, got {how!r}"
+                    f"strictly increasing finite boundaries, got {how!r}"
                 )
 
 
 def _is_bin_spec(how) -> bool:
-    """An equal-frequency bin count (an int >= 2) or a list of finite boundaries."""
+    """An equal-frequency bin count (an int >= 2) or a list of strictly
+    increasing finite boundaries."""
     if isinstance(how, list):
         return all(
             isinstance(b, (int, float)) and not isinstance(b, bool) and math.isfinite(b)
             for b in how
-        )
+        ) and all(b1 < b2 for b1, b2 in zip(how, how[1:]))
     return isinstance(how, int) and not isinstance(how, bool) and how >= 2
 
 

@@ -372,7 +372,12 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
     with _stage(config, "uplift", *inputs) as (info, staging):
         treatments = load_treatments(treatments_path)
         table = _read_table(config)
-        entries, skipped, dots = [], [], []  # dots: (file name, DOT text) per tree
+        trees_dir = os.path.join(config.out_dir, TREES_DIR)
+        if os.path.isdir(trees_dir):
+            staging.stale = [
+                os.path.join(trees_dir, name) for name in os.listdir(trees_dir) if name.endswith(".dot")
+            ]
+        entries, skipped = [], []
         for treatment in treatments:
             try:
                 assignment = assign_groups(table, treatment)
@@ -383,7 +388,7 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
                 skipped.append(treatment.key)
                 continue
             dot_name = f"tree_{len(entries):03d}_{_slug(treatment.key)}.dot"
-            dots.append((dot_name, to_dot(tree, title=treatment.key)))
+            _write_text(staging.path(f"{TREES_DIR}/{dot_name}"), to_dot(tree, title=treatment.key))
             entries.append(
                 {
                     "key": treatment.key,
@@ -397,13 +402,6 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
             )
         n_segments = sum(len(e["segments"]) for e in entries)
         info.update(n_treatments=len(entries), n_skipped=len(skipped), n_segments=n_segments)
-        trees_dir = os.path.join(config.out_dir, TREES_DIR)
-        if os.path.isdir(trees_dir):
-            staging.stale = [
-                os.path.join(trees_dir, name) for name in os.listdir(trees_dir) if name.endswith(".dot")
-            ]
-        for dot_name, text in dots:
-            _write_text(staging.path(f"{TREES_DIR}/{dot_name}"), text)
         _write_json(staging.path(SEGMENTS_FILE), {"treatments": entries, "skipped": skipped})
     return info
 

@@ -481,40 +481,29 @@ class Segment:
         return " and ".join(_condition_text(*c) for c in self.conditions) or "all cases"
 
 
-def _matching_rows(table: CaseTable, conditions) -> np.ndarray:
-    """Rows that satisfy every (attribute, op, value) condition of a path."""
-    rows = np.arange(len(table))
-    for attr, op, value in conditions:
-        numeric = op in ("<=", ">")
-        split = Split(attr, value if numeric else None, None if numeric else value)
-        left = split.goes_left(table, rows)
-        rows = rows[left if op in ("<=", "==") else ~left]
-    return rows
-
-
 def extract_segments(
     tree: UpliftTree, table: CaseTable, min_uplift: float
 ) -> list[Segment]:
     """Leaves with uplift >= min_uplift, as path predicates; n_reachable
-    counts every table row (treated, control, or excluded) the predicate
-    matches, mirroring the tree's routing semantics (missing numeric values
-    fall on the > side, missing labels on the != side)."""
-    segments = []
-    for node, path in tree.leaves():
-        uplift = node.stats.uplift
-        if uplift < min_uplift:
-            continue
-        conditions = tuple(path)
-        reachable = len(_matching_rows(table, conditions))
-        segments.append(
-            Segment(
-                conditions=conditions,
-                uplift=uplift,
-                n_treat=node.stats.n_treat,
-                n_ctrl=node.stats.n_ctrl,
-                n_reachable=reachable,
-            )
-        )
+    counts every table row (treated, control, or excluded) that the grown
+    tree's own splits route to the leaf (missing numeric values fall on the
+    > side, missing labels on the != side)."""
+    reach = []  # rows per leaf, in the order leaves() lists them
+
+    def route(node: Node, rows: np.ndarray) -> None:
+        if node.is_leaf:
+            reach.append(len(rows))
+            return
+        left = node.split.goes_left(table, rows)
+        route(node.left, rows[left])
+        route(node.right, rows[~left])
+
+    route(tree.root, np.arange(len(table)))
+    segments = [
+        Segment(tuple(path), node.stats.uplift, node.stats.n_treat, node.stats.n_ctrl, n)
+        for (node, path), n in zip(tree.leaves(), reach)
+        if node.stats.uplift >= min_uplift
+    ]
     segments.sort(key=lambda s: (-s.uplift, s.predicate_text))
     return segments
 

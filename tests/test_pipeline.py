@@ -183,6 +183,8 @@ def _bins_on_v(how):
         lambda raw: raw.update(csv={"activity": None}),
         lambda raw: raw.update(csv={"attributes": "S"}),
         lambda raw: raw.update(csv={"attributes": ["S", 2]}),
+        _bins_on_v([2.0, 1.0]),
+        _bins_on_v([1.0, 1.0]),
     ],
 )
 def test_config_validation(tmp_path, mutate):
@@ -744,6 +746,19 @@ def test_cli_non_finite_or_mistyped_config_is_a_config_error(
         assert main(["run", "--config", str(config)]) == 1
     assert message in caplog.text
     assert "unexpected failure" not in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unordered_bins_are_a_config_error_before_the_input_is_read(tmp_path, caplog):
+    raw = minimal_raw(tmp_path)  # its log.csv does not exist
+    _bins_on_v([700.0, 600.0])(raw)
+    raw["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["ingest", "--config", str(config)]) == 1
+    assert "bins for 'V'" in caplog.text
+    assert "cannot read input" not in caplog.text
     assert not (tmp_path / "out").exists()
 
 

@@ -403,31 +403,38 @@ def _random_routing_table(rng):
 def test_every_node_routes_its_rows_like_the_split_rule():
     # Below the root no oracle checks the tree, so route each node's rows in
     # plain Python from the decoded values and compare every child's counts.
+    # Excluded rows ride along, so that each leaf's rows are its segment's
+    # n_reachable.
     rng = np.random.default_rng(41)
     checked = {"numeric": 0, "categorical": 0}
 
-    def walk(table, node, treat, ctrl):
+    def walk(table, node, treat, ctrl, excluded, path, reach):
         if node.is_leaf:
+            reach[" and ".join(path) or "all cases"] = len(treat) + len(ctrl) + len(excluded)
             return
         split = node.split
         values = table.column(split.attribute)
         if split.threshold is not None:
             goes_left = lambda v: v is not None and v <= split.threshold  # noqa: E731
+            tests = (f"<= {split.threshold:g}", f"> {split.threshold:g}")
             checked["numeric"] += 1
         else:
             goes_left = lambda v: v == split.category  # noqa: E731
+            tests = (f"== {split.category}", f"!= {split.category}")
             checked["categorical"] += 1
-        left = {i for i in treat + ctrl if goes_left(values[i])}
+        left = {i for i in treat + ctrl + excluded if goes_left(values[i])}
         outcome = table.outcomes()
         sides = ((node.left, left.__contains__), (node.right, lambda i: i not in left))
-        for child, goes_here in sides:
+        for (child, goes_here), test in zip(sides, tests):
             child_treat = [i for i in treat if goes_here(i)]
             child_ctrl = [i for i in ctrl if goes_here(i)]
             assert child.stats.n_treat == len(child_treat)
             assert child.stats.n_ctrl == len(child_ctrl)
             assert child.stats.pos_treat == sum(outcome[i] for i in child_treat)
             assert child.stats.pos_ctrl == sum(outcome[i] for i in child_ctrl)
-            walk(table, child, child_treat, child_ctrl)
+            child_excluded = [i for i in excluded if goes_here(i)]
+            child_path = path + [f"{split.attribute} {test}"]
+            walk(table, child, child_treat, child_ctrl, child_excluded, child_path, reach)
 
     for kind in ("KL", "Euclid", "ChiSq"):
         for _ in range(3):
@@ -444,7 +451,16 @@ def test_every_node_routes_its_rows_like_the_split_rule():
             tree, assignment = _build_with(
                 table, Treatment((AtomicActionTerm("T", "0", "1"),)), params
             )
-            walk(table, tree.root, assignment.treated.tolist(), assignment.control.tolist())
+            excluded = [i for i, t in enumerate(table.column("T")) if t == "2"]
+            reach = {}
+            walk(
+                table, tree.root, assignment.treated.tolist(), assignment.control.tolist(),
+                excluded, [], reach,
+            )
+            segments = extract_segments(tree, table, -1.0)
+            assert {s.predicate_text: s.n_reachable for s in segments} == reach
+            assert len(segments) == len(reach)
+            assert sum(reach.values()) == len(table)
     assert checked["numeric"] >= 10 and checked["categorical"] >= 1
 
 
