@@ -127,7 +127,7 @@ class CaseTable:
         self._ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name in names:
             encode = _encode_floats if name in numeric else _encode_labels
-            self._columns[name] = encode(name, columns[name], n)
+            self._columns[name] = encode(name, columns[name], self.case_ids)
         self._intervals = {
             name: _interval_codes(bounds, self._columns[name]) for name, bounds in self.bins.items()
         }
@@ -193,7 +193,7 @@ class CaseTable:
         return self.outcome.tolist()
 
 
-def _encode_labels(name: str, values, n: int) -> Coded:
+def _encode_labels(name: str, values, case_ids: list[str]) -> Coded:
     if isinstance(values, Coded):
         column = values
     else:
@@ -205,17 +205,23 @@ def _encode_labels(name: str, values, n: int) -> Coded:
         index[None] = -1
         codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
         column = Coded(codes, labels)
-    if len(column.codes) != n:
+    if len(column.codes) != len(case_ids):
         raise SchemaError(f"attribute {name!r}: column length differs from cases")
     return column
 
 
-def _encode_floats(name: str, values, n: int) -> np.ndarray:
+def _encode_floats(name: str, values, case_ids: list[str]) -> np.ndarray:
+    """The one place a case-table number becomes a float: one numpy pass,
+    which reads each value as float() does and None as NaN."""
     try:
         column = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"attribute {name!r}: non-numeric values") from None
-    if column.shape != (n,):
+        # Value by value, so that the error names the first bad case.
+        numbers = map(_coerce_numeric, values, repeat(name), case_ids)
+        column = np.fromiter(numbers, np.float64)
+    # len(values) as well: the value by value pass stops at the last case,
+    # so it would cut a longer column short.
+    if column.shape != (len(case_ids),) or len(values) != len(case_ids):
         raise SchemaError(f"attribute {name!r}: column length differs from cases")
     return column
 
@@ -233,20 +239,13 @@ def _checked_bounds(name: str, bounds) -> list[float]:
     raise SchemaError(f"bins for {name!r} must be strictly increasing numbers")
 
 
-def _coerce_outcome(value, positive_labels: frozenset[str], attr: str, case_id: str) -> int:
-    if isinstance(value, bool):
-        return int(value)
+def _coerce_outcome(value, positive_labels: frozenset[str]) -> int | None:
+    """A bool or a number equal to 0 or 1 as that number (None for any other
+    number); text, stripped and lowercased, is 1 if it is a positive label.
+    Equal keys such as True, 1 and 1.0 code alike."""
     if isinstance(value, (int, float)):
-        if value in (0, 1):
-            return int(value)
-        raise SchemaError(
-            f"attribute {attr!r}: non-binary outcome {value!r} in case {case_id!r}"
-        )
-    return _text_outcome(str(value), positive_labels)
-
-
-def _text_outcome(text: str, positive_labels: frozenset[str]) -> int:
-    return 1 if text.strip().lower() in positive_labels else 0
+        return int(value) if value in (0, 1) else None
+    return int(str(value).strip().lower() in positive_labels)
 
 
 def _coerce_numeric(value, attr: str, case_id: str) -> float:
@@ -274,10 +273,10 @@ def _label(value) -> str:
 
 
 def _is_text(values: list) -> bool:
-    """Whether every value is text or missing, as in every CSV column. Typed
-    values, as XES gives them, cannot be converted once per distinct value:
-    True == 1 == 1.0 and -0.0 == 0.0 are equal keys, yet they label and
-    serialize differently."""
+    """Whether every value of a label column is text or missing, as in every
+    CSV column, so the values are the labels. Typed labels, as XES gives
+    them, cannot be made once per distinct value: True == 1 == 1.0 and
+    -0.0 == 0.0 are equal keys, yet they label differently."""
     return set(map(type, values)) <= {str, type(None)}
 
 
@@ -287,12 +286,11 @@ def encode_cases(
     outcome_name: str,
     positive_labels: frozenset[str] | None = None,
 ) -> CaseTable:
-    """One row per case of the log; cases without the outcome drop. A
-    numeric column converts in one numpy pass, which reads each value as
-    float() does and None as NaN. An outcome column of text converts each
-    distinct value once by the positive labels, while a categorical label
-    is the text itself. Outcomes and numeric columns go straight into
-    arrays, with no per-case list in between."""
+    """One row per case of the log; cases without the outcome drop. Each
+    distinct outcome value, of any type, converts once; a categorical label
+    is text as it is, a typed value's label is made per case; numbers go to
+    the CaseTable as observed, which converts them. Outcomes go straight
+    into an array, with no per-case list in between."""
     positive_labels = positive_labels or DEFAULT_POSITIVE_LABELS
     positive_labels = frozenset(s.lower() for s in positive_labels)
     by_name = {a.name: a for a in schema}
@@ -329,25 +327,17 @@ def encode_cases(
 
     case_ids = of_kept(case_log.case_ids)
     raw_outcomes = of_kept(raw_outcomes)
-    if _is_text(raw_outcomes):
-        coded = {text: _text_outcome(text, positive_labels) for text in set(raw_outcomes)}
-        outcomes = map(coded.__getitem__, raw_outcomes)
-    else:
-        outcomes = map(
-            _coerce_outcome, raw_outcomes, repeat(positive_labels), repeat(outcome_name), case_ids
+    coded = {v: _coerce_outcome(v, positive_labels) for v in dict.fromkeys(raw_outcomes)}
+    if None in coded.values():
+        case, value = next((c, v) for c, v in zip(case_ids, raw_outcomes) if coded[v] is None)
+        raise SchemaError(
+            f"attribute {outcome_name!r}: non-binary outcome {value!r} in case {case!r}"
         )
-    outcomes = np.fromiter(outcomes, np.int64, len(case_ids))
+    outcomes = np.fromiter(map(coded.__getitem__, raw_outcomes), np.int64, len(case_ids))
     columns = {}
     for attr in feature_schema:
         values = of_kept(observe(attr))
-        if attr.kind == NUMERIC:
-            try:
-                columns[attr.name] = np.array(values, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                # Value by value, so that the error names the first bad case.
-                numbers = map(_coerce_numeric, values, repeat(attr.name), case_ids)
-                columns[attr.name] = np.fromiter(numbers, np.float64, len(values))
-        elif _is_text(values):
+        if attr.kind == NUMERIC or _is_text(values):
             columns[attr.name] = values
         else:
             columns[attr.name] = [None if value is None else _label(value) for value in values]

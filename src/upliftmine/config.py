@@ -69,6 +69,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"outcome {self.outcome!r} is not among the declared attributes"
             )
+        if any(a.controllable for a in self.attributes if a.name == self.outcome):
+            raise ConfigError(f"outcome {self.outcome!r} must not be controllable")
         numeric = {a.name for a in self.attributes if a.kind == NUMERIC} - {self.outcome}
         for attr, how in self.bins.items():
             if attr not in numeric:

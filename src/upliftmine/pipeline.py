@@ -476,7 +476,12 @@ def pin_mmap_threshold() -> None:
 
 
 def run(config: PipelineConfig) -> dict:
-    """The whole pipeline, stage by stage, sharing artifacts on disk."""
+    """The whole pipeline, stage by stage, sharing artifacts on disk. mine
+    needs every numeric feature binned, so one without bins is a ConfigError
+    before the log is read."""
+    for a in config.attributes:
+        if a.kind == NUMERIC and a.name != config.outcome and a.name not in config.bins:
+            raise ConfigError(f"numeric attribute {a.name!r} has no bins entry, which run needs")
     pin_mmap_threshold()
     return {
         "ingest": stage_ingest(config),

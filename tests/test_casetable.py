@@ -182,6 +182,10 @@ def _converted(case_log):
 # Every case has its outcome; then some cases lack it, before and after kept ones.
 @example(_log(cat=["a", 2, True], num=[3, "4", None], Y=[True, "0", 1]))
 @example(_log(cat=["a", 2, True, "b"], num=[None, 3, "x", 2.5], Y=[None, 0, None, "1"]))
+# Outcomes that merge as dict keys: the first bad case is c6 (2.0), then c1.
+@example(_log(cat=["a"] * 8, num=[1] * 8, Y=[1, True, 1.0, 0, -0.0, False, 2.0, 2]))
+@example(_log(cat=["a"] * 3, num=[1] * 3, Y=[1, math.nan, math.nan]))
+@example(_log(cat=["a"] * 5, num=[1] * 5, Y=["1", 1, True, " TRUE ", "yes"]))
 def test_encode_cases_matches_the_per_value_reference(case_log):
     got = _converted(case_log)
     try:

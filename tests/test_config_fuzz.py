@@ -164,6 +164,7 @@ CONFIG_FAULTS = [
     _with(README_CONFIG, ("min_uplift",), float("nan")),
     _with(README_CONFIG, ("csv",), {"timestamp_format": 5}),
     _with(README_CONFIG, ("csv",), {"case_id": [1]}),
+    _with(README_CONFIG, ("attributes", 3, "controllable"), True),
 ]
 
 SCENARIO_FAULTS = [

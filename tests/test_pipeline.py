@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -498,6 +499,27 @@ def test_case_table_json_round_trip(tmp_path_factory, table):
     assert (out / "second.json").read_bytes() == (out / "first.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "case_ids, message",
+    [
+        (["c0", "c1"], "case_table.json: attribute 'x': value in case 'c1' is too large for a float"),
+        # One case fewer than values: the bad value is past the last case.
+        (["c0"], "case_table.json: attribute 'x': column length differs from cases"),
+    ],
+    ids=["too-large", "longer-than-the-cases"],
+)
+def test_case_table_json_number_too_large_for_a_float(tmp_path, case_ids, message):
+    path = tmp_path / CASE_TABLE_FILE
+    path.write_text(
+        '{"bins":{},"case_ids":' + json.dumps(case_ids) + ',"columns":{"x":[1,' + "9" * 400
+        + ']},"outcome":"Y","outcomes":' + json.dumps([0] * len(case_ids))
+        + ',"schema":[{"kind":"numeric","name":"x"}]}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match=message):
+        table_from_dict(_read_json(path))
+
+
 def _reject(token):
     raise ValueError(f"{token} is not RFC 8259 JSON")
 
@@ -760,6 +782,49 @@ def test_cli_unordered_bins_are_a_config_error_before_the_input_is_read(tmp_path
     assert "bins for 'V'" in caplog.text
     assert "cannot read input" not in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, mutate, message",
+    [
+        (
+            "ingest",
+            lambda raw: raw["attributes"][2].update(controllable=True),
+            "outcome 'Y' must not be controllable",
+        ),
+        (
+            "run",
+            lambda raw: raw["attributes"].append({"name": "V", "kind": "numeric"}),
+            "numeric attribute 'V' has no bins entry",
+        ),
+    ],
+    ids=["controllable-outcome", "run-unbinned-numeric"],
+)
+def test_cli_config_fault_is_reported_before_the_input_is_read(
+    tmp_path, caplog, command, mutate, message
+):
+    raw = minimal_raw(tmp_path)  # its log.csv does not exist
+    mutate(raw)
+    raw["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main([command, "--config", str(config)]) == 1
+    assert message in caplog.text
+    assert "cannot read input" not in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_with_an_unbinned_numeric_feature_writes_nothing(eight_row_config):
+    config = dataclasses.replace(
+        eight_row_config, attributes=[*eight_row_config.attributes, AttributeSchema("V", "numeric")]
+    )
+    with pytest.raises(ConfigError, match="numeric attribute 'V' has no bins entry"):
+        run(config)
+    assert not (Path(config.out_dir) / CASE_TABLE_FILE).exists()
+    # A standalone ingest still takes it, for the tree to split at raw thresholds.
+    stage_ingest(config)
+    assert (Path(config.out_dir) / CASE_TABLE_FILE).exists()
 
 
 SCENARIO = {
