@@ -99,21 +99,18 @@ class _Fold:
 
     def log(self) -> CaseLog:
         """The folded CaseLog. The case codes are freed before the counts
-        are built, and the event codes once they are grouped by activity, so
-        the fold is spent."""
+        are built, and the event codes once one mask per activity has picked
+        out its events' cases, so the fold is spent."""
         case_ids = list(self.cases)
         self.cases.clear()
         n = len(case_ids)
         cases = np.frombuffer(self.event_cases, np.int32)
         activities = np.frombuffer(self.event_activities, np.int32)
-        by_activity = cases[np.argsort(activities)]  # a count needs no order
-        ends = np.cumsum(np.bincount(activities, minlength=len(self.activities))).tolist()
+        n_events = len(cases)
+        by_activity = {a: cases[activities == code] for a, code in self.activities.items()}
         del cases, activities, self.event_cases, self.event_activities
-        counts = {
-            activity: np.bincount(by_activity[start:end], minlength=n).tolist()
-            for activity, start, end in zip(self.activities, [0] + ends, ends)
-        }
-        return CaseLog(case_ids, counts, self.last, len(by_activity))
+        counts = {a: np.bincount(rows, minlength=n).tolist() for a, rows in by_activity.items()}
+        return CaseLog(case_ids, counts, self.last, n_events)
 
 
 def parse_timestamp(text: str) -> datetime:

@@ -382,7 +382,7 @@ def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> 
             try:
                 assignment = assign_groups(table, treatment)
                 tree = build_tree(table, assignment, config.tree)
-                segments = extract_segments(tree, table, config.min_uplift)
+                segments = extract_segments(tree, config.min_uplift)
             except PositivityError as exc:
                 log.warning("skipping treatment %s: %s", treatment.key, exc)
                 skipped.append(treatment.key)

@@ -67,6 +67,8 @@ class TreeParams:
 
 @dataclass
 class TreatmentAssignment:
+    """One treatment's row indices; treated, control and excluded partition the table."""
+
     treatment: Optional[Treatment]
     treated: np.ndarray
     control: np.ndarray
@@ -394,7 +396,10 @@ def best_split(
 
 @dataclass
 class Node:
+    """n_reachable counts every row that reaches the node, excluded rows included."""
+
     stats: NodeStats
+    n_reachable: int
     split: Optional[Split] = None
     left: Optional["Node"] = None
     right: Optional["Node"] = None
@@ -437,29 +442,24 @@ def build_tree(
     feature_names = [a.name for a in table.schema if a.name not in excluded_attrs]
     outcome = table.outcome
 
-    def grow(treat_idx, ctrl_idx, parent: Optional[NodeStats], depth: int) -> Node:
-        stats = node_stats(
-            len(treat_idx),
-            int(outcome[treat_idx].sum()),
-            len(ctrl_idx),
-            int(outcome[ctrl_idx].sum()),
-            parent,
-            params.n_reg,
-        )
-        node = Node(stats=stats)
+    def grow(treat_idx, ctrl_idx, other_idx, parent: Optional[NodeStats], depth: int) -> Node:
+        n_treat, n_ctrl = len(treat_idx), len(ctrl_idx)
+        pos_treat, pos_ctrl = int(outcome[treat_idx].sum()), int(outcome[ctrl_idx].sum())
+        stats = node_stats(n_treat, pos_treat, n_ctrl, pos_ctrl, parent, params.n_reg)
+        node = Node(stats, n_treat + n_ctrl + len(other_idx))
         if depth >= params.max_depth or stats.n < params.min_samples_split:
             return node
         found = best_split(table, treat_idx, ctrl_idx, stats, params, feature_names)
         if found is None:
             return node
         node.split, node.score = found
-        left_t = node.split.goes_left(table, treat_idx)
-        left_c = node.split.goes_left(table, ctrl_idx)
-        node.left = grow(treat_idx[left_t], ctrl_idx[left_c], stats, depth + 1)
-        node.right = grow(treat_idx[~left_t], ctrl_idx[~left_c], stats, depth + 1)
+        groups = (treat_idx, ctrl_idx, other_idx)
+        left = [node.split.goes_left(table, rows) for rows in groups]
+        node.left = grow(*(rows[go] for rows, go in zip(groups, left)), stats, depth + 1)
+        node.right = grow(*(rows[~go] for rows, go in zip(groups, left)), stats, depth + 1)
         return node
 
-    return UpliftTree(grow(assignment.treated, assignment.control, None, 0))
+    return UpliftTree(grow(assignment.treated, assignment.control, assignment.excluded, None, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -481,27 +481,14 @@ class Segment:
         return " and ".join(_condition_text(*c) for c in self.conditions) or "all cases"
 
 
-def extract_segments(
-    tree: UpliftTree, table: CaseTable, min_uplift: float
-) -> list[Segment]:
-    """Leaves with uplift >= min_uplift, as path predicates; n_reachable
-    counts every table row (treated, control, or excluded) that the grown
-    tree's own splits route to the leaf (missing numeric values fall on the
-    > side, missing labels on the != side)."""
-    reach = []  # rows per leaf, in the order leaves() lists them
-
-    def route(node: Node, rows: np.ndarray) -> None:
-        if node.is_leaf:
-            reach.append(len(rows))
-            return
-        left = node.split.goes_left(table, rows)
-        route(node.left, rows[left])
-        route(node.right, rows[~left])
-
-    route(tree.root, np.arange(len(table)))
+def extract_segments(tree: UpliftTree, min_uplift: float) -> list[Segment]:
+    """Leaves with uplift >= min_uplift, as path predicates, each with the
+    n_reachable that build_tree counted: every table row (treated, control,
+    or excluded) that the tree's splits route to the leaf."""
     segments = [
-        Segment(tuple(path), node.stats.uplift, node.stats.n_treat, node.stats.n_ctrl, n)
-        for (node, path), n in zip(tree.leaves(), reach)
+        Segment(tuple(path), node.stats.uplift, node.stats.n_treat, node.stats.n_ctrl,
+                node.n_reachable)
+        for node, path in tree.leaves()
         if node.stats.uplift >= min_uplift
     ]
     segments.sort(key=lambda s: (-s.uplift, s.predicate_text))

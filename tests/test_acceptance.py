@@ -188,7 +188,7 @@ def _planted_tree():
 def test_criterion_4_planted_effect_recovery():
     start = time.monotonic()
     table, tree = _planted_tree()
-    segments = extract_segments(tree, table, min_uplift=0.15)
+    segments = extract_segments(tree, min_uplift=0.15)
     failures = []
     if len(segments) != 1:
         failures.append(f"{len(segments)} segments above uplift 0.15, expected exactly 1")
@@ -375,7 +375,7 @@ def test_criterion_7_cost_model():
             failures.append(f"net_value({n}, {u}, v={v}, c={c}) = {got!r}")
 
     table, tree = _planted_tree()
-    segments = extract_segments(tree, table, min_uplift=-1.0)
+    segments = extract_segments(tree, min_uplift=-1.0)
     if len(segments) != 2:
         failures.append(f"expected both planted leaves as segments, got {len(segments)}")
     else:
@@ -470,7 +470,7 @@ def test_criterion_8_bpic2017_smoke():
             n_skipped += 1
             continue
         tree = build_tree(table, assignment, params)
-        for segment in extract_segments(tree, table, 0.0):
+        for segment in extract_segments(tree, 0.0):
             n_segments += 1
             if segment.n_treat < 1 or segment.n_ctrl < 1:
                 failures.append(f"segment without both groups: {segment.predicate_text}")

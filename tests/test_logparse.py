@@ -1,4 +1,5 @@
 import gzip
+import io
 import math
 import re
 from datetime import datetime, timedelta, timezone
@@ -444,6 +445,40 @@ def test_parse_csv_matches_the_reference_fold_across_chunks():
         )
     expected = reference_fold([(cid, {}, evs) for cid, evs in events.items()])
     assert parse_csv(data) == expected
+
+
+class _Unseekable(io.RawIOBase):
+    """A binary stream that reads forward only, as a pipe does."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._data.readinto(buffer)
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (parse_csv, _long_csv(3000)),
+        (parse_csv, gzip.compress(_long_csv(3000))),
+        (parse_xes, XES_TWO_EVENTS),
+        (parse_xes, gzip.compress(XES_TWO_EVENTS)),
+    ],
+    ids=["csv", "csv-gzip", "xes", "xes-gzip"],
+)
+def test_parsers_read_an_open_file_and_an_unseekable_stream_as_the_path(tmp_path, parse, data):
+    path = tmp_path / "log"
+    path.write_bytes(data)
+    expected = parse(path)
+    with open(path, "rb") as stream:
+        assert parse(stream) == expected
+    unseekable = _Unseekable(data)
+    assert not unseekable.seekable()
+    assert parse(unseekable) == expected
 
 
 @pytest.mark.parametrize(

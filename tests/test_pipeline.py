@@ -393,6 +393,24 @@ def test_uplift_with_hand_written_treatments_file(eight_row_config, tmp_path):
     assert len(list((Path(eight_row_config.out_dir) / TREES_DIR).glob("*.dot"))) == 1
 
 
+def test_uplift_skips_a_treatment_without_treated_cases_and_drops_stale_trees(
+    eight_row_config, tmp_path
+):
+    run(eight_row_config)
+    out = Path(eight_row_config.out_dir)
+    assert [p.name for p in (out / TREES_DIR).iterdir()] == ["tree_000_F_a-b.dot"]
+    header = (out / RECOMMENDATIONS_FILE).read_text(encoding="utf-8").splitlines()[0]
+    # No case has F == z, so the treated group is empty.
+    hand_written = tmp_path / "my_treatments.txt"
+    hand_written.write_text("F:a->z\n", encoding="utf-8")
+    info = stage_uplift(eight_row_config, treatments_path=str(hand_written))
+    assert info == {"n_treatments": 0, "n_skipped": 1, "n_segments": 0}
+    assert list((out / TREES_DIR).iterdir()) == []
+    assert _read_json(out / SEGMENTS_FILE) == {"skipped": ["F:a->z"], "treatments": []}
+    stage_rank(eight_row_config)
+    assert (out / RECOMMENDATIONS_FILE).read_text(encoding="utf-8").splitlines() == [header]
+
+
 def test_parse_treatment_key_round_trips():
     treatment = Treatment(
         (AtomicActionTerm("F", "a", "b"), AtomicActionTerm("G", "[6-48]", "[97-120]"))
@@ -888,6 +906,30 @@ def test_cli_run_writes_labels_with_line_breaks_and_arrows(tmp_path):
     assert load_treatments(out / TREATMENTS_FILE) == extract_treatments(rules)
 
 
+def test_cli_ingest_input_and_format_override_the_config(tmp_path):
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    raw = minimal_raw(tmp_path)
+    raw["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    from_csv = (out / CASE_TABLE_FILE).read_bytes()
+    traces = []
+    for line in EIGHT_ROW_CSV.splitlines()[1:]:
+        case_id, activity, stamp, s, f, y = line.split(",")
+        stamp = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+        traces.append((case_id, {}, [(activity, stamp, {"S": s, "F": f, "Y": y})], False))
+    xes = tmp_path / "log.xes"
+    xes.write_bytes(xes_log(traces))
+    shutil.rmtree(out)
+    argv = ["ingest", "--config", str(config), "--input", str(xes), "--format", "xes"]
+    assert main(argv) == 0
+    assert (out / CASE_TABLE_FILE).read_bytes() == from_csv
+    recorded = _read_json(out / MANIFEST_FILE)["config"]
+    assert (recorded["input"], recorded["format"]) == (str(xes), "xes")
+
+
 def test_cli_run_mines_an_empty_xes_label(tmp_path):
     # F is value="" in half the traces and "b", which lifts Y, in the rest.
     stamp = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -984,11 +1026,23 @@ def _numbers(values):
         _numbers([True] * 8),
         _numbers([10**400] * 8),
         _edited(lambda payload: {**payload, "outcome": 5}),
+        _edit_column("S", [1] * 8),
+        _edit_column("S", list("xxxxxxy")),
+        _edited(lambda payload: {**payload, "outcomes": [0] * 7}),
+        _edited(lambda payload: {**payload, "outcomes": [2] + [0] * 7}),
+        _edited(lambda payload: {**payload, "columns": {"F": payload["columns"]["F"]}}),
+        _edited(lambda payload: {**payload, "bins": {"S": [1.0]}}),
+        _edited(lambda payload: {**payload, "schema": payload["schema"] * 2}),
+        _edited(lambda payload: {
+            **payload, "schema": [{**payload["schema"][0], "kind": "text"}, payload["schema"][1]]
+        }),
     ],
     ids=["row-layout", "truncated", "not-utf8", "empty", "non-increasing", "text", "nan",
          "previous-layout", "bins-list", "case-ids-text", "column-text", "column-object",
          "infinity-token", "infinity-token-bins", "number-text", "infinity-text",
-         "number-boolean", "number-too-large", "outcome-number"],
+         "number-boolean", "number-too-large", "outcome-number", "label-number",
+         "column-short", "outcomes-short", "outcome-two", "column-missing",
+         "bins-categorical", "schema-duplicate", "schema-kind"],
 )
 def test_cli_stale_or_corrupt_case_table_is_a_data_error(tmp_path, caplog, corrupt):
     (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")

@@ -457,7 +457,7 @@ def test_every_node_routes_its_rows_like_the_split_rule():
                 table, tree.root, assignment.treated.tolist(), assignment.control.tolist(),
                 excluded, [], reach,
             )
-            segments = extract_segments(tree, table, -1.0)
+            segments = extract_segments(tree, -1.0)
             assert {s.predicate_text: s.n_reachable for s in segments} == reach
             assert len(segments) == len(reach)
             assert sum(reach.values()) == len(table)
@@ -603,7 +603,7 @@ def test_default_params_match_reference_settings():
 
 def test_extract_segments_min_uplift_above_one_is_empty():
     tree, _ = _build_with(EIGHT_ROW_TABLE, F_A_TO_B, SMALL_PARAMS)
-    assert extract_segments(tree, EIGHT_ROW_TABLE, 1.1) == []
+    assert extract_segments(tree, 1.1) == []
 
 
 def test_extract_segments_single_leaf_uplift():
@@ -620,7 +620,7 @@ def test_extract_segments_single_leaf_uplift():
     params = TreeParams(max_depth=2, min_samples_split=4, min_samples_treatment=1, n_reg=1e-6)
     tree, _ = _build_with(table, Treatment((AtomicActionTerm("T", "0", "1"),)), params)
     assert tree.root.is_leaf
-    segments = extract_segments(tree, table, 0.4)
+    segments = extract_segments(tree, 0.4)
     assert len(segments) == 1
     seg = segments[0]
     assert seg.uplift == pytest.approx(0.5, rel=1e-7)
@@ -641,7 +641,7 @@ def test_segments_sorted_by_uplift_descending_and_count_excluded_rows():
     table = make_table([("T", "categorical", True), ("x", "numeric", False)], rows)
     params = TreeParams(max_depth=2, min_samples_split=10, min_samples_treatment=5, n_reg=1.0)
     tree, assignment = _build_with(table, Treatment((AtomicActionTerm("T", "0", "1"),)), params)
-    segments = extract_segments(tree, table, -1.0)
+    segments = extract_segments(tree, -1.0)
     uplifts = [s.uplift for s in segments]
     assert uplifts == sorted(uplifts, reverse=True)
     # n_reachable is judged against all 600 rows, not only treated+control
