@@ -79,7 +79,9 @@ class Coded(NamedTuple):
 
 
 class CaseTable:
-    """Column store of encoded cases, immutable by convention.
+    """Column store of encoded cases, immutable: every array it holds or
+    hands out (outcome, each column's codes or floats, each ranked() pair)
+    is read-only, so one table can serve every stage of a run.
 
     Each attribute is stored once: a categorical one as a Coded column, a
     numeric one, binned or not, as float64 with NaN for missing. bins maps a
@@ -91,7 +93,8 @@ class CaseTable:
 
     The constructor is the one place values are encoded and checked: columns
     maps each attribute to its decoded values (labels, numbers, None), or to
-    another table's Coded column or float array.
+    another table's Coded column or float array. An array handed in is kept,
+    not copied, and so becomes read-only too.
     """
 
     def __init__(
@@ -122,7 +125,7 @@ class CaseTable:
         bad = np.flatnonzero((outcome != 0) & (outcome != 1))
         if bad.size:
             raise SchemaError(f"case {self.case_ids[bad[0]]!r}: outcome must be 0 or 1")
-        self.outcome = outcome.astype(np.uint8)
+        self.outcome = _read_only(outcome.astype(np.uint8))
         self._columns: dict[str, Coded | np.ndarray] = {}
         self._ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name in names:
@@ -171,7 +174,7 @@ class CaseTable:
                 codes, labels = self.coded(name)
                 distinct = np.array(labels, dtype=object)
                 ranks = np.where(codes < 0, len(labels), codes)
-            self._ranked[name] = (distinct, ranks.astype(np.int32))
+            self._ranked[name] = (_read_only(distinct), _read_only(ranks.astype(np.int32)))
         return self._ranked[name]
 
     def equals(self, name: str, label: str) -> np.ndarray:
@@ -207,6 +210,7 @@ def _encode_labels(name: str, values, case_ids: list[str]) -> Coded:
         column = Coded(codes, labels)
     if len(column.codes) != len(case_ids):
         raise SchemaError(f"attribute {name!r}: column length differs from cases")
+    _read_only(column.codes)
     return column
 
 
@@ -223,7 +227,12 @@ def _encode_floats(name: str, values, case_ids: list[str]) -> np.ndarray:
     # so it would cut a longer column short.
     if column.shape != (len(case_ids),) or len(values) != len(case_ids):
         raise SchemaError(f"attribute {name!r}: column length differs from cases")
-    return column
+    return _read_only(column)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _checked_bounds(name: str, bounds) -> list[float]:
@@ -383,7 +392,7 @@ def _interval_codes(bounds: list[float], values: np.ndarray) -> Coded:
     occurring = np.flatnonzero(np.bincount(bin_of, minlength=len(labels)))
     observed = tuple(sorted(labels[b] for b in occurring.tolist()))
     code_of_bin = np.searchsorted(observed, labels).astype(np.int32)
-    return Coded(code_of_bin[bin_of], observed)
+    return Coded(_read_only(code_of_bin[bin_of]), observed)
 
 
 def equal_frequency_bounds(values: list[float], k: int) -> list[float]:

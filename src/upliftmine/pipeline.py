@@ -1,9 +1,11 @@
 """Pipeline stages behind the CLI.
 
-Every stage reads its input artifacts from the configured output directory
-and writes its own artifacts plus a manifest entry, so a full run is
-literally the composition of the stages and produces byte-identical files
-either way. Artifacts are plain text or JSON to stay diff-able.
+Every stage writes its own artifacts plus a manifest entry into the
+configured output directory. A stage run alone reads its input artifacts
+from there. `run` writes case_table.json and hands the same table on in
+memory to mine and uplift; the other artifacts pass on disk. A full run
+equals the composition of the stages, byte for byte. Artifacts are plain
+text or JSON to stay diff-able.
 
 Every stage runs in one frame, `_stage`: its inputs are checked first, and
 manifest.json is read and checked before anything in out_dir changes. Every
@@ -324,7 +326,8 @@ def _read_table(config: PipelineConfig) -> CaseTable:
     return table_from_dict(_read_json(os.path.join(config.out_dir, CASE_TABLE_FILE)))
 
 
-def stage_ingest(config: PipelineConfig) -> dict:
+def stage_ingest(config: PipelineConfig) -> tuple[dict, CaseTable]:
+    """The stage's info and the case table it wrote, which run hands on."""
     with _stage(config, "ingest") as (info, staging):
         if config.input_format == "xes":
             case_log = parse_xes(config.input)
@@ -342,13 +345,16 @@ def stage_ingest(config: PipelineConfig) -> dict:
         summary = _summarize_table(table)
         _write_json(staging.path(CASE_TABLE_FILE), table_to_dict(table))
         _write_text(staging.path(CASE_SUMMARY_FILE), summary)
-    return info
+    return info, table
 
 
-def stage_mine(config: PipelineConfig) -> dict:
+def stage_mine(config: PipelineConfig, table: CaseTable | None = None) -> dict:
+    """Mine the table, which is read from case_table.json unless handed on."""
     with _stage(config, "mine", CASE_TABLE_FILE) as (info, staging):
+        if table is None:
+            table = _read_table(config)
         rules = mine_action_rules(
-            _read_table(config),
+            table,
             config.rules.min_support,
             config.rules.min_confidence,
             config.rules.max_antecedent_len,
@@ -364,14 +370,19 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text.replace("->", "-"))[:60]
 
 
-def stage_uplift(config: PipelineConfig, treatments_path: str | None = None) -> dict:
+def stage_uplift(
+    config: PipelineConfig, treatments_path: str | None = None, table: CaseTable | None = None
+) -> dict:
+    """One tree per treatment over the table, which is read from
+    case_table.json unless handed on."""
     inputs = [CASE_TABLE_FILE]
     if treatments_path is None:
         inputs.append(TREATMENTS_FILE)
         treatments_path = os.path.join(config.out_dir, TREATMENTS_FILE)
     with _stage(config, "uplift", *inputs) as (info, staging):
         treatments = load_treatments(treatments_path)
-        table = _read_table(config)
+        if table is None:
+            table = _read_table(config)
         trees_dir = os.path.join(config.out_dir, TREES_DIR)
         if os.path.isdir(trees_dir):
             staging.stale = [
@@ -476,17 +487,19 @@ def pin_mmap_threshold() -> None:
 
 
 def run(config: PipelineConfig) -> dict:
-    """The whole pipeline, stage by stage, sharing artifacts on disk. mine
-    needs every numeric feature binned, so one without bins is a ConfigError
-    before the log is read."""
+    """The whole pipeline, stage by stage. Ingest writes case_table.json and
+    hands the same table on to mine and uplift, so neither reads it back;
+    the other artifacts pass on disk. mine needs every numeric feature
+    binned, so one without bins is a ConfigError before the log is read."""
     for a in config.attributes:
         if a.kind == NUMERIC and a.name != config.outcome and a.name not in config.bins:
             raise ConfigError(f"numeric attribute {a.name!r} has no bins entry, which run needs")
     pin_mmap_threshold()
+    ingest, table = stage_ingest(config)
     return {
-        "ingest": stage_ingest(config),
-        "mine": stage_mine(config),
-        "uplift": stage_uplift(config),
+        "ingest": ingest,
+        "mine": stage_mine(config, table),
+        "uplift": stage_uplift(config, table=table),
         "rank": stage_rank(config),
     }
 

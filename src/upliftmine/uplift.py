@@ -130,18 +130,22 @@ def divergence(p, q, kind: str) -> float:
     return float(_divergence_unchecked(p[0], q[0], kind))
 
 
-def _divergence_unchecked(p, q, kind: str):
+def _divergence_unchecked(p, q, kind: str, p_neg=None, q_neg=None):
     """Binary divergence on first components, elementwise over arrays,
     tolerating boundary values with the conventions 0*log(0/x) = 0 and
-    (p-q)^2/0 -> inf for p != q.
+    (p-q)^2/0 -> inf for p != q. The second components are 1 - p and 1 - q
+    unless p_neg and q_neg give them: next to a rate of 1, 1 - q cancels
+    digits that a rate computed from the negative counts keeps.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if kind == "Euclid":
         d = p - q
         return 2.0 * d * d
+    p_neg = 1.0 - p if p_neg is None else p_neg
+    q_neg = 1.0 - q if q_neg is None else q_neg
     total = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for pi, qi in ((p, q), (1.0 - p, 1.0 - q)):
+        for pi, qi in ((p, q), (p_neg, q_neg)):
             if kind == "KL":
                 term = np.where(pi == 0.0, 0.0, pi * np.log2(pi / qi))
             else:
@@ -164,7 +168,9 @@ def _gini(p):
 @dataclass(frozen=True)
 class NodeStats:
     """Counts and smoothed outcome rates of one node, or elementwise of a
-    block of candidate children when the fields are equal-length arrays."""
+    block of candidate children when the fields are equal-length arrays.
+    neg_treat and neg_ctrl are the smoothed negative rates, 1 - p_treat and
+    1 - p_ctrl, computed from the negative counts."""
 
     n_treat: int
     n_ctrl: int
@@ -172,6 +178,8 @@ class NodeStats:
     pos_ctrl: int
     p_treat: float
     p_ctrl: float
+    neg_treat: float
+    neg_ctrl: float
 
     def __post_init__(self):
         if np.any(self.pos_treat > self.n_treat) or np.any(self.pos_ctrl > self.n_ctrl):
@@ -193,20 +201,26 @@ def node_stats(
     n_treat, pos_treat, n_ctrl, pos_ctrl, parent: Optional[NodeStats], n_reg: float
 ) -> NodeStats:
     """Smoothed per-group outcome rates: p = (pos + n_reg*prior) / (n + n_reg),
-    elementwise over count arrays.
+    elementwise over count arrays, and likewise each negative rate from the
+    negative count and the prior's negative rate.
 
     The root's prior (both groups) is the pooled positive rate over treated
     plus control, clamped into (0, 1) so degenerate outcomes stay usable.
+    Below the root, the prior is the parent's rate.
     """
     if parent is None:
-        pooled = (pos_treat + pos_ctrl) / (n_treat + n_ctrl)
-        pooled = min(max(pooled, PRIOR_EPS), 1.0 - PRIOR_EPS)
-        prior_t = prior_c = pooled
+        n, pos = n_treat + n_ctrl, pos_treat + pos_ctrl
+        prior_t = prior_c = min(max(pos / n, PRIOR_EPS), 1.0 - PRIOR_EPS)
+        neg_prior_t = neg_prior_c = min(max((n - pos) / n, PRIOR_EPS), 1.0 - PRIOR_EPS)
     else:
         prior_t, prior_c = parent.p_treat, parent.p_ctrl
-    p_treat = (pos_treat + n_reg * prior_t) / (n_treat + n_reg)
-    p_ctrl = (pos_ctrl + n_reg * prior_c) / (n_ctrl + n_reg)
-    return NodeStats(n_treat, n_ctrl, pos_treat, pos_ctrl, p_treat, p_ctrl)
+        neg_prior_t, neg_prior_c = parent.neg_treat, parent.neg_ctrl
+    weight_t, weight_c = n_treat + n_reg, n_ctrl + n_reg
+    p_treat = (pos_treat + n_reg * prior_t) / weight_t
+    p_ctrl = (pos_ctrl + n_reg * prior_c) / weight_c
+    neg_treat = (n_treat - pos_treat + n_reg * neg_prior_t) / weight_t
+    neg_ctrl = (n_ctrl - pos_ctrl + n_reg * neg_prior_c) / weight_c
+    return NodeStats(n_treat, n_ctrl, pos_treat, pos_ctrl, p_treat, p_ctrl, neg_treat, neg_ctrl)
 
 
 @dataclass(frozen=True)
@@ -248,11 +262,12 @@ def gain(parent: NodeStats, left: NodeStats, right: NodeStats, kind: str) -> flo
     """Divergence gained by the split: the size-weighted sum of the child
     divergences minus the parent's divergence; elementwise over a block of
     candidate children."""
-    d_after = sum(
-        (child.n / parent.n) * _divergence_unchecked(child.p_treat, child.p_ctrl, kind)
-        for child in (left, right)
-    )
-    return d_after - _divergence_unchecked(parent.p_treat, parent.p_ctrl, kind)
+
+    def divergence_of(s: NodeStats):
+        return _divergence_unchecked(s.p_treat, s.p_ctrl, kind, s.neg_treat, s.neg_ctrl)
+
+    d_after = sum((child.n / parent.n) * divergence_of(child) for child in (left, right))
+    return d_after - divergence_of(parent)
 
 
 def normalization_from_counts(

@@ -40,6 +40,20 @@ BASE_SCHEMA = [
 ]
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"source": "last", "source_arg": 5}, "source_arg must be a string"),
+        ({"source": "sum"}, "unknown source 'sum'"),
+        ({"source": "count"}, "source 'count' needs source_arg"),
+        ({"source": "last", "source_arg": ""}, "source 'last' needs source_arg"),
+    ],
+)
+def test_attribute_schema_rejects_a_bad_source(fields, message):
+    with pytest.raises(SchemaError, match=f"attribute 'n': {message}"):
+        AttributeSchema("n", "numeric", **fields)
+
+
 def test_encode_last_observed_value_and_count():
     trace = make_trace(
         "c1",
@@ -288,6 +302,35 @@ def test_discretize_non_numeric_attribute_rejected():
     table = _numeric_table([1.0], extra_attr=True)
     with pytest.raises(ConfigError):
         discretize(table, {"color": 2})
+
+
+def test_every_array_of_a_table_is_read_only():
+    schema = [
+        AttributeSchema("x", "numeric"),
+        AttributeSchema("y", "numeric"),
+        AttributeSchema("color", "categorical"),
+    ]
+    columns = {
+        "x": [3.0, 1.0, None, 9.5],
+        "y": [1, 2, 3, None],
+        "color": ["red", None, "blue", "red"],
+    }
+    table = CaseTable(schema, "Selected", ["a", "b", "c", "d"], [0, 1, 1, 0], columns)
+    binned = discretize(table, {"x": 2})
+    arrays = {
+        "outcome": binned.outcome,
+        "x floats": binned.numeric("x"),
+        "y floats": binned.numeric("y"),
+        "x interval codes": binned.coded("x").codes,
+        "color codes": binned.coded("color").codes,
+    }
+    for name in ("x", "y", "color"):
+        arrays[f"{name} ranked values"], arrays[f"{name} ranks"] = binned.ranked(name)
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+    assert binned.column("x") == [3.0, 1.0, None, 9.5]
+    assert binned.ranked("color")[1].tolist() == [1, 2, 0, 1]
 
 
 def test_discretize_preserves_rows_and_case_ids():

@@ -249,6 +249,11 @@ def test_parse_xes_nested_trace_or_event_is_an_error(doc):
         parse_xes(doc)
 
 
+def test_parse_xes_event_outside_a_trace_is_an_error():
+    with pytest.raises(LogParseError, match="XES <event> outside of a <trace>"):
+        parse_xes(b'<log><event><string key="concept:name" value="a"/></event></log>')
+
+
 def test_parse_xes_skips_attributes_without_a_value():
     doc = b"""<log><trace>
       <string key="concept:name" value="c1"/>
@@ -381,6 +386,16 @@ def test_parse_csv_short_row_reports_row_and_cell_count():
     with pytest.raises(LogParseError, match="expected at least 3") as err:
         parse_csv(data)
     assert err.value.row == 2
+
+
+def test_parse_csv_field_over_the_csv_limit_is_malformed_csv():
+    data = (
+        b"case_id,activity,timestamp,v\n"
+        b"c1,apply,2020-05-01T00:00:00Z,ok\n"
+        b"c2,apply,2020-05-01T00:00:00Z," + b"x" * 200_000 + b"\n"
+    )
+    with pytest.raises(LogParseError, match="malformed CSV at line 3: field larger"):
+        parse_csv(data)
 
 
 def test_parse_csv_invalid_utf8_reports_byte_offset():

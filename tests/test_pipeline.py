@@ -349,18 +349,100 @@ def snapshot(out_dir: Path) -> dict[str, bytes]:
     }
 
 
-def test_run_equals_staged_composition(eight_row_config):
+def _composition_row(i: int) -> dict:
+    """Case i of the composition logs: F = b lifts Y except in every fifth case."""
+    f = "ab"[i % 2]
+    return {"S": "xyz"[i // 2 % 3], "F": f, "V": i % 7 * 1.5, "Y": int((f == "b") != (i % 5 == 0))}
+
+
+def _with_infinities(i: int) -> dict:
+    row = _composition_row(i)
+    return {**row, "V": {0: "-inf", 3: "inf"}.get(i % 7, row["V"])}
+
+
+def _with_missing_values(i: int) -> dict:
+    row = _composition_row(i)
+    return {**row, "S": None if i % 6 == 0 else row["S"], "V": None if i % 4 == 1 else row["V"]}
+
+
+def _with_typed_labels(i: int) -> dict:
+    """S holds XES ints and a float, F booleans, V floats and Y ints."""
+    row = _composition_row(i)
+    return {**row, "S": (0, 1, 2.5)[i // 2 % 3], "F": row["F"] == "b"}
+
+
+def _composition_config(directory: Path, rows: list[dict], xes: bool) -> PipelineConfig:
+    """A config over rows, one event per case, as CSV or as typed XES; V is
+    numeric and binned, the rest categorical."""
+    directory.mkdir()
+    log = directory / ("log.xes" if xes else "log.csv")
+    if xes:
+        stamp = datetime(2020, 1, 1, tzinfo=timezone.utc)
+        traces = [(f"c{i}", {}, [("apply", stamp, row)], False) for i, row in enumerate(rows)]
+        log.write_bytes(xes_log(traces))
+    else:
+        lines = ["case_id,activity,timestamp,S,F,V,Y"] + [
+            ",".join([f"c{i}", "apply", "2020-01-01T00:00:00Z"])
+            + "".join("," if v is None else f",{v}" for v in row.values())
+            for i, row in enumerate(rows)
+        ]
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    raw = minimal_raw(directory)
+    raw["attributes"].insert(2, {"name": "V", "kind": "numeric"})
+    raw.update(
+        input=str(log),
+        format="xes" if xes else "csv",
+        out_dir=str(directory / "out"),
+        bins={"V": 3},
+        rules={"min_support": 0.05, "min_confidence": 0.5},
+        tree={"max_depth": 2, "min_samples_split": 4, "min_samples_treatment": 1, "n_reg": 1.0},
+    )
+    return config_from_dict(raw)
+
+
+def test_run_equals_staged_composition(eight_row_config, tmp_path):
+    """run hands the table it ingested on in memory, the stages read it back:
+    the artifacts, manifests included, must not tell the two apart, also for
+    binned columns, infinities, missing values and typed XES labels."""
+    configs = {"eight rows": eight_row_config}
+    for name, row, xes in [
+        ("binned", _composition_row, False),
+        ("infinities", _with_infinities, False),
+        ("missing values", _with_missing_values, False),
+        ("typed xes labels", _with_typed_labels, True),
+    ]:
+        configs[name] = _composition_config(tmp_path / name, [row(i) for i in range(60)], xes)
+    for name, config in configs.items():
+        out = Path(config.out_dir)
+        run(config)
+        combined = snapshot(out)
+        assert any(path.startswith(TREES_DIR) for path in combined), name
+
+        shutil.rmtree(out)
+        stage_ingest(config)
+        stage_mine(config)
+        stage_uplift(config)
+        stage_rank(config)
+        assert snapshot(out) == combined, name
+
+
+def test_run_reads_the_case_table_zero_times_and_each_stage_alone_once(
+    eight_row_config, monkeypatch
+):
+    reads, read_json = [], pipeline._read_json
+
+    def counting(path):
+        if os.path.basename(path) == CASE_TABLE_FILE:
+            reads.append(path)
+        return read_json(path)
+
+    monkeypatch.setattr(pipeline, "_read_json", counting)
     run(eight_row_config)
-    combined = snapshot(Path(eight_row_config.out_dir))
-
-    shutil.rmtree(eight_row_config.out_dir)
-    stage_ingest(eight_row_config)
+    assert reads == []
     stage_mine(eight_row_config)
+    assert len(reads) == 1
     stage_uplift(eight_row_config)
-    stage_rank(eight_row_config)
-    staged = snapshot(Path(eight_row_config.out_dir))
-
-    assert staged == combined
+    assert len(reads) == 2
 
 
 def test_vacuous_support_threshold_empties_the_chain(eight_row_config, tmp_path):
@@ -740,6 +822,54 @@ def test_cli_undecodable_log_value_is_a_data_error(tmp_path, caplog, log_name, d
     with caplog.at_level(logging.ERROR):
         assert main(["ingest", "--config", str(config)]) == 2
     assert message in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "log_name, data, message",
+    [
+        (
+            "log.xes",
+            b'<log><event><string key="concept:name" value="apply"/></event></log>',
+            "XES <event> outside of a <trace>",
+        ),
+        (
+            "log.csv",
+            EIGHT_ROW_CSV.replace(",x,", f",{'x' * 200_000},", 1).encode(),
+            "malformed CSV at line 2: field larger than field limit",
+        ),
+    ],
+    ids=["xes-event-outside-a-trace", "csv-field-over-the-limit"],
+)
+def test_cli_malformed_log_is_a_data_error(tmp_path, caplog, log_name, data, message):
+    (tmp_path / log_name).write_bytes(data)
+    raw = minimal_raw(tmp_path)
+    raw.update(input=str(tmp_path / log_name), format=log_name.rsplit(".", 1)[1])
+    raw["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["ingest", "--config", str(config)]) == 2
+    assert message in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"source": "last", "source_arg": 5}, "source_arg must be a string"),
+        ({"source": "sum"}, "unknown source 'sum'"),
+        ({"source": "count"}, "source 'count' needs source_arg"),
+    ],
+)
+def test_cli_bad_attribute_source_is_a_config_error(tmp_path, caplog, fields, message):
+    raw = minimal_raw(tmp_path)
+    raw["attributes"][0].update(fields)
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", "--config", str(config)]) == 1
+    assert f"attribute 'S': {message}" in caplog.text
     assert "unexpected failure" not in caplog.text
 
 

@@ -249,6 +249,13 @@ def candidate_blocks(draw):
     pairs=st.lists(st.tuples(FRACTIONS, FRACTIONS), min_size=1, max_size=20),
     block=candidate_blocks(),
 )
+# A control rate of about 0.9992 in the left child: 1 - q would cancel three
+# digits of the ChiSq gain's second term.
+@example(
+    kind="ChiSq",
+    pairs=[(Fraction(1, 2), Fraction(1, 3))],
+    block=((3, 2, 23, 23), [(0, 0, 1, 1)], 1.0),
+)
 def test_array_formulas_match_the_oracles_at_the_boundaries(kind, pairs, block):
     p, q = (np.array([float(pair[i]) for pair in pairs]) for i in (0, 1))
     want = [boundary_divergence(kind, a, b) for a, b in pairs]
