@@ -94,7 +94,7 @@ class CaseTable:
     The constructor is the one place values are encoded and checked: columns
     maps each attribute to its decoded values (labels, numbers, None), or to
     another table's Coded column or float array. An array handed in is kept,
-    not copied, and so becomes read-only too.
+    not copied, and so becomes read-only too; so does a uint8 outcome array.
     """
 
     def __init__(
@@ -125,7 +125,7 @@ class CaseTable:
         bad = np.flatnonzero((outcome != 0) & (outcome != 1))
         if bad.size:
             raise SchemaError(f"case {self.case_ids[bad[0]]!r}: outcome must be 0 or 1")
-        self.outcome = _read_only(outcome.astype(np.uint8))
+        self.outcome = _read_only(outcome.astype(np.uint8, copy=False))
         self._columns: dict[str, Coded | np.ndarray] = {}
         self._ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name in names:
@@ -169,12 +169,12 @@ class CaseTable:
             if self.attribute(name).kind == NUMERIC:
                 values = self.numeric(name)
                 distinct = np.unique(values[~np.isnan(values)])
-                ranks = np.searchsorted(distinct, values)  # NaN sorts last
+                ranks = np.searchsorted(distinct, values).astype(np.int32)  # NaN sorts last
             else:
                 codes, labels = self.coded(name)
                 distinct = np.array(labels, dtype=object)
-                ranks = np.where(codes < 0, len(labels), codes)
-            self._ranked[name] = (_read_only(distinct), _read_only(ranks.astype(np.int32)))
+                ranks = np.where(codes < 0, np.int32(len(labels)), codes)
+            self._ranked[name] = (_read_only(distinct), _read_only(ranks))
         return self._ranked[name]
 
     def equals(self, name: str, label: str) -> np.ndarray:
@@ -342,7 +342,7 @@ def encode_cases(
         raise SchemaError(
             f"attribute {outcome_name!r}: non-binary outcome {value!r} in case {case!r}"
         )
-    outcomes = np.fromiter(map(coded.__getitem__, raw_outcomes), np.int64, len(case_ids))
+    outcomes = np.fromiter(map(coded.__getitem__, raw_outcomes), np.uint8, len(case_ids))
     columns = {}
     for attr in feature_schema:
         values = of_kept(observe(attr))

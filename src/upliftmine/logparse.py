@@ -25,7 +25,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import compress, count, filterfalse, islice, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter, sub
 from pathlib import Path
 from typing import Union
@@ -80,7 +80,8 @@ class _Fold:
     of first appearance; each event adds the int32 codes of its case and its
     activity, from which log() counts the activities; each attribute keeps
     its per-case last value in a list made the first time some case gets a
-    value. Kept str and int values are shared per distinct value."""
+    value (the CSV fold keeps codes instead, see _CsvFold). Kept str and int
+    values are shared per distinct value."""
 
     def __init__(self):
         self.cases: dict[str, int] = {}  # case id -> code
@@ -110,7 +111,11 @@ class _Fold:
         by_activity = {a: cases[activities == code] for a, code in self.activities.items()}
         del cases, activities, self.event_cases, self.event_activities
         counts = {a: np.bincount(rows, minlength=n).tolist() for a, rows in by_activity.items()}
-        return CaseLog(case_ids, counts, self.last, n_events)
+        return CaseLog(case_ids, counts, self.columns(), n_events)
+
+    def columns(self) -> dict[str, list]:
+        """Each attribute's per-case last values."""
+        return self.last
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -380,6 +385,10 @@ _CSV_CHUNK = 256
 _NO_STAMP = np.iinfo(np.int64).min
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DELTA_PARTS = (attrgetter("days"), attrgetter("seconds"), attrgetter("microseconds"))
+# ISO stamps in UTC that numpy reads as fromisoformat does, one per line;
+# fromisoformat reads no year 0.
+_ISO_UTC_RE = re.compile(r"(?:\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d{1,6})?\+00:00\n)*", re.ASCII)
+_YEAR_1 = np.datetime64("0001-01-01", "us").view(np.int64)
 # What reading a row can raise besides a fault of the row itself.
 _CSV_READ_ERRORS = (UnicodeDecodeError, csv.Error, OSError, EOFError, zlib.error)
 
@@ -436,22 +445,43 @@ def _epoch_micros(stamps: list[datetime]) -> np.ndarray:
     return (days * 86400 + seconds) * 1_000_000 + micros
 
 
+def _csv_stamps(texts, fmt: str | None, numbers) -> np.ndarray:
+    """The rows' stamps as int64 microseconds since the epoch. ISO stamps
+    that all read YYYY-MM-DDTHH:MM:SS[.ffffff]+00:00 go through numpy in one
+    call; any other stamps, a date numpy rejects or year 0, which numpy reads
+    and fromisoformat does not, go stamp by stamp through _csv_timestamp,
+    which names the first faulty row."""
+    if fmt is None and _ISO_UTC_RE.fullmatch("\n".join(texts) + "\n"):
+        with contextlib.suppress(ValueError):
+            stamps = np.array([text[:-6] for text in texts], "datetime64[us]").view(np.int64)
+            if not stamps.size or stamps.min() >= _YEAR_1:
+                return stamps
+    return _epoch_micros(list(map(_csv_timestamp, texts, repeat(fmt), numbers)))
+
+
 def _codes(index: dict, keys) -> np.ndarray:
     """Each key's int32 code in index; a key new to index gets the next
     free code, in order of first appearance."""
-    new = dict.fromkeys(filterfalse(index.__contains__, keys))
-    index.update(zip(new, count(len(index))))
-    return np.fromiter(map(index.__getitem__, keys), np.int32, len(keys))
+    setdefault = index.setdefault
+    return np.fromiter([setdefault(key, len(index)) for key in keys], np.int32, len(keys))
 
 
 class _CsvFold(_Fold):
     """The last-value rule over CSV rows, folded a chunk at a time.
 
-    Besides each attribute's last values, it keeps per case the int64 stamp
-    that set each one (_NO_STAMP if none), in an array that grows in place.
-    In a chunk, one stable lexsort by (case, stamp) puts each case's winning
-    row for an attribute last among the rows that carry it; a winner
-    replaces the kept value when its stamp is >= the kept one."""
+    A case's value of an attribute is an int32 code into the fold's table
+    of values (-1 where unset), which holds one object per distinct value;
+    each attribute's codes are one array that grows in place, as is the
+    int64 stamp that set each (_NO_STAMP if none). Attributes that the same
+    rows have carried so far, such as all those that no row has lacked,
+    share one stamp column and one winners computation per chunk; a set of
+    them gets a copy of the column the first time the rows carry them
+    differently. In a chunk, one stable lexsort by (case, stamp) puts each
+    case's winning row for an attribute last among the rows that carry it;
+    a winner replaces the kept value when its stamp is >= the kept one, and
+    each attribute's winners are written with one numpy assignment. log()
+    frees the stamps and the case index before it decodes the codes into
+    CaseLog.last."""
 
     def __init__(self, header: list[str], columns: CsvColumns):
         super().__init__()
@@ -463,14 +493,18 @@ class _CsvFold(_Fold):
         names = columns.attributes
         if names is None:
             names = [name for name in header if name not in mapped]
-        self.names = list(dict.fromkeys(names))
-        self.cells = [index[name] for name in self.names]
+        self.cells = {name: index[name] for name in names}
         self.i_case, self.i_activity, self.i_ts = (index[name] for name in mapped)
         self.n_cells = 1 + max(self.i_case, self.i_activity, self.i_ts)
-        self.width = max([self.n_cells] + [i + 1 for i in self.cells])
+        self.width = max([self.n_cells] + [i + 1 for i in self.cells.values()])
         self.fmt = columns.timestamp_format
         self.next_row = 1
-        self.stamps = {name: array("q") for name in self.names}
+        self.values: list[str] = []  # code -> value, one object per distinct value
+        self.index: dict[str, int] = {}  # value -> code, for values won in two chunks
+        self.codes: dict[str, array] = {}  # attribute -> per-case codes, once set
+        # attribute -> per-case stamps; attributes carried by the same rows
+        # so far share one array.
+        self.stamps: dict[str, array] = dict.fromkeys(self.cells, array("q"))
 
     def add(self, rows: list[list[str]]) -> None:
         """Fold the next rows of the file. Blank rows are skipped; the first
@@ -494,8 +528,7 @@ class _CsvFold(_Fold):
             len(rows) if all(case_ids) else case_ids.index(""),
             len(rows) if all(activities) else activities.index(""),
         )
-        texts = columns[self.i_ts][:faulty]
-        stamps = _epoch_micros(list(map(_csv_timestamp, texts, repeat(self.fmt), numbers)))
+        stamps = _csv_stamps(columns[self.i_ts][:faulty], self.fmt, numbers)
         if faulty < len(rows):
             row_no = numbers[faulty]
             if faulty == short:
@@ -510,28 +543,84 @@ class _CsvFold(_Fold):
         self.event_cases.frombytes(cases.tobytes())
         self.event_activities.frombytes(_codes(self.activities, activities).tobytes())
         n_new = len(self.cases) - n_old
-        for values in self.last.values():
-            values.extend([None] * n_new)
-        order = np.lexsort((stamps, cases))
-        shared = self.shared
-        for name, cell in zip(self.names, self.cells):
-            self.stamps[name].frombytes(np.full(n_new, _NO_STAMP).tobytes())
+        unset = array("i", [-1]) * n_new
+        for codes in self.codes.values():
+            codes.extend(unset)
+        unstamped = np.full(n_new, _NO_STAMP).tobytes()
+        for kept in {id(kept): kept for kept in self.stamps.values()}.values():
+            kept.frombytes(unstamped)
+        # Attributes of one stamp column that this chunk's rows carry alike
+        # keep sharing it; each other set of them moves to a copy, made
+        # before the chunk updates the column.
+        groups: dict[tuple[int, bytes], list[str]] = {}
+        for name, cell in self.cells.items():
             column = columns[cell]
-            carrying = order
-            if not all(column):
-                carrying = order[np.fromiter(map(bool, column), bool, len(column))[order]]
+            carried = b"" if all(column) else bytes(map(bool, column))
+            groups.setdefault((id(self.stamps[name]), carried), []).append(name)
+        seen = set()
+        for (kept, _), names in groups.items():
+            if kept in seen:
+                self.stamps.update(dict.fromkeys(names, array("q", self.stamps[names[0]])))
+            seen.add(kept)
+        order = np.lexsort((stamps, cases))
+        won = {}
+        for (_, carried), names in groups.items():
+            carrying = order[np.frombuffer(carried, bool)[order]] if carried else order
             if not carrying.size:
                 continue
-            # The last row of each case among those carrying the attribute,
+            # The last row of each case among those carrying the attributes,
             # if it is no older than the value kept.
             of_case = cases[carrying]
             winners = carrying[np.append(of_case[1:] != of_case[:-1], True)]
-            kept = np.frombuffer(self.stamps[name], np.int64)
+            kept = np.frombuffer(self.stamps[names[0]], np.int64)
             winners = winners[stamps[winners] >= kept[cases[winners]]]
             kept[cases[winners]] = stamps[winners]
-            values = self.column(name)
-            for case, row in zip(cases[winners].tolist(), winners.tolist()):
-                values[case] = shared[column[row]]
+            won.update(dict.fromkeys(names, (cases[winners], winners.tolist())))
+        # The winning cells take codes into the chunk's distinct values, and
+        # each of those one code for the fold.
+        distinct: dict[str, int] = {}
+        updates = []
+        for name, cell in self.cells.items():
+            if name not in won:
+                continue
+            codes = self.codes.get(name)
+            if codes is None:
+                codes = self.codes[name] = array("i", [-1]) * len(self.cases)
+            of_case, rows = won[name]
+            texts = list(map(columns[cell].__getitem__, rows))
+            updates.append((codes, of_case, _codes(distinct, texts)))
+        coded = np.fromiter(map(self.code, distinct), np.int32, len(distinct))
+        for codes, of_case, local in updates:
+            np.frombuffer(codes, np.int32)[of_case] = coded[local]
+
+    def code(self, value: str) -> int:
+        """The value's code for the fold. The value is indexed only once a
+        second chunk has it, and takes a new code in each of those two, so
+        a value that one chunk alone has, as most numbers are, holds no int
+        object: freed by log(), those would leave their memory pools
+        resident."""
+        code = self.index.get(value)
+        if code is None:
+            code = len(self.values)
+            if value in self.shared:
+                self.index[value] = code
+            self.values.append(self.shared[value])
+        return code
+
+    def log(self) -> CaseLog:
+        """The folded CaseLog; the stamps are freed first."""
+        self.stamps.clear()
+        return super().log()
+
+    def columns(self) -> dict[str, list]:
+        """Each code array decoded into a list of values, and freed."""
+        values = self.values
+        self.index.clear()
+        self.shared.clear()
+        values.append(None)  # code -1 picks the None
+        return {
+            name: list(map(values.__getitem__, self.codes.pop(name))) for name in list(self.codes)
+        }
 
 
 def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:
@@ -545,7 +634,6 @@ def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:
             rows.clear()  # before the next chunk is read
     if fold is None:
         raise LogParseError("CSV input has no header row")
-    fold.stamps.clear()  # before log() builds the counts
     return fold.log()
 
 

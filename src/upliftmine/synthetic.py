@@ -13,9 +13,8 @@ one seed always yields the identical log.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 import yaml
@@ -217,12 +216,14 @@ def generate(scenario: SyntheticScenario) -> tuple[CaseLog, dict[int, float]]:
 
 def write_log(case_log: CaseLog, path) -> None:
     """Write a generated log as CSV: case i is one ACTIVITY event at i
-    seconds past 2020-01-01 UTC, with the attributes in name order."""
+    seconds past 2020-01-01 UTC, with the attributes in name order. No
+    field of a generated log (the attribute names, the case ids, ACTIVITY,
+    the stamps and the 0/1 flags) needs quoting, so the rows are joined as
+    they are, with csv.writer's line terminator."""
     names = sorted(case_log.last)
     seconds = np.datetime_as_string(_T0 + np.arange(len(case_log)), unit="s")
     stamps = (text + "+00:00" for text in seconds.tolist())
     columns = (case_log.case_ids, repeat(ACTIVITY), stamps, *map(case_log.last.get, names))
+    rows = chain([("case_id", "activity", "timestamp", *names)], zip(*columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "activity", "timestamp", *names])
-        writer.writerows(zip(*columns))
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

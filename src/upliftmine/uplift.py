@@ -334,30 +334,43 @@ def _candidates(table: CaseTable, treat_idx, ctrl_idx, feature_names):
     for rows in (treat_idx, ctrl_idx):
         groups += [rows, rows[table.outcome[rows] == 1]]
     rows = np.concatenate(groups)
-    group = np.repeat(np.arange(4), [len(g) for g in groups])
+    group = np.repeat(np.arange(4, dtype=np.int32), [len(g) for g in groups])
+    del groups
     for attribute in sorted(feature_names):
-        values, ranks = table.ranked(attribute)
-        size = len(values) + 1  # the last bucket holds missing rows
-        hist = np.bincount(group * size + ranks[rows], minlength=4 * size).reshape(4, size)
-        node = hist[0] + hist[2]
-        present = np.flatnonzero(node[:-1])
-        if present.size < 2:
-            continue
-        if table.attribute(attribute).kind != NUMERIC:
-            yield attribute, False, values[present], hist[:, present]
-            continue
-        # Left counts at each cut: none, after each present value, and after
-        # the missing rows too, which only a NaN threshold takes.
-        cumulative = np.zeros((4, present.size + 2), dtype=np.int64)
-        np.cumsum(hist[:, present], axis=1, out=cumulative[:, 1:-1])
-        cumulative[:, -1] = cumulative[:, -2] + hist[:, -1]
-        distinct = values[present]
-        tests = _numeric_thresholds(distinct, cumulative[0, 1:-1] + cumulative[2, 1:-1])
-        # Left rows hold value <= t, so a NaN t (from -inf and +inf) takes the
-        # missing rows too, as a sorted search with NaN last does. A midpoint
-        # that overflows to -inf lies below every value: at = 0, no rows.
-        at = np.searchsorted(distinct, tests, side="right") + np.isnan(tests)
-        yield attribute, True, tests, cumulative[:, at]
+        block = _attribute_candidates(table, attribute, rows, group)
+        if block is not None:
+            yield block
+
+
+def _attribute_candidates(table: CaseTable, attribute: str, rows, group):
+    """One attribute's block of _candidates, or None when the node's rows
+    hold fewer than two of its values. The keys are int32, and every
+    array as long as the node or the attribute's values dies on return."""
+    values, ranks = table.ranked(attribute)
+    size = len(values) + 1  # the last bucket holds missing rows
+    key = group * size
+    key += ranks[rows]
+    hist = np.bincount(key, minlength=4 * size).reshape(4, size)
+    del key
+    present = np.flatnonzero(hist[0, :-1] + hist[2, :-1])
+    if present.size < 2:
+        return None
+    if table.attribute(attribute).kind != NUMERIC:
+        return attribute, False, values[present], hist[:, present]
+    # Left counts at each cut: none, after each present value, and after
+    # the missing rows too, which only a NaN threshold takes.
+    counts = hist[:, np.append(present, size - 1)]
+    del hist
+    cumulative = np.zeros((4, present.size + 2), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=cumulative[:, 1:])
+    del counts
+    distinct = values[present]
+    tests = _numeric_thresholds(distinct, cumulative[0, 1:-1] + cumulative[2, 1:-1])
+    # Left rows hold value <= t, so a NaN t (from -inf and +inf) takes the
+    # missing rows too, as a sorted search with NaN last does. A midpoint
+    # that overflows to -inf lies below every value: at = 0, no rows.
+    at = np.searchsorted(distinct, tests, side="right") + np.isnan(tests)
+    return attribute, True, tests, cumulative[:, at]
 
 
 def best_split(

@@ -3,7 +3,9 @@ import io
 import math
 import re
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,12 @@ from helpers import XES_LAYOUTS, cell_text, csv_log, xes_log
 from oracles import reference_fold, reference_parse_timestamp
 from upliftmine.errors import LogParseError, SchemaError
 from upliftmine.logparse import (
+    _CSV_CHUNK,
     CaseLog,
     CsvColumns,
+    _csv_stamps,
     _csv_timestamp,
+    _CsvFold,
     parse_csv,
     parse_timestamp,
     parse_xes,
@@ -460,6 +465,131 @@ def test_parse_csv_matches_the_reference_fold_across_chunks():
         )
     expected = reference_fold([(cid, {}, evs) for cid, evs in events.items()])
     assert parse_csv(data) == expected
+
+
+def _leaving_csv(boundary: int, u_every: int, v_every: int):
+    """CSV text of rows whose u, v and w are set in every row before row
+    boundary; from there on u is empty in every u_every-th row, the first
+    of them boundary itself, and v in every v_every-th row, the first of
+    them at least one row later; w stays set. Case "tie" has a row before
+    the boundary and one at it with the log's latest stamp, the later one
+    lacking u; case "old" has a row just after the boundary that sets u
+    with an older stamp than its first row. Returns the text and the rows."""
+    late, early = "2020-01-02T00:00:00Z", "2019-06-01T00:00:00Z"
+    rows = []
+    for row in range(1, boundary + 2 * _CSV_CHUNK):
+        hour, minute = divmod(row % 1440, 60)
+        cells = [f"c{row % 40}", f"A{row % 3}", f"2020-01-01T{hour:02d}:{minute:02d}:00Z"]
+        cells += [f"u{row}", f"v{row}", f"w{row}"]
+        if row >= boundary and (row - boundary) % u_every == 0:
+            cells[3] = ""
+        if row > boundary and (row - boundary) % v_every == 0:
+            cells[4] = ""
+        rows.append(cells)
+    rows[1] = ["tie", "A0", late, "u_kept", "v_old", "w_old"]
+    rows[2] = ["old", "A1", "2020-01-01T23:00:00Z", "u_first", "v_first", "w_first"]
+    rows[boundary - 1] = ["tie", "A2", late, "", "v_new", "w_new"]
+    rows[boundary] = ["old", "A1", early, "u_stale", "v_stale", "w_stale"]
+    lines = ["case_id,activity,timestamp,u,v,w"] + [",".join(r) for r in rows]
+    return "\n".join(lines).encode(), rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 3 * _CSV_CHUNK),
+    st.integers(1, 9),
+    st.integers(1, 9),
+)
+@example(2 * _CSV_CHUNK + 5, 2, 3)
+def test_parse_csv_shared_stamps_leaving_a_full_column_match_the_reference(
+    boundary, u_every, v_every
+):
+    # u and v share w's stamp column until a row lacks them, in some later
+    # chunk than the first; the rows of "tie" and "old" fall on both sides.
+    data, rows = _leaving_csv(boundary, u_every, v_every)
+    events: dict[str, list] = {}
+    for case_id, activity, stamp, *cells in rows:
+        attrs = {key: cell for key, cell in zip("uvw", cells) if cell}
+        events.setdefault(case_id, []).append((activity, reference_parse_timestamp(stamp), attrs))
+    log = parse_csv(data)
+    assert log == reference_fold([(cid, {}, evs) for cid, evs in events.items()])
+    tie, old = log.case_ids.index("tie"), log.case_ids.index("old")
+    assert [log.last[key][tie] for key in "uvw"] == ["u_kept", "v_new", "w_new"]
+    assert [log.last[key][old] for key in "uvw"] == ["u_first", "v_first", "w_first"]
+
+
+def test_csv_fold_keeps_one_stamp_column_until_a_cell_is_missing():
+    header = ["case_id", "activity", "timestamp", "u", "v", "w"]
+    fold = _CsvFold(header, CsvColumns())
+    for start in range(0, 3 * _CSV_CHUNK, _CSV_CHUNK):
+        fold.add([[f"c{row % 40}", "A", "2020-01-01T00:00:00Z", "1", "2", "3"]
+                  for row in range(start, start + _CSV_CHUNK)])
+    assert len({id(stamps) for stamps in fold.stamps.values()}) == 1
+    fold.add([["c1", "A", "2020-01-01T00:00:01Z", "", "2", "3"]])
+    assert fold.stamps["v"] is fold.stamps["w"] is not fold.stamps["u"]
+    fold.add([["c1", "A", "2020-01-01T00:00:02Z", "1", "", "3"]])
+    assert len({id(stamps) for stamps in fold.stamps.values()}) == 3
+    log = fold.log()
+    assert [log.last[key][1] for key in "uvw"] == ["1", "2", "3"]
+
+
+_ISO_UTC_DATETIMES = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31))
+
+
+def _iso_utc(moment: datetime, digits: int) -> str:
+    """moment as YYYY-MM-DDTHH:MM:SS, the first digits digits of its
+    fraction (with the point, if any) and +00:00."""
+    fraction = f".{moment.microsecond:06d}"[: digits + 1] if digits else ""
+    return f"{moment.year:04d}{moment:-%m-%dT%H:%M:%S}{fraction}+00:00"
+
+
+def _micros_one_by_one(texts, first_row: int):
+    """The stamps as int64 microseconds through _csv_timestamp one by one,
+    or the LogParseError it raises for the first faulty one."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    try:
+        stamps = [_csv_timestamp(text, None, first_row + i) for i, text in enumerate(texts)]
+    except LogParseError as exc:
+        return str(exc), exc.row
+    return [(stamp - epoch) // timedelta(microseconds=1) for stamp in stamps]
+
+
+def _micros_per_chunk(texts, first_row: int):
+    try:
+        stamps = _csv_stamps(texts, None, range(first_row, first_row + len(texts)))
+    except LogParseError as exc:
+        return str(exc), exc.row
+    assert stamps.dtype == np.int64
+    return stamps.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_ISO_UTC_DATETIMES, st.integers(0, 6)), min_size=1, max_size=40),
+    st.one_of(
+        st.none(),
+        st.sampled_from(
+            [
+                "0000-01-01T00:00:00+00:00",
+                "2021-02-29T12:00:00+00:00",
+                "2021-01-01T00:00:00.1234567+00:00",
+                "2021-01-01T24:00:00+00:00",
+                "2021-01-01T00:00:00+00:00 ",
+            ]
+        ),
+    ),
+    st.data(),
+)
+@example([(datetime(1, 1, 1), 0), (datetime(9999, 12, 31, 23, 59, 59, 999999), 6)], None, None)
+def test_iso_utc_fast_path_matches_parse_timestamp_stamp_by_stamp(moments, odd, data):
+    texts = [_iso_utc(moment, digits) for moment, digits in moments]
+    if odd is not None:
+        texts.insert(data.draw(st.integers(0, len(texts))), odd)
+    else:
+        # Every stamp of an ISO-UTC chunk is read in the one numpy call.
+        with mock.patch("upliftmine.logparse._csv_timestamp", side_effect=AssertionError):
+            assert _micros_per_chunk(texts, 7) == _micros_one_by_one(texts, 7)
+    assert _micros_per_chunk(texts, 7) == _micros_one_by_one(texts, 7)
 
 
 class _Unseekable(io.RawIOBase):

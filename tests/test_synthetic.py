@@ -112,6 +112,21 @@ def test_written_log_parses_back_to_the_generated_one(tmp_path):
     assert lines[2].startswith(b"case_000001,observed,2020-01-01T00:00:01+00:00,")
 
 
+def test_written_log_equals_csv_writers_bytes(tmp_path):
+    # write_log joins the fields unquoted; csv.writer would quote none of them.
+    log, _ = generate(scenario(n_cases=300, seed=5))
+    write_log(log, tmp_path / "log.csv")
+    names = sorted(log.last)
+    t0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["case_id", "activity", "timestamp", *names])
+        for i, case_id in enumerate(log.case_ids):
+            stamp = (t0 + timedelta(seconds=i)).isoformat()
+            writer.writerow([case_id, "observed", stamp, *(log.last[n][i] for n in names)])
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_written_stamps_equal_isoformat_across_midnight(tmp_path):
     # 90,000 cases reach 2020-01-02T01:00; case i is stamped i seconds past
     # 2020-01-01 UTC, as datetime.isoformat writes it.
