@@ -108,8 +108,8 @@ def _item_masks(table: CaseTable) -> list[tuple[tuple[str, str], np.ndarray]]:
     and labels ascending within each."""
     items = []
     for name in sorted(table.attribute_names):
-        codes, labels = table.coded(name)
-        items += [((name, label), codes == code) for code, label in enumerate(labels)]
+        column = table.coded(name)
+        items += [((name, label), column.codes == code) for code, label in enumerate(column.values)]
     return items
 
 

@@ -14,15 +14,12 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from itertools import compress, repeat
 from math import floor, nan
-from operator import is_not
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .logparse import CaseLog
+from .logparse import CaseLog, Coded
 
 log = logging.getLogger(__name__)
 
@@ -70,31 +67,23 @@ class AttributeSchema:
             )
 
 
-class Coded(NamedTuple):
-    """A label column: int32 codes into the sorted observed labels, with -1
-    where the value is missing."""
-
-    codes: np.ndarray
-    labels: tuple[str, ...]
-
-
 class CaseTable:
     """Column store of encoded cases, immutable: every array it holds or
     hands out (outcome, each column's codes or floats, each ranked() pair)
     is read-only, so one table can serve every stage of a run.
 
-    Each attribute is stored once: a categorical one as a Coded column, a
-    numeric one, binned or not, as float64 with NaN for missing. bins maps a
-    binned attribute to its interior interval boundaries (numbers, strictly
-    increasing; with the open ends they partition the real line), and its
-    Coded interval labels are derived from its numbers and those bounds: each
-    value takes the label of its right-closed interval, a missing one the
-    real label "missing".
+    Each attribute is stored once: a categorical one as a Coded column whose
+    values are its sorted labels, a numeric one, binned or not, as float64
+    with NaN for missing. bins maps a binned attribute to its interior
+    interval boundaries (numbers, strictly increasing; with the open ends
+    they partition the real line), and its Coded interval labels are derived
+    from its numbers and those bounds: each value takes the label of its
+    right-closed interval, a missing one the real label "missing".
 
-    The constructor is the one place values are encoded and checked: columns
-    maps each attribute to its decoded values (labels, numbers, None), or to
-    another table's Coded column or float array. An array handed in is kept,
-    not copied, and so becomes read-only too; so does a uint8 outcome array.
+    The constructor is the one place values are encoded and checked, once
+    per value that some case holds: columns maps each attribute to a Coded
+    column or a list of values (labels, numbers, None), or to another
+    table's float array, which is kept, not copied, as a uint8 outcome is.
     """
 
     def __init__(
@@ -129,10 +118,12 @@ class CaseTable:
         self._columns: dict[str, Coded | np.ndarray] = {}
         self._ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name in names:
+            if len(columns[name]) != n:
+                raise SchemaError(f"attribute {name!r}: column length differs from cases")
             encode = _encode_floats if name in numeric else _encode_labels
             self._columns[name] = encode(name, columns[name], self.case_ids)
         self._intervals = {
-            name: _interval_codes(bounds, self._columns[name]) for name, bounds in self.bins.items()
+            name: _interval_codes(name, b, self._columns[name]) for name, b in self.bins.items()
         }
 
     def __len__(self) -> int:
@@ -171,63 +162,81 @@ class CaseTable:
                 distinct = np.unique(values[~np.isnan(values)])
                 ranks = np.searchsorted(distinct, values).astype(np.int32)  # NaN sorts last
             else:
-                codes, labels = self.coded(name)
-                distinct = np.array(labels, dtype=object)
-                ranks = np.where(codes < 0, np.int32(len(labels)), codes)
+                column = self.coded(name)
+                distinct = np.array(column.values, dtype=object)
+                ranks = np.where(column.codes < 0, np.int32(len(distinct)), column.codes)
             self._ranked[name] = (_read_only(distinct), _read_only(ranks))
         return self._ranked[name]
 
     def equals(self, name: str, label: str) -> np.ndarray:
         """Row mask of the cases whose label for name equals label."""
-        codes, labels = self.coded(name)
+        column = self.coded(name)
+        labels = column.values
         # len(labels) is no row's code, so an unobserved label matches nothing.
-        return codes == (labels.index(label) if label in labels else len(labels))
+        return column.codes == (labels.index(label) if label in labels else len(labels))
 
     def column(self, name: str) -> list:
         """Decoded stored values: labels, or floats for a numeric attribute
         (binned or not), None where missing."""
         column = self._columns[self.attribute(name).name]
         if isinstance(column, Coded):
-            decode = column.labels + (None,)  # code -1 picks the None
-            return [decode[code] for code in column.codes.tolist()]
+            return list(column)
         return [None if v != v else v for v in column.tolist()]
 
     def outcomes(self) -> list[int]:
         return self.outcome.tolist()
 
 
-def _encode_labels(name: str, values, case_ids: list[str]) -> Coded:
-    if isinstance(values, Coded):
-        column = values
-    else:
-        distinct = set(values) - {None}
-        if not all(isinstance(label, str) for label in distinct):
-            raise SchemaError(f"attribute {name!r}: labels must be strings")
-        labels = tuple(sorted(distinct))
-        index = {label: code for code, label in enumerate(labels)}
-        index[None] = -1
-        codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
-        column = Coded(codes, labels)
-    if len(column.codes) != len(case_ids):
-        raise SchemaError(f"attribute {name!r}: column length differs from cases")
-    _read_only(column.codes)
-    return column
+def _held(column: Coded) -> tuple[np.ndarray, list]:
+    """The codes that some case holds, ascending, and their values."""
+    # bincount, not np.unique: a process's first np.unique faults in about
+    # 1.5 MB (numpy 2.4), which would raise ingest's peak RSS.
+    codes = column.codes
+    held = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(column.values)))
+    return held, list(map(column.values.__getitem__, held.tolist()))
 
 
-def _encode_floats(name: str, values, case_ids: list[str]) -> np.ndarray:
-    """The one place a case-table number becomes a float: one numpy pass,
-    which reads each value as float() does and None as NaN."""
+def _recoded(column: Coded, held: np.ndarray, codes, values) -> Coded:
+    """The column with each held code replaced by its new code into values."""
+    new = np.full(len(column.values) + 1, -1, np.int32)  # code -1 picks the last -1
+    new[held] = codes
+    return Coded(new[column.codes], values)
+
+
+def _converted(column: Coded, convert) -> Coded:
+    """The column coded into its held values, each converted once."""
+    held, values = _held(column)
+    return _recoded(column, held, np.arange(len(held)), list(map(convert, values)))
+
+
+def _encode_labels(name: str, column, case_ids: list[str]) -> Coded:
+    """The column coded into the sorted labels that its cases hold."""
+    column = Coded.of(column)
+    held, values = _held(column)
+    if not all(isinstance(label, str) for label in values):
+        raise SchemaError(f"attribute {name!r}: labels must be strings")
+    labels = tuple(sorted(set(values)))
+    index = {label: code for code, label in enumerate(labels)}
+    return _recoded(column, held, list(map(index.__getitem__, values)), labels)
+
+
+def _encode_floats(name: str, column, case_ids: list[str]) -> np.ndarray:
+    """The one place a case-table number becomes a float: each value that
+    some case holds converts once, as float() reads it, in one numpy pass;
+    a missing one reads as NaN. Another table's float array is kept."""
+    if isinstance(column, np.ndarray):
+        return _read_only(column)
+    column = Coded.of(column)
+    held, values = _held(column)
+    floats = np.full(len(column.values) + 1, nan)  # code -1 picks the last NaN
     try:
-        column = np.asarray(values, dtype=np.float64)
+        floats[held] = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        # Value by value, so that the error names the first bad case.
-        numbers = map(_coerce_numeric, values, repeat(name), case_ids)
-        column = np.fromiter(numbers, np.float64)
-    # len(values) as well: the value by value pass stops at the last case,
-    # so it would cut a longer column short.
-    if column.shape != (len(case_ids),) or len(values) != len(case_ids):
-        raise SchemaError(f"attribute {name!r}: column length differs from cases")
-    return _read_only(column)
+        # Case by case, so that the error names the first bad case.
+        for value, case_id in zip(column, case_ids):
+            _coerce_numeric(value, name, case_id)
+        floats[held] = np.fromiter(map(float, values), np.float64, len(values))
+    return _read_only(floats[column.codes])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -281,14 +290,6 @@ def _label(value) -> str:
     return str(value)
 
 
-def _is_text(values: list) -> bool:
-    """Whether every value of a label column is text or missing, as in every
-    CSV column, so the values are the labels. Typed labels, as XES gives
-    them, cannot be made once per distinct value: True == 1 == 1.0 and
-    -0.0 == 0.0 are equal keys, yet they label differently."""
-    return set(map(type, values)) <= {str, type(None)}
-
-
 def encode_cases(
     case_log: CaseLog,
     schema: list[AttributeSchema],
@@ -296,10 +297,9 @@ def encode_cases(
     positive_labels: frozenset[str] | None = None,
 ) -> CaseTable:
     """One row per case of the log; cases without the outcome drop. Each
-    distinct outcome value, of any type, converts once; a categorical label
-    is text as it is, a typed value's label is made per case; numbers go to
-    the CaseTable as observed, which converts them. Outcomes go straight
-    into an array, with no per-case list in between."""
+    value that a kept case holds converts once: an outcome to 0 or 1, a
+    categorical value to its label; numbers go to the CaseTable as observed,
+    which converts them. No column is decoded on the way."""
     positive_labels = positive_labels or DEFAULT_POSITIVE_LABELS
     positive_labels = frozenset(s.lower() for s in positive_labels)
     by_name = {a.name: a for a in schema}
@@ -314,42 +314,40 @@ def encode_cases(
 
     n = len(case_log)
 
-    def observe(attr: AttributeSchema) -> list:
+    def observe(attr: AttributeSchema) -> Coded:
         if attr.source == SOURCE_COUNT:
-            return case_log.counts.get(attr.source_arg, [0] * n)
+            return case_log.counts.get(attr.source_arg) or Coded(np.zeros(n, np.int32), (0,))
         key = attr.source_arg if attr.source == SOURCE_LAST else attr.name
-        return case_log.last.get(key, [None] * n)
+        return case_log.last.get(key) or Coded(np.full(n, -1, np.int32), ())
 
-    raw_outcomes = observe(outcome_attr)
-    n_missing = raw_outcomes.count(None)
+    outcome = observe(outcome_attr)
+    n_missing = int(np.count_nonzero(outcome.codes < 0))
     if n_missing == n:
         raise SchemaError(
             f"outcome attribute {outcome_name!r} never observed in any case"
         )
-    kept = None  # the index of every kept case, when some case drops
+    case_ids = case_log.case_ids
+    kept = slice(None)  # every case, unless some case drops
     if n_missing:
         log.info("dropped %d cases with missing outcome %r", n_missing, outcome_name)
-        kept = list(compress(range(n), map(is_not, raw_outcomes, repeat(None))))
+        kept = np.flatnonzero(outcome.codes >= 0)
+        case_ids = list(map(case_ids.__getitem__, kept.tolist()))
 
-    def of_kept(values: list) -> list:
-        return values if kept is None else list(map(values.__getitem__, kept))
+    def of_kept(column: Coded) -> Coded:
+        return Coded(column.codes[kept], column.values)
 
-    case_ids = of_kept(case_log.case_ids)
-    raw_outcomes = of_kept(raw_outcomes)
-    coded = {v: _coerce_outcome(v, positive_labels) for v in dict.fromkeys(raw_outcomes)}
-    if None in coded.values():
-        case, value = next((c, v) for c, v in zip(case_ids, raw_outcomes) if coded[v] is None)
+    outcome = of_kept(outcome)
+    coded = _converted(outcome, lambda value: _coerce_outcome(value, positive_labels))
+    if None in coded.values:
+        case, value = next((c, v) for c, v, o in zip(case_ids, outcome, coded) if o is None)
         raise SchemaError(
             f"attribute {outcome_name!r}: non-binary outcome {value!r} in case {case!r}"
         )
-    outcomes = np.fromiter(map(coded.__getitem__, raw_outcomes), np.uint8, len(case_ids))
+    outcomes = np.array(coded.values, np.uint8)[coded.codes]
     columns = {}
     for attr in feature_schema:
-        values = of_kept(observe(attr))
-        if attr.kind == NUMERIC or _is_text(values):
-            columns[attr.name] = values
-        else:
-            columns[attr.name] = [None if value is None else _label(value) for value in values]
+        column = of_kept(observe(attr))
+        columns[attr.name] = column if attr.kind == NUMERIC else _converted(column, _label)
     return CaseTable(feature_schema, outcome_name, case_ids, outcomes, columns)
 
 
@@ -377,7 +375,7 @@ def _bin_labels(bounds: list[float], values: np.ndarray) -> list[str]:
     return [f"<={_fmt(bounds[0])}", *inner, f">{_fmt(bounds[-1])}"]
 
 
-def _interval_codes(bounds: list[float], values: np.ndarray) -> Coded:
+def _interval_codes(name: str, bounds: list[float], values: np.ndarray) -> Coded:
     """Each value's right-closed interval label, "missing" for NaN, coded
     into the sorted labels that occur. Codes go through the bin indices, so
     no per-row label is ever built."""
@@ -385,14 +383,9 @@ def _interval_codes(bounds: list[float], values: np.ndarray) -> Coded:
     present = values[~missing]
     labels = _bin_labels(bounds, present) if present.size else []
     labels.append(MISSING_LABEL)
-    bin_of = np.searchsorted(np.asarray(bounds, dtype=np.float64), values)
+    bin_of = np.searchsorted(np.asarray(bounds, dtype=np.float64), values).astype(np.int32)
     bin_of[missing] = len(labels) - 1
-    # bincount, not np.unique: a process's first np.unique faults in about
-    # 1.5 MB (numpy 2.4), which would raise ingest's peak RSS.
-    occurring = np.flatnonzero(np.bincount(bin_of, minlength=len(labels)))
-    observed = tuple(sorted(labels[b] for b in occurring.tolist()))
-    code_of_bin = np.searchsorted(observed, labels).astype(np.int32)
-    return Coded(_read_only(code_of_bin[bin_of]), observed)
+    return _encode_labels(name, Coded(bin_of, labels), [])
 
 
 def equal_frequency_bounds(values: list[float], k: int) -> list[float]:
@@ -453,11 +446,10 @@ def discretize(table: CaseTable, spec: dict[str, int | list[float]]) -> CaseTabl
                         f"for {how} requested (too few distinct values)"
                     )
         else:
-            bounds = [float(b) for b in how]
-            if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-                raise ConfigError(
-                    f"boundaries for {attr_name!r} are not strictly increasing"
-                )
+            try:
+                bounds = _checked_bounds(attr_name, how)
+            except SchemaError as exc:
+                raise ConfigError(str(exc)) from None
         bins[attr_name] = bounds
 
     columns = {name: table._columns[name] for name in table.attribute_names}

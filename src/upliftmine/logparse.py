@@ -23,18 +23,16 @@ import weakref
 import xml.parsers.expat
 import zlib
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter, sub
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError, LogParseError, SchemaError, require
-
-AttrValue = Union[str, int, float, bool]
 
 # XES keys with a reserved meaning; everything else is a plain attribute.
 XES_ACTIVITY_KEY = "concept:name"
@@ -46,62 +44,114 @@ _XES_TAGS = _XES_VALUE_TAGS | {"trace", "event"}
 _FRACTION_RE = re.compile(r"(\.\d+)")
 
 
+class Coded(Sequence):
+    """A read-only column of case values: int32 codes, -1 where a value is
+    missing, into a tuple of values. It decodes on indexing and iteration,
+    None where missing, and equals a list of the same values."""
+
+    def __init__(self, codes: np.ndarray, values):
+        codes.setflags(write=False)
+        self.codes = codes
+        self.values = tuple(values)
+
+    @classmethod
+    def of(cls, values) -> Coded:
+        """A list of values (None: missing) coded by _Fold.code; a Coded as is."""
+        if isinstance(values, Coded):
+            return values
+        fold = _Fold()
+        codes = [-1 if value is None else fold.code(value) for value in values]
+        return cls(np.array(codes, np.int32), fold.values)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int):
+        code = self.codes[i]
+        return None if code < 0 else self.values[code]
+
+    def __iter__(self):
+        decode = self.values + (None,)  # code -1 picks the None
+        return map(decode.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other) -> bool:
+        # list == Coded falls back on this method, so two columns compare too.
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return f"Coded({list(self)!r})"
+
+
 @dataclass
 class CaseLog:
     """The cases of an event log, one entry per case in every column.
 
     counts maps each activity to its per-case event counts; last maps each
     attribute to its per-case last observed value, None where no event of
-    the case carries it. len() is the number of cases (traces).
+    the case carries it. Both hold Coded columns; a list handed in is coded.
+    len() is the number of cases (traces).
     """
 
     case_ids: list[str] = field(default_factory=list)
-    counts: dict[str, list[int]] = field(default_factory=dict)
-    last: dict[str, list[AttrValue | None]] = field(default_factory=dict)
+    counts: dict[str, Coded] = field(default_factory=dict)
+    last: dict[str, Coded] = field(default_factory=dict)
     n_events: int = 0
+
+    def __post_init__(self):
+        self.counts = {name: Coded.of(column) for name, column in self.counts.items()}
+        self.last = {name: Coded.of(column) for name, column in self.last.items()}
 
     def __len__(self) -> int:
         return len(self.case_ids)
 
 
-class _Shared(dict):
-    """Each value it is indexed by maps to the first equal value it was
-    indexed by, so that a fold keeps one object per distinct value. Only
-    exact str and int values go through it: True == 1 == 1.0 and -0.0 == 0.0
-    are equal keys, yet they label and serialize differently."""
-
-    def __missing__(self, value):
-        self[value] = value
-        return value
-
-
 class _Fold:
     """Where a reader's cases become a CaseLog. Cases are numbered in order
     of first appearance; each event adds the int32 codes of its case and its
-    activity, from which log() counts the activities; each attribute keeps
-    its per-case last value in a list made the first time some case gets a
-    value (the CSV fold keeps codes instead, see _CsvFold). Kept str and int
-    values are shared per distinct value."""
+    activity, from which log() counts the activities. Each attribute keeps
+    an int32 code per case (-1 where unset), made when some case first gets
+    a value, into the one table of values that code() fills."""
 
     def __init__(self):
         self.cases: dict[str, int] = {}  # case id -> code
         self.activities: dict[str, int] = {}  # activity -> code
         self.event_cases = array("i")
         self.event_activities = array("i")
-        self.last: dict[str, list] = {}
-        self.shared = _Shared()
+        self.codes: dict[str, array] = {}  # attribute -> per-case codes, once set
+        self.values: list = []  # code -> value
+        self.seen: dict = {}  # str or int value -> the first equal one coded
+        self.index: dict = {}  # str or int value -> code, once coded twice
 
-    def column(self, name: str) -> list:
-        """The attribute's per-case last values, made on first use."""
-        values = self.last.get(name)
-        if values is None:
-            values = self.last[name] = [None] * len(self.cases)
-        return values
+    def column(self, name: str) -> array:
+        """The attribute's per-case codes, made on first use."""
+        codes = self.codes.get(name)
+        if codes is None:
+            codes = self.codes[name] = array("i", [-1]) * len(self.cases)
+        return codes
+
+    def code(self, value) -> int:
+        """The value's code. An exact str or int value keeps the first equal
+        object coded, and is indexed once it is coded a second time, taking a
+        new code each of those two times: a value coded once, as most numbers
+        are, then holds no int object, whose freed pools would stay resident.
+        Any other value gets its own code: True == 1 == 1.0 and -0.0 == 0.0
+        are equal keys, yet they label and serialize differently."""
+        if type(value) not in (str, int):
+            self.values.append(value)
+            return len(self.values) - 1
+        code = self.index.get(value)
+        if code is None:
+            code = len(self.values)
+            if value in self.seen:
+                self.index[value] = code
+            self.values.append(self.seen.setdefault(value, value))
+        return code
 
     def log(self) -> CaseLog:
         """The folded CaseLog. The case codes are freed before the counts
         are built, and the event codes once one mask per activity has picked
-        out its events' cases, so the fold is spent."""
+        out its events' cases, so the fold is spent. Counts are coded into
+        range(max + 1); every attribute's codes index one tuple of values."""
         case_ids = list(self.cases)
         self.cases.clear()
         n = len(case_ids)
@@ -110,12 +160,13 @@ class _Fold:
         n_events = len(cases)
         by_activity = {a: cases[activities == code] for a, code in self.activities.items()}
         del cases, activities, self.event_cases, self.event_activities
-        counts = {a: np.bincount(rows, minlength=n).tolist() for a, rows in by_activity.items()}
-        return CaseLog(case_ids, counts, self.columns(), n_events)
-
-    def columns(self) -> dict[str, list]:
-        """Each attribute's per-case last values."""
-        return self.last
+        counts = {}
+        for activity, rows in by_activity.items():
+            count = np.bincount(rows, minlength=n).astype(np.int32)
+            counts[activity] = Coded(count, range(count.max() + 1))
+        values = tuple(self.values)
+        last = {name: Coded(np.frombuffer(c, np.int32), values) for name, c in self.codes.items()}
+        return CaseLog(case_ids, counts, last, n_events)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -297,8 +348,8 @@ class _XesBuilder:
                 f"trace #{self._n_traces}: empty or duplicate case id {case_id!r}"
             )
         case = fold.cases[case_id] = len(fold.cases)
-        for column in fold.last.values():
-            column.append(None)
+        for codes in fold.codes.values():
+            codes.append(-1)
         # Trace attributes rank below every event value, and vanish when the
         # trace has no events.
         events.sort(key=itemgetter(0))
@@ -307,10 +358,8 @@ class _XesBuilder:
         for _, activity, values in events:
             codes.append(activities.setdefault(activity, len(activities)))
             attrs |= values
-        last, shared = fold.last, fold.shared
         for key, value in attrs.items() if events else ():
-            column = last.get(key) or fold.column(key)  # never empty: it holds this case
-            column[case] = shared[value] if type(value) in (str, int) else value
+            (fold.codes.get(key) or fold.column(key))[case] = fold.code(value)
         self._trace = self._values = None
 
 
@@ -469,9 +518,7 @@ def _codes(index: dict, keys) -> np.ndarray:
 class _CsvFold(_Fold):
     """The last-value rule over CSV rows, folded a chunk at a time.
 
-    A case's value of an attribute is an int32 code into the fold's table
-    of values (-1 where unset), which holds one object per distinct value;
-    each attribute's codes are one array that grows in place, as is the
+    Each attribute's codes are one array that grows in place, as is the
     int64 stamp that set each (_NO_STAMP if none). Attributes that the same
     rows have carried so far, such as all those that no row has lacked,
     share one stamp column and one winners computation per chunk; a set of
@@ -479,9 +526,7 @@ class _CsvFold(_Fold):
     differently. In a chunk, one stable lexsort by (case, stamp) puts each
     case's winning row for an attribute last among the rows that carry it;
     a winner replaces the kept value when its stamp is >= the kept one, and
-    each attribute's winners are written with one numpy assignment. log()
-    frees the stamps and the case index before it decodes the codes into
-    CaseLog.last."""
+    each attribute's winners are written with one numpy assignment."""
 
     def __init__(self, header: list[str], columns: CsvColumns):
         super().__init__()
@@ -499,9 +544,6 @@ class _CsvFold(_Fold):
         self.width = max([self.n_cells] + [i + 1 for i in self.cells.values()])
         self.fmt = columns.timestamp_format
         self.next_row = 1
-        self.values: list[str] = []  # code -> value, one object per distinct value
-        self.index: dict[str, int] = {}  # value -> code, for values won in two chunks
-        self.codes: dict[str, array] = {}  # attribute -> per-case codes, once set
         # attribute -> per-case stamps; attributes carried by the same rows
         # so far share one array.
         self.stamps: dict[str, array] = dict.fromkeys(self.cells, array("q"))
@@ -583,44 +625,12 @@ class _CsvFold(_Fold):
         for name, cell in self.cells.items():
             if name not in won:
                 continue
-            codes = self.codes.get(name)
-            if codes is None:
-                codes = self.codes[name] = array("i", [-1]) * len(self.cases)
             of_case, rows = won[name]
             texts = list(map(columns[cell].__getitem__, rows))
-            updates.append((codes, of_case, _codes(distinct, texts)))
+            updates.append((self.column(name), of_case, _codes(distinct, texts)))
         coded = np.fromiter(map(self.code, distinct), np.int32, len(distinct))
         for codes, of_case, local in updates:
             np.frombuffer(codes, np.int32)[of_case] = coded[local]
-
-    def code(self, value: str) -> int:
-        """The value's code for the fold. The value is indexed only once a
-        second chunk has it, and takes a new code in each of those two, so
-        a value that one chunk alone has, as most numbers are, holds no int
-        object: freed by log(), those would leave their memory pools
-        resident."""
-        code = self.index.get(value)
-        if code is None:
-            code = len(self.values)
-            if value in self.shared:
-                self.index[value] = code
-            self.values.append(self.shared[value])
-        return code
-
-    def log(self) -> CaseLog:
-        """The folded CaseLog; the stamps are freed first."""
-        self.stamps.clear()
-        return super().log()
-
-    def columns(self) -> dict[str, list]:
-        """Each code array decoded into a list of values, and freed."""
-        values = self.values
-        self.index.clear()
-        self.shared.clear()
-        values.append(None)  # code -1 picks the None
-        return {
-            name: list(map(values.__getitem__, self.codes.pop(name))) for name in list(self.codes)
-        }
 
 
 def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:
@@ -634,6 +644,7 @@ def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:
             rows.clear()  # before the next chunk is read
     if fold is None:
         raise LogParseError("CSV input has no header row")
+    fold.stamps.clear()  # before log() lists the case ids
     return fold.log()
 
 

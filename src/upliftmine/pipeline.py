@@ -189,20 +189,7 @@ class _Staging:
             shutil.rmtree(self.dir, ignore_errors=True)
 
 
-@contextlib.contextmanager
-def _stage(config: PipelineConfig, name: str, *input_files: str):
-    """The frame of every stage. Before the body runs, each input artifact
-    must exist and manifest.json is read and checked, so neither a missing
-    input nor a malformed manifest changes out_dir. The body fills the
-    yielded info dict and writes each artifact where the yielded _Staging
-    says; once it succeeds, the manifest records info under stages.<name>
-    and is staged last, so that it is the last file renamed in, and one log
-    line reports info. A failed stage leaves no staged file behind."""
-    for filename in input_files:
-        path = os.path.join(config.out_dir, filename)
-        if not os.path.exists(path):
-            producer = _PRODUCERS[filename]
-            raise ConfigError(f"missing artifact {path}: run the {producer} stage first")
+def _manifest(config: PipelineConfig) -> dict:
     manifest_path = os.path.join(config.out_dir, MANIFEST_FILE)
     manifest = _read_json(manifest_path) if os.path.exists(manifest_path) else {"stages": {}}
     if not isinstance(manifest, dict) or not isinstance(manifest.setdefault("stages", {}), dict):
@@ -210,9 +197,28 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
             f"{MANIFEST_FILE} is not a manifest: expected an object whose stages "
             "are an object; remove it or re-run the pipeline"
         )
+    return manifest
+
+
+@contextlib.contextmanager
+def _stage(config: PipelineConfig, name: str, *input_files: str):
+    """The frame of every stage. Before the body runs, each input artifact
+    must exist and manifest.json is read and checked, so neither a missing
+    input nor a malformed manifest changes out_dir. The body fills the
+    yielded info dict and writes each artifact where the yielded _Staging
+    says; then the manifest, read anew so that a stage that ended meanwhile
+    keeps its entry, records info under stages.<name> and is staged last;
+    one log line reports info. A failed stage leaves no staged file behind."""
+    for filename in input_files:
+        path = os.path.join(config.out_dir, filename)
+        if not os.path.exists(path):
+            producer = _PRODUCERS[filename]
+            raise ConfigError(f"missing artifact {path}: run the {producer} stage first")
+    _manifest(config)
     info: dict[str, int] = {}
     with _Staging(config.out_dir, name) as staging:
         yield info, staging
+        manifest = _manifest(config)
         manifest["tool"] = {"name": "upliftmine", "version": __version__}
         manifest["config"] = config_to_dict(config)
         manifest["stages"][name] = info
@@ -310,9 +316,9 @@ def _summarize_table(table: CaseTable) -> str:
             shape = "numeric (not binned)" if bins is None else f"numeric, {len(bins) + 1} bins"
             missing = np.isnan(table.numeric(name)).sum()
         else:
-            codes, labels = table.coded(name)
-            shape = f"categorical, {len(labels)} labels"
-            missing = (codes == -1).sum()
+            column = table.coded(name)
+            shape = f"categorical, {len(column.values)} labels"
+            missing = (column.codes == -1).sum()
         role = "controllable" if attr.controllable else "stable"
         lines.append(f"  {name}: {shape}, {role}, {missing} missing")
     return "\n".join(lines) + "\n"

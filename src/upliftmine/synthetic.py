@@ -21,7 +21,7 @@ import yaml
 
 from .casetable import AttributeSchema
 from .errors import ConfigError, PositivityError, read_text, require
-from .logparse import CaseLog
+from .logparse import CaseLog, Coded
 
 CONFOUNDER = "confounder"
 SUBGROUP = "subgroup"
@@ -206,8 +206,8 @@ def generate(scenario: SyntheticScenario) -> tuple[CaseLog, dict[int, float]]:
     flags = {CONFOUNDER: confounder, SUBGROUP: subgroup, TREATMENT_ATTR: treated, OUTCOME: outcome}
     case_log = CaseLog(
         case_ids=[f"case_{i:06d}" for i in range(n)],
-        counts={ACTIVITY: [1] * n},
-        last={name: np.where(values, "1", "0").tolist() for name, values in flags.items()},
+        counts={ACTIVITY: Coded(np.ones(n, np.int32), (0, 1))},
+        last={name: Coded(values.astype(np.int32), ("0", "1")) for name, values in flags.items()},
         n_events=n,
     )
     effects = {cell: true_cate(scenario, cell) for cell in (0, 1)}

@@ -28,7 +28,7 @@ def make_table(attrs, rows, outcome_name="Y", bins=None):
 
 def decoded(coded):
     """The per-row labels of a Coded column, None where missing."""
-    return [coded.labels[code] if code >= 0 else None for code in coded.codes.tolist()]
+    return [coded.values[code] if code >= 0 else None for code in coded.codes.tolist()]
 
 
 EIGHT_ROW_TABLE = make_table(

@@ -217,7 +217,7 @@ def test_encode_cases_matches_the_per_value_reference(case_log):
             assert bits[0] == bits[1]
         else:
             assert decoded(got.coded(attr.name)) == decoded(want.coded(attr.name))
-            assert got.coded(attr.name).labels == want.coded(attr.name).labels
+            assert got.coded(attr.name).values == want.coded(attr.name).values
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,6 +227,18 @@ def test_encode_cases_leaves_its_case_log_unchanged(case_log):
     before = copy.deepcopy(case_log)
     _converted(case_log)
     assert case_log == before
+
+
+def test_encode_cases_never_converts_a_value_that_a_later_chunk_replaced():
+    # c0's first row, in the first chunk of rows, has x = n/a; a row of a
+    # later chunk, with a later stamp, replaces it by 5. The CSV fold's table
+    # of values keeps n/a, yet no case holds it, so it is never converted.
+    lines = ["case_id,activity,timestamp,x,Y", "c0,A,2020-01-01T00:00:00+00:00,n/a,1"]
+    lines += [f"c{i},A,2020-01-01T00:00:00+00:00,{i},0" for i in range(1, 300)]
+    lines.append("c0,B,2020-01-02T00:00:00+00:00,5,")
+    schema = [AttributeSchema("x", "numeric"), AttributeSchema("Y", "categorical")]
+    table = encode_cases(parse_csv("\n".join(lines).encode()), schema, "Y")
+    assert table.numeric("x").tolist() == [5.0] + [float(i) for i in range(1, 300)]
 
 
 @pytest.mark.parametrize("number", [10**400, -(10**400)], ids=["positive", "negative"])
@@ -293,9 +305,12 @@ def test_discretize_k_below_two_rejected():
 
 
 def test_discretize_non_increasing_boundaries_rejected():
+    # Boundaries that are not strictly increasing numbers are a config fault,
+    # not a bare ValueError or TypeError.
     table = _numeric_table([1.0, 2.0])
-    with pytest.raises(ConfigError):
-        discretize(table, {"x": [5.0, 5.0]})
+    for bounds in ([5.0, 5.0], ["a"], [None], [1.0, math.nan]):
+        with pytest.raises(ConfigError, match="must be strictly increasing numbers"):
+            discretize(table, {"x": bounds})
 
 
 def test_discretize_non_numeric_attribute_rejected():
@@ -399,7 +414,7 @@ def test_binned_codes_match_reference_labels(column):
     want = reference_bin_labels(values, bounds)
     coded = table.coded("x")
     assert decoded(coded) == want
-    assert coded.labels == tuple(sorted(set(want)))
+    assert coded.values == tuple(sorted(set(want)))
     assert table.column("x") == [None if v is None or v != v else v for v in values]
 
 

@@ -341,6 +341,18 @@ def test_run_produces_all_artifacts(eight_row_config):
     assert manifest["config"]["tree"]["min_samples_split"] == 4
 
 
+def test_interleaved_stages_keep_both_manifest_entries(eight_row_config):
+    # An ingest frame open around a whole mine frame in one process: each
+    # commit reads the manifest anew, so the later commit keeps the other
+    # stage's entry.
+    with pipeline._stage(eight_row_config, "ingest") as (outer, _):
+        with pipeline._stage(eight_row_config, "mine") as (inner, _):
+            inner["n_rules"] = 1
+        outer["n_cases"] = 8
+    manifest = _read_json(Path(eight_row_config.out_dir) / MANIFEST_FILE)
+    assert manifest["stages"] == {"ingest": {"n_cases": 8}, "mine": {"n_rules": 1}}
+
+
 def snapshot(out_dir: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(out_dir)): p.read_bytes()
@@ -593,7 +605,7 @@ def test_case_table_json_round_trip(tmp_path_factory, table):
     assert again.case_ids == table.case_ids
     assert again.outcomes() == table.outcomes()
     assert again.bins == table.bins
-    assert again.coded("b").labels == table.coded("b").labels
+    assert again.coded("b").values == table.coded("b").values
     assert decoded(again.coded("b")) == decoded(table.coded("b"))
     _write_json(out / "second.json", table_to_dict(again))
     assert (out / "second.json").read_bytes() == (out / "first.json").read_bytes()

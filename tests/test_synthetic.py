@@ -162,6 +162,6 @@ def test_generated_log_encodes_cleanly():
     assert len(table) == 500
     assert table.attribute(TREATMENT_ATTR).controllable
     assert not table.attribute(CONFOUNDER).controllable
-    assert set(table.coded(SUBGROUP).labels) == {"0", "1"}
+    assert set(table.coded(SUBGROUP).values) == {"0", "1"}
     treated = sum(1 for value in table.column(TREATMENT_ATTR) if value == "1")
     assert 0.4 < treated / 500 < 0.6
