@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from math import floor, nan
 
 import numpy as np
@@ -221,22 +222,23 @@ def _encode_labels(name: str, column, case_ids: list[str]) -> Coded:
 
 
 def _encode_floats(name: str, column, case_ids: list[str]) -> np.ndarray:
-    """The one place a case-table number becomes a float: each value that
-    some case holds converts once, as float() reads it, in one numpy pass;
-    a missing one reads as NaN. Another table's float array is kept."""
+    """The one place a case-table number becomes a float, as float() reads
+    it, in one numpy pass: each value that some case of a Coded column
+    holds converts once, a list converts row by row; a missing one reads as
+    NaN. Another table's float array is kept."""
     if isinstance(column, np.ndarray):
         return _read_only(column)
-    column = Coded.of(column)
-    held, values = _held(column)
-    floats = np.full(len(column.values) + 1, nan)  # code -1 picks the last NaN
     try:
+        if not isinstance(column, Coded):
+            return _read_only(np.fromiter(column, np.float64, len(column)))
+        held, values = _held(column)
+        floats = np.full(len(column.values) + 1, nan)  # code -1 picks the last NaN
         floats[held] = np.asarray(values, dtype=np.float64)
+        return _read_only(floats[column.codes])
     except (TypeError, ValueError, OverflowError):
         # Case by case, so that the error names the first bad case.
-        for value, case_id in zip(column, case_ids):
-            _coerce_numeric(value, name, case_id)
-        floats[held] = np.fromiter(map(float, values), np.float64, len(values))
-    return _read_only(floats[column.codes])
+        floats = map(_coerce_numeric, column, repeat(name), case_ids)
+        return _read_only(np.fromiter(floats, np.float64, len(case_ids)))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

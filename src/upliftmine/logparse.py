@@ -19,10 +19,10 @@ import gzip
 import io
 import math
 import re
-import weakref
 import xml.parsers.expat
 import zlib
 from array import array
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -56,12 +56,21 @@ class Coded(Sequence):
 
     @classmethod
     def of(cls, values) -> Coded:
-        """A list of values (None: missing) coded by _Fold.code; a Coded as is."""
+        """A list of values (None: missing) coded by _Fold.code, or into its
+        sorted labels in C-level passes when it holds only str and None; a
+        Coded as is."""
         if isinstance(values, Coded):
             return values
+        with contextlib.suppress(TypeError):  # an unhashable value is no label
+            labels = set(values) - {None}
+            if set(map(type, labels)) <= {str}:
+                labels = sorted(labels)
+                index = {**dict(zip(labels, range(len(labels)))), None: -1}
+                codes = map(index.__getitem__, values)
+                return cls(np.fromiter(codes, np.int32, len(values)), labels)
         fold = _Fold()
-        codes = [-1 if value is None else fold.code(value) for value in values]
-        return cls(np.array(codes, np.int32), fold.values)
+        codes = [-1 if value is None else fold.code("", value) for value in values]
+        return cls(np.array(codes, np.int32), fold.values[""])
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -110,7 +119,7 @@ class _Fold:
     of first appearance; each event adds the int32 codes of its case and its
     activity, from which log() counts the activities. Each attribute keeps
     an int32 code per case (-1 where unset), made when some case first gets
-    a value, into the one table of values that code() fills."""
+    a value, into the attribute's own table of values, which code() fills."""
 
     def __init__(self):
         self.cases: dict[str, int] = {}  # case id -> code
@@ -118,9 +127,9 @@ class _Fold:
         self.event_cases = array("i")
         self.event_activities = array("i")
         self.codes: dict[str, array] = {}  # attribute -> per-case codes, once set
-        self.values: list = []  # code -> value
+        self.values: dict[str, list] = defaultdict(list)  # attribute -> code -> value
+        self.index: dict[str, dict] = defaultdict(dict)  # attribute -> value coded twice -> code
         self.seen: dict = {}  # str or int value -> the first equal one coded
-        self.index: dict = {}  # str or int value -> code, once coded twice
 
     def column(self, name: str) -> array:
         """The attribute's per-case codes, made on first use."""
@@ -129,29 +138,31 @@ class _Fold:
             codes = self.codes[name] = array("i", [-1]) * len(self.cases)
         return codes
 
-    def code(self, value) -> int:
-        """The value's code. An exact str or int value keeps the first equal
-        object coded, and is indexed once it is coded a second time, taking a
-        new code each of those two times: a value coded once, as most numbers
-        are, then holds no int object, whose freed pools would stay resident.
-        Any other value gets its own code: True == 1 == 1.0 and -0.0 == 0.0
-        are equal keys, yet they label and serialize differently."""
+    def code(self, name: str, value) -> int:
+        """The value's code in the attribute's table. An exact str or int value
+        keeps the first equal object coded, and is indexed once it is coded a
+        second time, taking a new code each of those two times: a value coded
+        once, as most numbers are, then holds no int object, whose freed pools
+        would stay resident. Any other value gets its own code: True == 1 ==
+        1.0 and -0.0 == 0.0 are equal keys, yet label and serialize apart."""
+        values = self.values[name]
         if type(value) not in (str, int):
-            self.values.append(value)
-            return len(self.values) - 1
-        code = self.index.get(value)
+            values.append(value)
+            return len(values) - 1
+        index = self.index[name]
+        code = index.get(value)
         if code is None:
-            code = len(self.values)
+            code = len(values)
             if value in self.seen:
-                self.index[value] = code
-            self.values.append(self.seen.setdefault(value, value))
+                index[value] = code
+            values.append(self.seen.setdefault(value, value))
         return code
 
     def log(self) -> CaseLog:
         """The folded CaseLog. The case codes are freed before the counts
         are built, and the event codes once one mask per activity has picked
         out its events' cases, so the fold is spent. Counts are coded into
-        range(max + 1); every attribute's codes index one tuple of values."""
+        range(max + 1); each attribute's codes index its own tuple of values."""
         case_ids = list(self.cases)
         self.cases.clear()
         n = len(case_ids)
@@ -164,8 +175,7 @@ class _Fold:
         for activity, rows in by_activity.items():
             count = np.bincount(rows, minlength=n).astype(np.int32)
             counts[activity] = Coded(count, range(count.max() + 1))
-        values = tuple(self.values)
-        last = {name: Coded(np.frombuffer(c, np.int32), values) for name, c in self.codes.items()}
+        last = {k: Coded(np.frombuffer(c, np.int32), self.values[k]) for k, c in self.codes.items()}
         return CaseLog(case_ids, counts, last, n_events)
 
 
@@ -250,117 +260,10 @@ _XES_RESERVED = (XES_ACTIVITY_KEY, XES_TIMESTAMP_KEY)
 class _Ends(dict):
     """expat's end handler, as its __getitem__: start maps each element name
     whose end does nothing to None, so such an end is one lookup in C; only
-    </trace> and </event> miss and reach end(), through a weak proxy, as a
-    cycle would keep the parse alive until a collection."""
+    </trace> and </event> miss and reach the end closure of parse_xes."""
 
     def __missing__(self, name: str):
-        self.builder.end(name)
-
-
-class _XesBuilder:
-    """expat handlers. A trace's values and each event's values wait in a dict
-    each until </trace>, where the events are checked and folded; a typed
-    value that does not read raises there, once the trace's name is known.
-    The events' values are laid over the trace's own in a stable order by
-    stamp, so the latest-stamped event that carries an attribute sets it,
-    the later one in the file on a tie."""
-
-    def __init__(self):
-        self.fold = _Fold()
-        self.ends = _Ends()
-        self.ends.builder = weakref.proxy(self)
-        self._tags: dict[str, str | None] = {}  # name -> XES local name or None
-        self._n_traces = 0
-        self._trace: dict | None = None  # the open trace's own values
-        self._events: list[dict] = []  # the open trace's events' values
-        self._unread: str | None = None  # the trace's first unreadable value
-        self._values: dict | None = None  # the open event's dict, else _trace
-
-    def _error(self, message: str) -> LogParseError:
-        name = self._trace.get(XES_ACTIVITY_KEY, f"#{self._n_traces}")
-        return LogParseError(f"trace {name!r}: {message}")
-
-    def start(self, name: str, attrs: list[str]):
-        try:
-            tag = self._tags[name]
-        except KeyError:
-            local = name.rpartition(":")[2]
-            tag = self._tags[name] = local if local in _XES_TAGS else None
-            if tag != "trace" and tag != "event":
-                self.ends[name] = None
-        values = self._values
-        if values is not None and tag in _XES_VALUE_TAGS:
-            if len(attrs) == 4 and attrs[0] == "key" and attrs[2] == "value":
-                key, value = attrs[1], attrs[3]
-            else:
-                named = dict(zip(attrs[::2], attrs[1::2]))
-                if "key" not in named or "value" not in named:
-                    return
-                key, value = named["key"], named["value"]
-            # An event's activity and timestamp stay text whatever the tag.
-            if tag in _XES_TYPES and (values is self._trace or key not in _XES_RESERVED):
-                try:
-                    # int() and float() read "1_000" and non-ASCII digits;
-                    # xs:int and xs:double do not.
-                    if "_" in value or not value.isascii():
-                        raise ValueError(value)
-                    value = _XES_TYPES[tag](value)
-                except (KeyError, ValueError):
-                    if self._unread is None:
-                        self._unread = f"<{tag}> attribute {key!r} has the value {value!r}"
-            values[key] = value
-        elif tag == "event":
-            if values is None:
-                raise LogParseError("XES <event> outside of a <trace>")
-            if values is not self._trace:
-                raise self._error("XES <event> inside an event")
-            self._values = {}
-            self._events.append(self._values)
-        elif tag == "trace":
-            if values is not None:
-                raise self._error("XES <trace> inside a trace")
-            self._n_traces += 1
-            self._trace = self._values = {}
-            self._events = []
-
-    def end(self, name: str):
-        if self._tags[name] == "event":
-            self._values = self._trace
-            return
-        if self._unread:
-            raise self._error(self._unread)
-        events = []
-        for attrs in self._events:
-            activity = attrs.pop(XES_ACTIVITY_KEY, None)
-            stamp = attrs.pop(XES_TIMESTAMP_KEY, None)
-            if not activity:
-                raise self._error(f"event without {XES_ACTIVITY_KEY!r} or with an empty one")
-            if stamp is None:
-                raise self._error(f"event without {XES_TIMESTAMP_KEY!r}")
-            try:
-                events.append((parse_timestamp(stamp), activity, attrs))
-            except LogParseError as exc:
-                raise self._error(str(exc)) from None
-        fold, attrs = self.fold, self._trace
-        case_id = str(attrs.pop(XES_ACTIVITY_KEY, f"trace_{self._n_traces}"))
-        if not case_id or case_id in fold.cases:
-            raise LogParseError(
-                f"trace #{self._n_traces}: empty or duplicate case id {case_id!r}"
-            )
-        case = fold.cases[case_id] = len(fold.cases)
-        for codes in fold.codes.values():
-            codes.append(-1)
-        # Trace attributes rank below every event value, and vanish when the
-        # trace has no events.
-        events.sort(key=itemgetter(0))
-        fold.event_cases.extend(repeat(case, len(events)))
-        activities, codes = fold.activities, fold.event_activities
-        for _, activity, values in events:
-            codes.append(activities.setdefault(activity, len(activities)))
-            attrs |= values
-        for key, value in attrs.items() if events else ():
-            (fold.codes.get(key) or fold.column(key))[case] = fold.code(value)
-        self._trace = self._values = None
+        self.end(name)
 
 
 def parse_xes(source) -> CaseLog:
@@ -370,12 +273,112 @@ def parse_xes(source) -> CaseLog:
     is the case id at trace level and the activity at event level,
     ``time:timestamp`` the event timestamp. Every other key becomes an
     attribute. Malformed XML raises LogParseError with the byte offset.
+
+    expat's handlers are closures over one _Fold and the open trace, and
+    hold nothing that refers back to the parser, so a parse leaves no
+    reference cycle. A trace's values and each event's values wait in a dict
+    each until </trace>, where the events are checked and folded; a typed
+    value that does not read raises there, once the trace's name is known.
+    The events' values are laid over the trace's own in a stable order by
+    stamp, so the latest-stamped event that carries an attribute sets it,
+    the later one in the file on a tie.
     """
-    builder = _XesBuilder()
+    fold, ends, n_traces = _Fold(), _Ends(), 0
+    tags: dict[str, str | None] = {}  # name -> XES local name or None
+    trace: dict | None = None  # the open trace's own values
+    events: list[dict] = []  # the open trace's events' values
+    unread: str | None = None  # the trace's first unreadable value
+    values: dict | None = None  # the open event's dict, else trace
+
+    def error(message: str) -> LogParseError:
+        name = trace.get(XES_ACTIVITY_KEY, f"#{n_traces}")
+        return LogParseError(f"trace {name!r}: {message}")
+
+    def start(name: str, attrs: list[str]):
+        nonlocal n_traces, trace, events, unread, values
+        try:
+            tag = tags[name]
+        except KeyError:
+            local = name.rpartition(":")[2]
+            tag = tags[name] = local if local in _XES_TAGS else None
+            if tag != "trace" and tag != "event":
+                ends[name] = None
+        if values is not None and tag in _XES_VALUE_TAGS:
+            if len(attrs) == 4 and attrs[0] == "key" and attrs[2] == "value":
+                key, value = attrs[1], attrs[3]
+            else:
+                named = dict(zip(attrs[::2], attrs[1::2]))
+                if "key" not in named or "value" not in named:
+                    return
+                key, value = named["key"], named["value"]
+            # An event's activity and timestamp stay text whatever the tag.
+            if tag in _XES_TYPES and (values is trace or key not in _XES_RESERVED):
+                try:
+                    # int() and float() read "1_000" and non-ASCII digits;
+                    # xs:int and xs:double do not.
+                    if "_" in value or not value.isascii():
+                        raise ValueError(value)
+                    value = _XES_TYPES[tag](value)
+                except (KeyError, ValueError):
+                    if unread is None:
+                        unread = f"<{tag}> attribute {key!r} has the value {value!r}"
+            values[key] = value
+        elif tag == "event":
+            if values is None:
+                raise LogParseError("XES <event> outside of a <trace>")
+            if values is not trace:
+                raise error("XES <event> inside an event")
+            values = {}
+            events.append(values)
+        elif tag == "trace":
+            if values is not None:
+                raise error("XES <trace> inside a trace")
+            n_traces += 1
+            trace = values = {}
+            events = []
+
+    def end(name: str):
+        nonlocal trace, values
+        if tags[name] == "event":
+            values = trace
+            return
+        if unread:
+            raise error(unread)
+        stamped = []
+        for attrs in events:
+            activity = attrs.pop(XES_ACTIVITY_KEY, None)
+            stamp = attrs.pop(XES_TIMESTAMP_KEY, None)
+            if not activity:
+                raise error(f"event without {XES_ACTIVITY_KEY!r} or with an empty one")
+            if stamp is None:
+                raise error(f"event without {XES_TIMESTAMP_KEY!r}")
+            try:
+                stamped.append((parse_timestamp(stamp), activity, attrs))
+            except LogParseError as exc:
+                raise error(str(exc)) from None
+        case_id = str(trace.pop(XES_ACTIVITY_KEY, f"trace_{n_traces}"))
+        if not case_id or case_id in fold.cases:
+            raise LogParseError(f"trace #{n_traces}: empty or duplicate case id {case_id!r}")
+        case = fold.cases[case_id] = len(fold.cases)
+        for codes in fold.codes.values():
+            codes.append(-1)
+        # Trace attributes rank below every event value, and vanish when the
+        # trace has no events.
+        stamped.sort(key=itemgetter(0))
+        fold.event_cases.extend(repeat(case, len(stamped)))
+        activities, codes = fold.activities, fold.event_activities
+        for _, activity, event in stamped:
+            codes.append(activities.setdefault(activity, len(activities)))
+            trace |= event
+        for key, value in trace.items() if stamped else ():
+            (fold.codes.get(key) or fold.column(key))[case] = fold.code(key, value)
+        trace = values = None
+
+    ends.end = end
     parser = xml.parsers.expat.ParserCreate()
     parser.ordered_attributes = True
-    parser.StartElementHandler = builder.start
-    parser.EndElementHandler = builder.ends.__getitem__
+    parser.StartElementHandler = start
+    parser.EndElementHandler = ends.__getitem__
     parser.buffer_text = True
     with _binary_input(source) as stream:
         try:
@@ -394,7 +397,7 @@ def parse_xes(source) -> CaseLog:
             # expat hands encodings it lacks to Python's codecs, which may
             # not know the XML declaration's encoding or be multi-byte.
             raise LogParseError(f"XES input in an unsupported encoding: {exc}") from None
-    return builder.fold.log()
+    return fold.log()
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +621,16 @@ class _CsvFold(_Fold):
             winners = winners[stamps[winners] >= kept[cases[winners]]]
             kept[cases[winners]] = stamps[winners]
             won.update(dict.fromkeys(names, (cases[winners], winners.tolist())))
-        # The winning cells take codes into the chunk's distinct values, and
-        # each of those one code for the fold.
-        distinct: dict[str, int] = {}
-        updates = []
+        # An attribute's winning cells take codes into the chunk's distinct
+        # values of it, and each of those one code for the fold.
         for name, cell in self.cells.items():
             if name not in won:
                 continue
             of_case, rows = won[name]
-            texts = list(map(columns[cell].__getitem__, rows))
-            updates.append((self.column(name), of_case, _codes(distinct, texts)))
-        coded = np.fromiter(map(self.code, distinct), np.int32, len(distinct))
-        for codes, of_case, local in updates:
-            np.frombuffer(codes, np.int32)[of_case] = coded[local]
+            distinct: dict[str, int] = {}
+            local = _codes(distinct, list(map(columns[cell].__getitem__, rows)))
+            coded = np.fromiter(map(self.code, repeat(name), distinct), np.int32, len(distinct))
+            np.frombuffer(self.column(name), np.int32)[of_case] = coded[local]
 
 
 def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:

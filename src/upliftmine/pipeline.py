@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import fcntl
 import json
 import logging
 import math
@@ -45,7 +46,7 @@ from .casetable import NUMERIC, AttributeSchema, CaseTable
 from .casetable import discretize, encode_cases
 from .config import PipelineConfig, config_to_dict, save_config
 from .errors import ConfigError, PositivityError, SchemaError
-from .logparse import parse_csv, parse_xes
+from .logparse import Coded, parse_csv, parse_xes
 from .ranking import rank, write_recommendations
 from .synthetic import OUTCOME, SyntheticScenario, generate, naive_pooled_uplift, write_log
 from .uplift import Segment, assign_groups, build_tree, extract_segments, to_dot
@@ -78,8 +79,13 @@ _JSON_SLICE = 4096
 
 
 def _compact_pieces(value):
-    """_encode_compact(value), in pieces of at most _JSON_SLICE list items."""
-    if isinstance(value, dict):
+    """_encode_compact(value), in pieces of at most _JSON_SLICE list items.
+    A Coded column is one piece: each of its values is encoded once, and the
+    texts are joined by code."""
+    if isinstance(value, Coded):
+        texts = np.array([*map(_encode_compact, value.values), "null"], object)  # code -1: null
+        yield "[" + ",".join(texts[value.codes].tolist()) + "]"
+    elif isinstance(value, dict):
         for i, key in enumerate(sorted(value)):
             yield ("," if i else "{") + _encode_compact(key) + ":"
             yield from _compact_pieces(value[key])
@@ -95,12 +101,14 @@ def _compact_pieces(value):
 
 def _write_json(path, payload) -> None:
     """Strict RFC 8259 JSON. case_table.json, by far the largest artifact, is
-    written compactly; the other JSON artifacts are indented."""
+    written compactly; the other JSON artifacts are indented, a Coded column
+    (see table_to_dict) as the list of its values."""
     with open(path, "w", encoding="utf-8") as fh:
         if os.path.basename(path) == CASE_TABLE_FILE:
             fh.writelines(_compact_pieces(payload))
         else:
-            json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
+            json.dump(payload, fh, indent=2, default=list, sort_keys=True, ensure_ascii=False,
+                      allow_nan=False)
         fh.write("\n")
 
 
@@ -206,9 +214,11 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
     must exist and manifest.json is read and checked, so neither a missing
     input nor a malformed manifest changes out_dir. The body fills the
     yielded info dict and writes each artifact where the yielded _Staging
-    says; then the manifest, read anew so that a stage that ended meanwhile
-    keeps its entry, records info under stages.<name> and is staged last;
-    one log line reports info. A failed stage leaves no staged file behind."""
+    says; then an flock on out_dir itself is taken and held through the
+    commit, and the manifest, read anew so that a stage that ended meanwhile
+    in any process keeps its entry, records info under stages.<name> and is
+    staged last; one log line reports info. A failed stage leaves no staged
+    file behind."""
     for filename in input_files:
         path = os.path.join(config.out_dir, filename)
         if not os.path.exists(path):
@@ -216,8 +226,11 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
             raise ConfigError(f"missing artifact {path}: run the {producer} stage first")
     _manifest(config)
     info: dict[str, int] = {}
-    with _Staging(config.out_dir, name) as staging:
+    with contextlib.ExitStack() as unlock, _Staging(config.out_dir, name) as staging:
         yield info, staging
+        lock = os.open(config.out_dir, os.O_RDONLY)
+        unlock.callback(os.close, lock)
+        fcntl.flock(lock, fcntl.LOCK_EX)
         manifest = _manifest(config)
         manifest["tool"] = {"name": "upliftmine", "version": __version__}
         manifest["config"] = config_to_dict(config)
@@ -255,15 +268,17 @@ def _numbers_from_json(name: str, values: list) -> list:
 
 
 def table_to_dict(table: CaseTable) -> dict:
+    """The case table's JSON payload. Labels and outcomes stay Coded, so
+    that the writer encodes each distinct value once; numbers are lists."""
     numeric = {a.name for a in table.schema if a.kind == NUMERIC}
-    columns = {name: table.column(name) for name in table.attribute_names}
     return {
         "schema": [asdict(a) for a in table.schema],
         "outcome": table.outcome_name,
         "case_ids": table.case_ids,
-        "outcomes": table.outcomes(),
+        "outcomes": Coded(table.outcome, (0, 1)),
         "columns": {
-            name: _numbers_to_json(c) if name in numeric else c for name, c in columns.items()
+            name: _numbers_to_json(table.column(name)) if name in numeric else table.coded(name)
+            for name in table.attribute_names
         },
         "bins": {name: _numbers_to_json(bounds) for name, bounds in table.bins.items()},
     }

@@ -1,3 +1,4 @@
+import gc
 import gzip
 import io
 import math
@@ -257,6 +258,82 @@ def test_parse_xes_nested_trace_or_event_is_an_error(doc):
 def test_parse_xes_event_outside_a_trace_is_an_error():
     with pytest.raises(LogParseError, match="XES <event> outside of a <trace>"):
         parse_xes(b'<log><event><string key="concept:name" value="a"/></event></log>')
+
+
+_XES_EVENT = (
+    '<event><string key="concept:name" value="A"/>'
+    '<date key="time:timestamp" value="2016-01-01T00:00:00Z"/></event>'
+)
+
+
+def _xes_trace(case_id: str, body: str = _XES_EVENT) -> str:
+    return f'<trace><string key="concept:name" value="{case_id}"/>{body}</trace>'
+
+
+@pytest.mark.parametrize(
+    "first, later, first_message, later_message",
+    [
+        (
+            _xes_trace("c1", '<event><string key="concept:name" value="A"/></event>'),
+            _xes_trace("c0"),
+            "trace 'c1': event without 'time:timestamp'",
+            "trace #3: empty or duplicate case id 'c0'",
+        ),
+        (
+            _xes_trace("c1", '<int key="n" value="x"/>' + _XES_EVENT),
+            "<trace><event></trace>",
+            "trace 'c1': <int> attribute 'n' has the value 'x'",
+            "malformed XES XML",
+        ),
+    ],
+    ids=["stamp-before-duplicate", "int-before-malformed-xml"],
+)
+def test_parse_xes_reports_the_first_fault_in_file_order(
+    first, later, first_message, later_message
+):
+    # Trace 2 holds the first fault, a later trace or the XML after it another.
+    ok = _xes_trace("c0")
+    with pytest.raises(LogParseError, match=re.escape(first_message)):
+        parse_xes(f"<log>{ok}{first}{later}</log>".encode())
+    with pytest.raises(LogParseError, match=re.escape(later_message)):
+        parse_xes(f"<log>{ok}{_xes_trace('c1')}{later}</log>".encode())
+
+
+def test_both_readers_give_each_attribute_its_own_value_table():
+    # "1.0" is a label of goal, and a float (XES) or a text (CSV) of amount.
+    t0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    columns = {
+        "flag": [True, False, True, True],
+        "amount": [0.5, 1.0, 0.5, -0.0],
+        "goal": ["car", "home", "car", "1.0"],
+        "terms": [6, 1, 6, 12],
+    }
+    rows = [
+        (f"c{i}", "A", t0 + timedelta(minutes=i), {key: c[i] for key, c in columns.items()})
+        for i in range(4)
+    ]
+    xes = parse_xes(xes_log([(case, {}, [(a, ts, attrs)], False) for case, a, ts, attrs in rows]))
+    csv = parse_csv(csv_log(rows))
+    for key, column in columns.items():
+        typed = [(type(v), repr(v)) for v in column]
+        assert [(type(v), repr(v)) for v in xes.last[key]] == typed
+        assert {(type(v), repr(v)) for v in xes.last[key].values} == set(typed), key
+        texts = list(map(cell_text, column))
+        assert csv.last[key] == texts
+        assert set(csv.last[key].values) == set(texts), key
+
+
+def test_parse_xes_leaves_no_reference_cycle():
+    # A cycle through the handlers would keep each parse, its fold included,
+    # alive until the collector runs.
+    gc.collect()
+    gc.disable()
+    try:
+        log = parse_xes(XES_TWO_EVENTS)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert log.case_ids == ["case_1"]
 
 
 def test_parse_xes_skips_attributes_without_a_value():

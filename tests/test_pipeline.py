@@ -1,9 +1,11 @@
 import dataclasses
+import fcntl
 import json
 import logging
 import math
 import os
 import shutil
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -52,7 +54,7 @@ from upliftmine.pipeline import (
     table_from_dict,
     table_to_dict,
 )
-from upliftmine.pipeline import _read_json, _Staging, _write_json
+from upliftmine.pipeline import _encode_compact, _read_json, _Staging, _write_json
 
 EIGHT_ROW_CSV = "case_id,activity,timestamp,S,F,Y\n" + "".join(
     f"c{i},apply,2020-01-01T00:00:{i:02d}Z,{s},{f},{y}\n"
@@ -353,6 +355,29 @@ def test_interleaved_stages_keep_both_manifest_entries(eight_row_config):
     assert manifest["stages"] == {"ingest": {"n_cases": 8}, "mine": {"n_rules": 1}}
 
 
+def test_a_stage_waits_for_the_out_dir_lock_and_keeps_both_entries(eight_row_config):
+    # Here the lock stands for another process's stage between its manifest
+    # read and its commit, which adds an uplift entry. mine must wait for it,
+    # then read the manifest anew.
+    stage_ingest(eight_row_config)
+    out = Path(eight_row_config.out_dir)
+    lock = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        mine = threading.Thread(target=stage_mine, args=(eight_row_config,))
+        mine.start()
+        mine.join(timeout=0.5)
+        assert mine.is_alive() and not (out / RULES_FILE).exists()
+        manifest = _read_json(out / MANIFEST_FILE)
+        manifest["stages"]["uplift"] = {"n_treatments": 0}
+        _write_json(out / MANIFEST_FILE, manifest)
+    finally:
+        os.close(lock)
+    mine.join(timeout=30)
+    assert not mine.is_alive() and (out / RULES_FILE).exists()
+    assert set(_read_json(out / MANIFEST_FILE)["stages"]) == {"ingest", "mine", "uplift"}
+
+
 def snapshot(out_dir: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(out_dir)): p.read_bytes()
@@ -570,7 +595,7 @@ _edge_number = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]) | _nu
 
 
 @st.composite
-def case_tables(draw, number=_number):
+def case_tables(draw, number=_number, label=_label):
     n = draw(st.integers(min_value=0, max_value=8))
     column = lambda values: draw(st.lists(values, min_size=n, max_size=n))  # noqa: E731
     schema = [
@@ -583,10 +608,10 @@ def case_tables(draw, number=_number):
     return CaseTable(
         schema,
         "Y",
-        column(_label),
+        column(label),
         column(st.integers(min_value=0, max_value=1)),
         {
-            "c": column(st.one_of(st.none(), _label)),
+            "c": column(st.one_of(st.none(), label)),
             "b": column(st.one_of(st.none(), number)),
             "x": column(st.one_of(st.none(), number)),
         },
@@ -655,6 +680,31 @@ def test_case_table_json_is_strict_and_round_trips_bit_for_bit(tmp_path_factory,
     for name in ("b", "x"):
         assert _bits(again.numeric(name)) == _bits(table.numeric(name))
     assert _bits(again.bins["b"]) == _bits(table.bins["b"])
+
+
+# Labels whose JSON text needs an escape or reads like another JSON value.
+_json_label = _label | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\n", "é", "𝄞", "\u2028", "null", ""]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case_tables(label=_json_label))
+def test_case_table_writer_matches_the_compact_encoder(tmp_path_factory, table):
+    # The writer encodes each distinct label once and joins the texts by
+    # code; the bytes must be those of the decoded payload, encoded whole.
+    path = tmp_path_factory.mktemp("case_table") / CASE_TABLE_FILE
+    payload = table_to_dict(table)
+    _write_json(path, payload)
+    payload["outcomes"] = table.outcomes()
+    payload["columns"] = {name: list(column) for name, column in payload["columns"].items()}
+    assert path.read_text(encoding="utf-8") == _encode_compact(payload) + "\n"
+    again = table_from_dict(_read_json(path))
+    for name in table.attribute_names:
+        assert again.column(name) == table.column(name)
+    assert (again.case_ids, again.outcomes(), again.bins) == (
+        table.case_ids, table.outcomes(), table.bins
+    )
 
 
 def test_case_table_without_a_key_is_a_schema_error(tmp_path):
