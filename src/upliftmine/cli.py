@@ -10,7 +10,6 @@ import sys
 from .config import INPUT_FORMATS, load_config
 from .errors import ConfigError, UpliftMineError
 from .pipeline import (
-    pin_mmap_threshold,
     run,
     stage_ingest,
     stage_mine,
@@ -88,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    pin_mmap_threshold()
     if args.command == "simulate":
         scenario = load_scenario(args.config)
         if args.seed is not None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -115,22 +115,8 @@ def _build(cls, raw, name: str):
         raise ConfigError(f"{name}.{exc}") from None
 
 
-_TOP_KEYS = frozenset(
-    {
-        "input",
-        "format",
-        "out_dir",
-        "outcome",
-        "positive_labels",
-        "csv",
-        "attributes",
-        "bins",
-        "rules",
-        "tree",
-        "min_uplift",
-        "cost",
-    }
-)
+# PipelineConfig's fields, input_format read as format and cost_overrides as cost.overrides.
+_TOP_KEYS = {f.name for f in fields(PipelineConfig)} - {"input_format", "cost_overrides"} | {"format"}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -199,22 +185,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 def config_to_dict(config: PipelineConfig) -> dict:
     """Plain-data mirror of config_from_dict's input, manifest- and YAML-ready."""
-    cost = asdict(config.cost)
-    cost["overrides"] = {k: asdict(v) for k, v in config.cost_overrides.items()}
-    return {
-        "input": config.input,
-        "format": config.input_format,
-        "out_dir": config.out_dir,
-        "outcome": config.outcome,
-        "positive_labels": list(config.positive_labels),
-        "csv": asdict(config.csv),
-        "attributes": [asdict(a) for a in config.attributes],
-        "bins": dict(config.bins),
-        "rules": asdict(config.rules),
-        "tree": asdict(config.tree),
-        "min_uplift": config.min_uplift,
-        "cost": cost,
-    }
+    raw = asdict(config)
+    raw["format"] = raw.pop("input_format")
+    raw["cost"]["overrides"] = raw.pop("cost_overrides")
+    raw["positive_labels"] = list(config.positive_labels)
+    return raw
 
 
 def _resolve(path: str, base: str) -> str:

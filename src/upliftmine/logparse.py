@@ -128,8 +128,10 @@ class _Fold:
         self.event_activities = array("i")
         self.codes: dict[str, array] = {}  # attribute -> per-case codes, once set
         self.values: dict[str, list] = defaultdict(list)  # attribute -> code -> value
-        self.index: dict[str, dict] = defaultdict(dict)  # attribute -> value coded twice -> code
-        self.seen: dict = {}  # str or int value -> the first equal one coded
+        # attribute -> value coded twice, or (bool, value), -> code
+        self.index: dict[str, dict] = defaultdict(dict)
+        # str or int value -> the first equal one coded; bools are seen from the start.
+        self.seen: dict = {(bool, False): False, (bool, True): True}
 
     def column(self, name: str) -> array:
         """The attribute's per-case codes, made on first use."""
@@ -143,19 +145,23 @@ class _Fold:
         keeps the first equal object coded, and is indexed once it is coded a
         second time, taking a new code each of those two times: a value coded
         once, as most numbers are, then holds no int object, whose freed pools
-        would stay resident. Any other value gets its own code: True == 1 ==
-        1.0 and -0.0 == 0.0 are equal keys, yet label and serialize apart."""
+        would stay resident. A bool is indexed at once, under (bool, value).
+        Any other value gets its own code: True == 1 == 1.0 and -0.0 == 0.0
+        are equal keys, yet label and serialize apart."""
         values = self.values[name]
+        key = value
         if type(value) not in (str, int):
-            values.append(value)
-            return len(values) - 1
+            if type(value) is not bool:
+                values.append(value)
+                return len(values) - 1
+            key = (bool, value)
         index = self.index[name]
-        code = index.get(value)
+        code = index.get(key)
         if code is None:
             code = len(values)
-            if value in self.seen:
-                index[value] = code
-            values.append(self.seen.setdefault(value, value))
+            if key in self.seen:
+                index[key] = code
+            values.append(self.seen.setdefault(key, value))
         return code
 
     def log(self) -> CaseLog:
@@ -535,12 +541,19 @@ class _CsvFold(_Fold):
         super().__init__()
         index = {name: i for i, name in enumerate(header)}
         mapped = (columns.case_id, columns.activity, columns.timestamp)
-        for name in mapped + tuple(columns.attributes or ()):
-            if name not in index:
-                raise SchemaError(f"mapped CSV column not found: {name!r}")
         names = columns.attributes
         if names is None:
             names = [name for name in header if name not in mapped]
+        for name in mapped + tuple(names):
+            if name not in index:
+                raise SchemaError(f"mapped CSV column not found: {name!r}")
+            first = header.index(name)
+            if first != index[name]:
+                second = header.index(name, first + 1)
+                raise SchemaError(
+                    f"CSV header names column {name!r} twice, "
+                    f"at columns {first + 1} and {second + 1}"
+                )
         self.cells = {name: index[name] for name in names}
         self.i_case, self.i_activity, self.i_ts = (index[name] for name in mapped)
         self.n_cells = 1 + max(self.i_case, self.i_activity, self.i_ts)

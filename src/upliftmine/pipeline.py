@@ -210,15 +210,16 @@ def _manifest(config: PipelineConfig) -> dict:
 
 @contextlib.contextmanager
 def _stage(config: PipelineConfig, name: str, *input_files: str):
-    """The frame of every stage. Before the body runs, each input artifact
-    must exist and manifest.json is read and checked, so neither a missing
-    input nor a malformed manifest changes out_dir. The body fills the
-    yielded info dict and writes each artifact where the yielded _Staging
-    says; then an flock on out_dir itself is taken and held through the
-    commit, and the manifest, read anew so that a stage that ended meanwhile
-    in any process keeps its entry, records info under stages.<name> and is
-    staged last; one log line reports info. A failed stage leaves no staged
-    file behind."""
+    """The frame of every stage. It first pins glibc's mmap threshold
+    (pin_mmap_threshold). Before the body runs, each input artifact must
+    exist and manifest.json is read and checked, so neither a missing input
+    nor a malformed manifest changes out_dir. The body fills the yielded
+    info dict and writes each artifact where the yielded _Staging says; then
+    an flock on out_dir itself is taken and held through the commit, and the
+    manifest, read anew so that a stage that ended meanwhile in any process
+    keeps its entry, records info under stages.<name> and is staged last;
+    one log line reports info. A failed stage leaves no staged file behind."""
+    pin_mmap_threshold()
     for filename in input_files:
         path = os.path.join(config.out_dir, filename)
         if not os.path.exists(path):
@@ -515,7 +516,6 @@ def run(config: PipelineConfig) -> dict:
     for a in config.attributes:
         if a.kind == NUMERIC and a.name != config.outcome and a.name not in config.bins:
             raise ConfigError(f"numeric attribute {a.name!r} has no bins entry, which run needs")
-    pin_mmap_threshold()
     ingest, table = stage_ingest(config)
     return {
         "ingest": ingest,

@@ -396,7 +396,7 @@ def best_split(
     tests = [(a, numeric, t) for a, numeric, ts, _ in blocks for t in ts.tolist()]
     lt, pos_lt, lc, pos_lc = np.concatenate([counts for *_, counts in blocks], axis=1)
     rt, rc = len(treat_idx) - lt, len(ctrl_idx) - lc
-    keep = np.minimum(lt, rt) >= params.min_samples_treatment
+    keep = np.minimum(lt, rt) >= max(params.min_samples_treatment, 1)
     keep &= np.minimum(lc, rc) >= 1
     lt, pos_lt, lc, pos_lc, rt, rc = (a[keep] for a in (lt, pos_lt, lc, pos_lc, rt, rc))
     left = node_stats(lt, pos_lt, lc, pos_lc, parent, params.n_reg)

@@ -246,7 +246,7 @@ def oracle_best_split(table, treat_rows, ctrl_rows, params, feature_names):
             left_c = [i for i in ctrl_rows if goes_left(i)]
             lt, lc = len(left_t), len(left_c)
             rt, rc = nt - lt, nc - lc
-            if min(lt, rt) < params.min_samples_treatment or min(lc, rc) < 1:
+            if min(lt, rt) < max(params.min_samples_treatment, 1) or min(lc, rc) < 1:
                 continue
             pos_lt = sum(outcomes[i] for i in left_t)
             pos_lc = sum(outcomes[i] for i in left_c)

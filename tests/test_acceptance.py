@@ -28,13 +28,8 @@ from upliftmine.actionrules import (
     mine_action_rules,
     save_rules,
 )
-from upliftmine.casetable import (
-    CATEGORICAL,
-    NUMERIC,
-    AttributeSchema,
-    discretize,
-    encode_cases,
-)
+from upliftmine.casetable import discretize, encode_cases
+from upliftmine.config import load_config
 from upliftmine.errors import PositivityError
 from upliftmine.logparse import parse_xes
 from upliftmine.ranking import CostModel, net_value, rank
@@ -401,26 +396,8 @@ def test_criterion_7_cost_model():
     )
 
 
-BPIC_SCHEMA = [
-    AttributeSchema("LoanGoal", CATEGORICAL),
-    AttributeSchema("ApplicationType", CATEGORICAL),
-    AttributeSchema("RequestedAmount", NUMERIC),
-    AttributeSchema("CreditScore", NUMERIC),
-    AttributeSchema("FirstWithdrawalAmount", NUMERIC, controllable=True),
-    AttributeSchema("MonthlyCost", NUMERIC, controllable=True),
-    AttributeSchema("NumberOfTerms", NUMERIC, controllable=True),
-    AttributeSchema("OfferedAmount", NUMERIC, controllable=True),
-    AttributeSchema("Selected", CATEGORICAL),
-]
-
-BPIC_BINS = {
-    "RequestedAmount": 4,
-    "CreditScore": 4,
-    "FirstWithdrawalAmount": 4,
-    "MonthlyCost": 4,
-    "NumberOfTerms": 4,
-    "OfferedAmount": 4,
-}
+# The BPIC 2017 run as the CLI takes it: attributes, bins, rule minima and tree.
+BPIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bpic2017.yaml"
 
 
 def test_criterion_8_bpic2017_smoke():
@@ -440,6 +417,8 @@ def test_criterion_8_bpic2017_smoke():
             urllib.request.urlretrieve(url, cache)
         path = str(cache)
 
+    config = load_config(BPIC_CONFIG)
+    rules_params = config.rules
     failures = []
     event_log = parse_xes(path)
     if len(event_log) != 31_509:
@@ -447,20 +426,29 @@ def test_criterion_8_bpic2017_smoke():
     if event_log.n_events != 1_202_267:
         failures.append(f"{event_log.n_events} events, expected 1202267")
 
-    table = encode_cases(event_log, BPIC_SCHEMA, "Selected")
-    table = discretize(table, BPIC_BINS)
-    rules = mine_action_rules(table, 0.03, 0.55, 4)
+    table = encode_cases(
+        event_log, config.attributes, config.outcome, frozenset(config.positive_labels)
+    )
+    table = discretize(table, config.bins)
+    rules = mine_action_rules(
+        table,
+        rules_params.min_support,
+        rules_params.min_confidence,
+        rules_params.max_antecedent_len,
+    )
     if len(rules) < 5:
         failures.append(f"only {len(rules)} rules, expected at least 5")
     for rule in rules:
         support, confidence = measure(rule, table)
-        if support < 0.03 - 1e-12 or confidence < 0.55 - 1e-12:
+        if (
+            support < rules_params.min_support - 1e-12
+            or confidence < rules_params.min_confidence - 1e-12
+        ):
             failures.append(
                 f"rule re-measures below thresholds: {support!r}, {confidence!r}"
             )
 
     treatments = extract_treatments(rules)
-    params = TreeParams()
     n_segments = 0
     n_skipped = 0
     for treatment in treatments:
@@ -469,8 +457,8 @@ def test_criterion_8_bpic2017_smoke():
         except PositivityError:
             n_skipped += 1
             continue
-        tree = build_tree(table, assignment, params)
-        for segment in extract_segments(tree, 0.0):
+        tree = build_tree(table, assignment, config.tree)
+        for segment in extract_segments(tree, config.min_uplift):
             n_segments += 1
             if segment.n_treat < 1 or segment.n_ctrl < 1:
                 failures.append(f"segment without both groups: {segment.predicate_text}")

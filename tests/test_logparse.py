@@ -376,12 +376,8 @@ def test_parse_xes_keeps_one_object_per_distinct_label_and_int():
         assert _one_object_per_value(log.last[key]), key
 
 
-def test_parse_xes_keeps_each_typed_value_as_read():
-    # Equal as dict keys (True == 1 == 1.0, -0.0 == 0.0), yet each labels and
-    # serializes differently, so no case may be given another case's value.
-    values = [True, 1, 1.0, -0.0, 0.0, math.nan]
-    elements = ['boolean value="true"', 'int value="1"', 'float value="1.0"',
-                'float value="-0.0"', 'float value="0.0"', 'float value="NaN"']
+def _one_value_per_trace(elements: list[str]) -> bytes:
+    """An XES log whose i-th trace has one event carrying elements[i] as x."""
     traces = "".join(
         f'<trace><string key="concept:name" value="c{i}"/><event>'
         '<string key="concept:name" value="A"/>'
@@ -389,8 +385,31 @@ def test_parse_xes_keeps_each_typed_value_as_read():
         f'<{element} key="x"/></event></trace>'
         for i, element in enumerate(elements)
     )
-    log = parse_xes(f"<log>{traces}</log>".encode())
+    return f"<log>{traces}</log>".encode()
+
+
+def test_parse_xes_keeps_each_typed_value_as_read():
+    # Equal as dict keys (True == 1 == 1.0, -0.0 == 0.0), yet each labels and
+    # serializes differently, so no case may be given another case's value.
+    values = [True, 1, 1.0, -0.0, 0.0, math.nan]
+    elements = ['boolean value="true"', 'int value="1"', 'float value="1.0"',
+                'float value="-0.0"', 'float value="0.0"', 'float value="NaN"']
+    log = parse_xes(_one_value_per_trace(elements))
     assert [(type(v), repr(v)) for v in log.last["x"]] == [(type(v), repr(v)) for v in values]
+
+
+def test_parse_xes_codes_each_distinct_bool_once():
+    flags = ["true", "false", "true", "true"]
+    log = parse_xes(_one_value_per_trace([f'boolean value="{f}"' for f in flags]))
+    assert log.last["x"] == [True, False, True, True]
+    assert len(log.last["x"].values) == 2
+    # A bool never shares an entry with an equal int or float.
+    elements = ['boolean value="true"', 'int value="1"', 'boolean value="1"',
+                'float value="1.0"', 'int value="1"']
+    column = parse_xes(_one_value_per_trace(elements)).last["x"]
+    assert [type(v) for v in column] == [bool, int, bool, float, int]
+    codes = column.codes.tolist()
+    assert codes[0] == codes[2] and len({codes[0], codes[1], codes[3]}) == 3
 
 
 def test_parse_timestamp_accepts_z_suffix_and_offsets():
@@ -446,6 +465,26 @@ def test_parse_csv_duplicate_timestamps_keep_file_order():
 def test_parse_csv_missing_mapped_column_is_named():
     with pytest.raises(SchemaError, match="case_key"):
         parse_csv(CSV_THREE_ROWS, CsvColumns(case_id="case_key"))
+
+
+@pytest.mark.parametrize(
+    "header, columns, message",
+    [
+        ("case_id,activity,timestamp,x,x", None, "'x' twice, at columns 4 and 5"),
+        ("case_id,activity,timestamp,x,x", CsvColumns(attributes=["x"]), "columns 4 and 5"),
+        ("case_id,timestamp,activity,timestamp,x", None, "'timestamp' twice, at columns 2 and 4"),
+        ("case_id,case_id,activity,timestamp", None, "'case_id' twice, at columns 1 and 2"),
+    ],
+)
+def test_parse_csv_column_named_twice_is_a_schema_error(header, columns, message):
+    data = f"{header}\nc1,a,2020-01-01T00:00:00,1,2\n".encode()
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        parse_csv(data, columns)
+
+
+def test_parse_csv_allows_a_repeated_column_that_nothing_reads():
+    data = b"case_id,activity,timestamp,x,note,note\nc1,a,2020-01-01T00:00:00,1,p,q\n"
+    assert parse_csv(data, CsvColumns(attributes=["x"])).last == {"x": ["1"]}
 
 
 def test_parse_csv_empty_case_id_reports_row_number():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import fcntl
 import json
@@ -31,6 +32,7 @@ from upliftmine.casetable import MISSING_LABEL, AttributeSchema, CaseTable, disc
 from upliftmine.cli import main
 from upliftmine.config import (
     PipelineConfig,
+    RuleParams,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -39,9 +41,11 @@ from upliftmine.errors import ConfigError, SchemaError
 from upliftmine.pipeline import (
     CASE_SUMMARY_FILE,
     CASE_TABLE_FILE,
+    GROUND_TRUTH_FILE,
     MANIFEST_FILE,
     RECOMMENDATIONS_FILE,
     RULES_FILE,
+    SCENARIO_LOG_FILE,
     SEGMENTS_FILE,
     TREATMENTS_FILE,
     TREES_DIR,
@@ -55,6 +59,8 @@ from upliftmine.pipeline import (
     table_to_dict,
 )
 from upliftmine.pipeline import _encode_compact, _read_json, _Staging, _write_json
+from upliftmine.ranking import CostModel
+from upliftmine.uplift import TreeParams
 
 EIGHT_ROW_CSV = "case_id,activity,timestamp,S,F,Y\n" + "".join(
     f"c{i},apply,2020-01-01T00:00:{i:02d}Z,{s},{f},{y}\n"
@@ -803,6 +809,60 @@ def test_simulate_then_run_composes(tmp_path):
     assert top[0] == "treatment:0->1"
     assert "subgroup" in top[1]
     assert float(top[3]) > 0.4
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_quick_start_recommends_the_planted_subgroup(tmp_path):
+    out = tmp_path / "sim"
+    scenario = str(CONFIGS / "planted_scenario.yaml")
+    assert main(["simulate", "--config", scenario, "--out", str(out)]) == 0
+    assert main(["run", "--config", str(out / "pipeline.yaml")]) == 0
+    truth = _read_json(out / GROUND_TRUTH_FILE)["cate_by_subgroup"]["1"]
+    with open(out / RECOMMENDATIONS_FILE, newline="", encoding="utf-8") as fh:
+        top = next(csv.DictReader(fh))
+    assert abs(float(top["uplift"]) - truth) <= 0.1
+    # Every case the top segment admits is in the planted subgroup.
+    conditions = [term.split(" ") for term in top["segment"].split(" and ")]
+    holds = {"==": str.__eq__, "!=": str.__ne__}
+    with open(out / SCENARIO_LOG_FILE, newline="", encoding="utf-8") as fh:
+        admitted = [
+            row["subgroup"]
+            for row in csv.DictReader(fh)
+            if all(holds[op](row[attribute], value) for attribute, op, value in conditions)
+        ]
+    assert len(admitted) == int(top["n"]) and set(admitted) == {"1"}
+
+
+def test_bpic2017_config_declares_the_offer_as_the_treatment():
+    config = load_config(CONFIGS / "bpic2017.yaml")
+    assert (config.input_format, config.outcome) == ("xes", "Selected")
+    assert len(config.attributes) == 9
+    controllable = {a.name for a in config.attributes if a.controllable}
+    assert controllable == {"FirstWithdrawalAmount", "MonthlyCost", "NumberOfTerms", "OfferedAmount"}
+    numeric = {a.name for a in config.attributes if a.kind == "numeric"}
+    assert config.bins == dict.fromkeys(numeric, 4)
+    assert config.tree == TreeParams() and config.rules == RuleParams()
+    assert config.cost == CostModel(1.0, 0.0) and not config.cost_overrides
+
+
+def test_each_stage_pins_the_mmap_threshold_once(eight_row_config, tmp_path, monkeypatch):
+    pins = []
+    monkeypatch.setattr(pipeline, "pin_mmap_threshold", lambda: pins.append(1))
+    for stage in (stage_ingest, stage_mine, stage_uplift, stage_rank):
+        pins.clear()
+        stage(eight_row_config)
+        assert len(pins) == 1, stage.__name__
+    pins.clear()
+    run(eight_row_config)
+    assert len(pins) == 4
+    # simulate writes no stage of the pipeline, and is left unpinned.
+    pins.clear()
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO_YAML, encoding="utf-8")
+    assert main(["simulate", "--config", str(scenario), "--out", str(tmp_path / "sim")]) == 0
+    assert pins == []
 
 
 def test_simulate_is_deterministic_across_directories(tmp_path):

@@ -379,6 +379,38 @@ def test_build_tree_partition_conservation():
     walk(tree.root)
 
 
+def test_zero_min_samples_treatment_still_keeps_a_treated_row_on_each_side():
+    # Treatment is confined to x < 0.3, so a split on x can leave a side with
+    # no treated row; a node grown there has no treated rate to score, and its
+    # scores would all be NaN, which passes the gain and tie tests.
+    rng = np.random.default_rng(1)
+    x, z = rng.random(600), rng.random(600)
+    treated = (x < 0.3) & (rng.random(600) < 0.9)
+    y = rng.random(600) < np.where(z < 0.5, 0.2, 0.7)
+    rows = [
+        ({"T": str(int(t)), "x": float(a), "z": float(b)}, int(o))
+        for t, a, b, o in zip(treated, x, z, y)
+    ]
+    table = make_table(
+        [("T", "categorical", True), ("x", "numeric", False), ("z", "numeric", False)], rows
+    )
+    params = TreeParams(min_samples_treatment=0, min_samples_split=20, max_depth=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree, _ = _build_with(table, Treatment((AtomicActionTerm("T", "0", "1"),)), params)
+
+    def walk(node):
+        if not node.is_leaf:
+            assert node.stats.n_treat >= 1 and node.stats.n_ctrl >= 1
+            walk(node.left)
+            walk(node.right)
+
+    assert not tree.root.is_leaf
+    walk(tree.root)
+    for segment in extract_segments(tree, -math.inf):
+        assert segment.n_treat >= 1 and segment.n_ctrl >= 1
+
+
 def _random_routing_table(rng):
     """Treated, control and excluded rows with missing numeric and categorical
     values, a numeric column with more distinct values than
