@@ -94,11 +94,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         stage_simulate(scenario, args.out)
         return EXIT_OK
 
-    config = load_config(args.config)
+    config = load_config(args.config, getattr(args, "input", None) or None)
     if args.out:
         config.out_dir = args.out
-    if getattr(args, "input", None):
-        config.input = args.input
     if getattr(args, "format", None):
         config.input_format = args.format
 

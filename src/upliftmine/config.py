@@ -196,15 +196,22 @@ def _resolve(path: str, base: str) -> str:
     return path if os.path.isabs(path) else os.path.normpath(os.path.join(base, path))
 
 
-def load_config(path) -> PipelineConfig:
-    """Read a YAML config; relative input/out_dir resolve against the file."""
+def load_config(path, input: str | None = None) -> PipelineConfig:
+    """Read a YAML config; relative input/out_dir resolve against the file.
+    input, as the CLI's --input gives it, replaces the config's input key
+    and is taken as it is; the config may then leave the key out."""
     try:
         raw = yaml.safe_load(read_text(path, "config"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
+    if isinstance(raw, dict) and input is not None:
+        raw = {**raw, "input": input}
+    elif isinstance(raw, dict) and "input" not in raw:
+        raise ConfigError(f"config {path} names no input log: set its input key or give --input")
     config = config_from_dict(raw)
     base = os.path.dirname(os.path.abspath(path))
-    config.input = _resolve(config.input, base)
+    if input is None:
+        config.input = _resolve(config.input, base)
     config.out_dir = _resolve(config.out_dir, base)
     return config
 

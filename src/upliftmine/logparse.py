@@ -114,15 +114,27 @@ class CaseLog:
         return len(self.case_ids)
 
 
+# Ids a dict of the case index holds at most: the usable size of a 2**17-slot
+# table, about 1.9 MB of str-keyed entries and slots.
+_CASE_INDEX_CAP = 87_381
+
+
 class _Fold:
     """Where a reader's cases become a CaseLog. Cases are numbered in order
     of first appearance; each event adds the int32 codes of its case and its
     activity, from which log() counts the activities. Each attribute keeps
     an int32 code per case (-1 where unset), made when some case first gets
-    a value, into the attribute's own table of values, which code() fills."""
+    a value, into the attribute's own table of values, which code() fills.
+
+    The case ids are listed once, in code order. The case index that finds
+    them is a list of dicts of at most _CASE_INDEX_CAP ids each, so that no
+    large dict regrows, each id under the first code of the batch that added
+    it: one int shared by the batch. A case met again is looked up once in
+    case_ids from there, and then holds ~code, which is negative."""
 
     def __init__(self):
-        self.cases: dict[str, int] = {}  # case id -> code
+        self.case_ids: list[str] = []  # code -> case id
+        self.cases: list[dict[str, int]] = []  # case id -> batch base or ~code
         self.activities: dict[str, int] = {}  # activity -> code
         self.event_cases = array("i")
         self.event_activities = array("i")
@@ -137,8 +149,39 @@ class _Fold:
         """The attribute's per-case codes, made on first use."""
         codes = self.codes.get(name)
         if codes is None:
-            codes = self.codes[name] = array("i", [-1]) * len(self.cases)
+            codes = self.codes[name] = array("i", [-1]) * len(self.case_ids)
         return codes
+
+    def new_cases(self, ids: list[str]) -> int:
+        """Number ids, distinct and none of them known, from the next free
+        code, which it returns; each attribute's codes grow by -1 for them."""
+        base = len(self.case_ids)
+        if not self.cases or len(self.cases[-1]) + len(ids) > _CASE_INDEX_CAP:
+            self.cases.append({})
+        self.cases[-1].update(zip(ids, repeat(base)))
+        self.case_ids += ids
+        unset = array("i", [-1]) * len(ids)
+        for codes in self.codes.values():
+            codes.extend(unset)
+        return base
+
+    def case_codes(self, ids: list[str]) -> np.ndarray:
+        """Each id's int32 case code; ids new to the fold are numbered in
+        order of first appearance."""
+        codes = dict.fromkeys(ids)  # id -> code, None while unknown
+        met = [index for index in self.cases if not index.keys().isdisjoint(codes)]
+        for index in met:
+            for key in filter(index.__contains__, codes):
+                value = index[key]
+                if value >= 0:  # met again for the first time
+                    value = index[key] = ~self.case_ids.index(key, value)
+                codes[key] = ~value
+        new = [key for key, code in codes.items() if code is None] if met else list(codes)
+        base = self.new_cases(new)
+        if len(new) == len(ids):  # every id a distinct new case
+            return np.arange(base, base + len(new), dtype=np.int32)
+        codes.update(zip(new, range(base, base + len(new))))
+        return np.fromiter(map(codes.__getitem__, ids), np.int32, len(ids))
 
     def code(self, name: str, value) -> int:
         """The value's code in the attribute's table. An exact str or int value
@@ -165,11 +208,11 @@ class _Fold:
         return code
 
     def log(self) -> CaseLog:
-        """The folded CaseLog. The case codes are freed before the counts
+        """The folded CaseLog. The case index is freed before the counts
         are built, and the event codes once one mask per activity has picked
         out its events' cases, so the fold is spent. Counts are coded into
         range(max + 1); each attribute's codes index its own tuple of values."""
-        case_ids = list(self.cases)
+        case_ids = self.case_ids
         self.cases.clear()
         n = len(case_ids)
         cases = np.frombuffer(self.event_cases, np.int32)
@@ -363,11 +406,9 @@ def parse_xes(source) -> CaseLog:
             except LogParseError as exc:
                 raise error(str(exc)) from None
         case_id = str(trace.pop(XES_ACTIVITY_KEY, f"trace_{n_traces}"))
-        if not case_id or case_id in fold.cases:
+        if not case_id or any(case_id in index for index in fold.cases):
             raise LogParseError(f"trace #{n_traces}: empty or duplicate case id {case_id!r}")
-        case = fold.cases[case_id] = len(fold.cases)
-        for codes in fold.codes.values():
-            codes.append(-1)
+        case = fold.new_cases([case_id])
         # Trace attributes rank below every event value, and vanish when the
         # trace has no events.
         stamped.sort(key=itemgetter(0))
@@ -596,15 +637,11 @@ class _CsvFold(_Fold):
             raise LogParseError(f"row {row_no}: {message}", row=row_no)
         if not rows:
             return
-        n_old = len(self.cases)
-        cases = _codes(self.cases, case_ids)
+        n_old = len(self.case_ids)
+        cases = self.case_codes(case_ids)
         self.event_cases.frombytes(cases.tobytes())
         self.event_activities.frombytes(_codes(self.activities, activities).tobytes())
-        n_new = len(self.cases) - n_old
-        unset = array("i", [-1]) * n_new
-        for codes in self.codes.values():
-            codes.extend(unset)
-        unstamped = np.full(n_new, _NO_STAMP).tobytes()
+        unstamped = np.full(len(self.case_ids) - n_old, _NO_STAMP).tobytes()
         for kept in {id(kept): kept for kept in self.stamps.values()}.values():
             kept.frombytes(unstamped)
         # Attributes of one stamp column that this chunk's rows carry alike
@@ -657,7 +694,7 @@ def parse_csv(source, columns: CsvColumns | None = None) -> CaseLog:
             rows.clear()  # before the next chunk is read
     if fold is None:
         raise LogParseError("CSV input has no header row")
-    fold.stamps.clear()  # before log() lists the case ids
+    fold.stamps.clear()  # before log() builds the counts
     return fold.log()
 
 

@@ -417,7 +417,7 @@ def test_criterion_8_bpic2017_smoke():
             urllib.request.urlretrieve(url, cache)
         path = str(cache)
 
-    config = load_config(BPIC_CONFIG)
+    config = load_config(BPIC_CONFIG, path)
     rules_params = config.rules
     failures = []
     event_log = parse_xes(path)

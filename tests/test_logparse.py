@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import XES_LAYOUTS, cell_text, csv_log, xes_log
 from oracles import reference_fold, reference_parse_timestamp
+from upliftmine import logparse
 from upliftmine.errors import LogParseError, SchemaError
 from upliftmine.logparse import (
     _CSV_CHUNK,
@@ -240,6 +241,24 @@ def test_parse_xes_duplicate_case_id_names_trace():
     </trace>"""
     with pytest.raises(LogParseError, match="trace #2.*'c3'"):
         parse_xes(b"<log>" + trace + trace + b"</log>")
+
+
+def test_parse_xes_finds_a_duplicate_case_id_in_an_earlier_index_dict():
+    # One id a dict: c3 comes back once c4 has started a dict of its own.
+    traces = [
+        f"""<trace><string key="concept:name" value="{name}"/><event>
+          <string key="concept:name" value="A"/>
+          <date key="time:timestamp" value="2016-01-01T00:00:00Z"/>
+        </event></trace>"""
+        for name in ("c3", "c4", "c3")
+    ]
+    doc = ("<log>" + "".join(traces) + "</log>").encode()
+    with mock.patch.object(logparse, "_CASE_INDEX_CAP", 1):
+        with pytest.raises(LogParseError, match="trace #3.*'c3'"):
+            parse_xes(doc)
+        assert parse_xes(doc.replace(b'"c3"/><event>', b'"c5"/><event>', 1)).case_ids == [
+            "c5", "c4", "c3"
+        ]
 
 
 @pytest.mark.parametrize(
@@ -649,6 +668,23 @@ def test_csv_fold_keeps_one_stamp_column_until_a_cell_is_missing():
     assert [log.last[key][1] for key in "uvw"] == ["1", "2", "3"]
 
 
+def test_csv_case_index_shares_one_int_per_chunk_and_holds_the_code_of_a_case_met_again():
+    header = ["case_id", "activity", "timestamp"]
+    fold = _CsvFold(header, CsvColumns())
+    for start in range(0, 3 * _CSV_CHUNK, _CSV_CHUNK):
+        fold.add([[f"c{row}", "A", "2020-01-01T00:00:00Z"] for row in range(start, start + _CSV_CHUNK)])
+    values = [value for index in fold.cases for value in index.values()]
+    assert len(values) == 3 * _CSV_CHUNK
+    assert len({id(value) for value in values}) <= 3
+    met = _CSV_CHUNK + 5
+    fold.add([["c5", "A", "2020-01-02T00:00:00Z"], [f"c{met}", "A", "2020-01-02T00:00:00Z"]])
+    assert [fold.cases[0]["c5"], fold.cases[0][f"c{met}"]] == [~5, ~met]
+    fold.add([["c5", "A", "2020-01-03T00:00:00Z"], ["new", "A", "2020-01-03T00:00:00Z"]])
+    log = fold.log()
+    assert log.case_ids[met] == f"c{met}" and log.case_ids[-1] == "new"
+    assert [log.counts["A"][i] for i in (5, met, 6, 3 * _CSV_CHUNK)] == [3, 2, 1, 1]
+
+
 _ISO_UTC_DATETIMES = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31))
 
 
@@ -859,6 +895,44 @@ def test_parsed_traces_are_time_sorted(rows):
         assert set(columns) == set(again)
         for key, values in columns.items():
             assert values == [again[key][i] for i in order]
+
+
+@st.composite
+def recurring_rows(draw):
+    """Up to 42 (case_id, activity, timestamp, attrs) rows, grouped by case,
+    sorted by time or shuffled."""
+    n_cases = draw(st.integers(min_value=1, max_value=14))
+    rows = [
+        (f"case_{i}", *draw(_events()))
+        for i in range(n_cases)
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    order = draw(st.sampled_from(["grouped", "time", "shuffled"]))
+    if order == "time":
+        return sorted(rows, key=lambda row: row[2])
+    return draw(st.permutations(rows)) if order == "shuffled" else rows
+
+
+# Read 3 rows a chunk into dicts of 3 ids, case a is met in dict 0, again
+# after dict 2 has started (rows 10 and 12) and once more (row 13).
+_A_RETURNS = [
+    (case_id, "apply", _T0 + timedelta(minutes=row % 4), {"color": f"v{row}"})
+    for row, case_id in enumerate("abcdefghiajaabk")
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(recurring_rows(), st.integers(1, 5), st.integers(1, 6))
+@example(_A_RETURNS, 3, 3)
+def test_parse_csv_recurring_cases_across_chunks_and_index_dicts_give_the_reference_log(
+    rows, chunk, cap
+):
+    # Small chunks and index dicts, so that a case comes back in later chunks
+    # and after later dicts have started.
+    with mock.patch.object(logparse, "_CSV_CHUNK", chunk), mock.patch.object(
+        logparse, "_CASE_INDEX_CAP", cap
+    ):
+        assert parse_csv(csv_log(rows)) == _fold_rows(rows)
 
 
 @st.composite

@@ -836,7 +836,8 @@ def test_quick_start_recommends_the_planted_subgroup(tmp_path):
 
 
 def test_bpic2017_config_declares_the_offer_as_the_treatment():
-    config = load_config(CONFIGS / "bpic2017.yaml")
+    config = load_config(CONFIGS / "bpic2017.yaml", "BPI_Challenge_2017.xes.gz")
+    assert config.input == "BPI_Challenge_2017.xes.gz"
     assert (config.input_format, config.outcome) == ("xes", "Selected")
     assert len(config.attributes) == 9
     controllable = {a.name for a in config.attributes if a.controllable}
@@ -899,6 +900,24 @@ def test_cli_exit_codes(tmp_path, eight_row_config):
     assert (tmp_path / "cli_out" / CASE_TABLE_FILE).exists()
 
     assert main(["mine", "--config", str(ok_config), "--out", str(tmp_path / "empty")]) == 1
+
+
+def test_cli_input_stands_in_for_a_config_without_one(tmp_path, caplog, monkeypatch):
+    # --input is taken as given, relative to the working directory, while
+    # out_dir resolves against the config's folder.
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    nested = tmp_path / "configs"
+    nested.mkdir()
+    raw = {**minimal_raw(tmp_path), "out_dir": "out"}
+    del raw["input"]
+    config = nested / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["ingest", "--config", str(config), "--input", "log.csv"]) == 0
+    assert (nested / "out" / CASE_TABLE_FILE).exists()
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", "--config", str(config)]) == 1
+    assert f"config {config} names no input log: set its input key or give --input" in caplog.text
 
 
 def test_cli_short_csv_row_is_a_data_error(tmp_path, caplog):
