@@ -84,7 +84,9 @@ class CaseTable:
     The constructor is the one place values are encoded and checked, once
     per value that some case holds: columns maps each attribute to a Coded
     column or a list of values (labels, numbers, None), or to another
-    table's float array, which is kept, not copied, as a uint8 outcome is.
+    table's float array, which is kept, not copied, as a uint8 outcome, a list
+    of case ids (so its owner must not change it) and the codes of a Coded
+    column that already follow its sorted labels are.
     """
 
     def __init__(
@@ -103,7 +105,7 @@ class CaseTable:
             raise SchemaError("columns do not match the schema's attributes")
         self.schema = list(schema)
         self.outcome_name = outcome_name
-        self.case_ids = list(case_ids)
+        self.case_ids = case_ids
         numeric = {a.name for a in self.schema if a.kind == NUMERIC}
         if not set(bins or {}) <= numeric:
             raise SchemaError("bins may only name numeric attributes")
@@ -156,16 +158,19 @@ class CaseTable:
 
     def ranked(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Ascending distinct values (numbers but NaN, or labels) and each
-        row's int32 index into them, missing rows all last; cached."""
+        row's int32 index into them, missing rows all last; cached. A
+        categorical attribute that no case misses ranks by its own codes."""
         if name not in self._ranked:
             if self.attribute(name).kind == NUMERIC:
                 values = self.numeric(name)
-                distinct = np.unique(values[~np.isnan(values)])
+                distinct = _distinct(values)
                 ranks = np.searchsorted(distinct, values).astype(np.int32)  # NaN sorts last
             else:
                 column = self.coded(name)
                 distinct = np.array(column.values, dtype=object)
-                ranks = np.where(column.codes < 0, np.int32(len(distinct)), column.codes)
+                ranks = column.codes
+                if ranks.min(initial=0) < 0:
+                    ranks = np.where(ranks < 0, np.int32(len(distinct)), ranks)
             self._ranked[name] = (_read_only(distinct), _read_only(ranks))
         return self._ranked[name]
 
@@ -188,6 +193,17 @@ class CaseTable:
         return self.outcome.tolist()
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of the values but NaN, read off a sort, which puts NaN last:
+    a process's first np.unique faults in about 1 MB (see _held)."""
+    ordered = np.sort(values)
+    ordered = ordered[: np.searchsorted(ordered, nan)]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def _held(column: Coded) -> tuple[np.ndarray, list]:
     """The codes that some case holds, ascending, and their values."""
     # bincount, not np.unique: a process's first np.unique faults in about
@@ -199,6 +215,8 @@ def _held(column: Coded) -> tuple[np.ndarray, list]:
 
 def _recoded(column: Coded, held: np.ndarray, codes, values) -> Coded:
     """The column with each held code replaced by its new code into values."""
+    if np.array_equal(held, codes):
+        return Coded(column.codes, values)
     new = np.full(len(column.values) + 1, -1, np.int32)  # code -1 picks the last -1
     new[held] = codes
     return Coded(new[column.codes], values)

@@ -95,6 +95,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     config = load_config(args.config, getattr(args, "input", None) or None)
+    if args.command in ("run", "ingest") and config.input is None:
+        raise ConfigError(f"config {args.config} names no input log: set its input key or give --input")
     if args.out:
         config.out_dir = args.out
     if getattr(args, "format", None):

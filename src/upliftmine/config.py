@@ -39,7 +39,7 @@ class RuleParams:
 
 @dataclass
 class PipelineConfig:
-    input: str
+    input: str | None  # the log that ingest reads; mine, uplift and rank need none
     outcome: str
     attributes: list[AttributeSchema]
     input_format: str = "csv"
@@ -58,8 +58,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"format must be one of {INPUT_FORMATS}, got {self.input_format!r}"
             )
-        if not self.input:
-            raise ConfigError("input path is required")
+        if self.input == "":
+            raise ConfigError("input path must not be empty")
         if not self.outcome:
             raise ConfigError("outcome attribute name is required")
         names = [a.name for a in self.attributes]
@@ -125,7 +125,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     unknown = sorted(set(raw) - _TOP_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for key in ("input", "outcome", "attributes"):
+    for key in ("outcome", "attributes"):
         if key not in raw:
             raise ConfigError(f"config key {key!r} is required")
 
@@ -167,7 +167,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     require(min_uplift, float, "min_uplift")
 
     return PipelineConfig(
-        input=str(raw["input"]),
+        input=None if raw.get("input") is None else str(raw["input"]),
         outcome=str(raw["outcome"]),
         attributes=attributes,
         input_format=raw.get("format", "csv"),
@@ -199,18 +199,16 @@ def _resolve(path: str, base: str) -> str:
 def load_config(path, input: str | None = None) -> PipelineConfig:
     """Read a YAML config; relative input/out_dir resolve against the file.
     input, as the CLI's --input gives it, replaces the config's input key
-    and is taken as it is; the config may then leave the key out."""
+    and is taken as it is. A config without either has no input."""
     try:
         raw = yaml.safe_load(read_text(path, "config"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     if isinstance(raw, dict) and input is not None:
         raw = {**raw, "input": input}
-    elif isinstance(raw, dict) and "input" not in raw:
-        raise ConfigError(f"config {path} names no input log: set its input key or give --input")
     config = config_from_dict(raw)
     base = os.path.dirname(os.path.abspath(path))
-    if input is None:
+    if input is None and config.input is not None:
         config.input = _resolve(config.input, base)
     config.out_dir = _resolve(config.out_dir, base)
     return config

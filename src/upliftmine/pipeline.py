@@ -217,8 +217,9 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
     info dict and writes each artifact where the yielded _Staging says; then
     an flock on out_dir itself is taken and held through the commit, and the
     manifest, read anew so that a stage that ended meanwhile in any process
-    keeps its entry, records info under stages.<name> and is staged last;
-    one log line reports info. A failed stage leaves no staged file behind."""
+    keeps its entry, records info under stages.<name> and the config (with
+    the input it holds if the config names none) and is staged last; one log
+    line reports info. A failed stage leaves no staged file behind."""
     pin_mmap_threshold()
     for filename in input_files:
         path = os.path.join(config.out_dir, filename)
@@ -234,7 +235,10 @@ def _stage(config: PipelineConfig, name: str, *input_files: str):
         fcntl.flock(lock, fcntl.LOCK_EX)
         manifest = _manifest(config)
         manifest["tool"] = {"name": "upliftmine", "version": __version__}
-        manifest["config"] = config_to_dict(config)
+        recorded = config_to_dict(config)
+        if config.input is None and isinstance(manifest.get("config"), dict):
+            recorded["input"] = manifest["config"].get("input")
+        manifest["config"] = recorded
         manifest["stages"][name] = info
         _write_json(staging.path(MANIFEST_FILE), manifest)
     log.info("%s: %s", name, ", ".join(f"{n} {key.removeprefix('n_')}" for key, n in info.items()))
@@ -350,6 +354,8 @@ def _read_table(config: PipelineConfig) -> CaseTable:
 
 def stage_ingest(config: PipelineConfig) -> tuple[dict, CaseTable]:
     """The stage's info and the case table it wrote, which run hands on."""
+    if config.input is None:
+        raise ConfigError("the config names no input log: set its input key or give --input")
     with _stage(config, "ingest") as (info, staging):
         if config.input_format == "xes":
             case_log = parse_xes(config.input)

@@ -38,6 +38,10 @@ MAX_NUMERIC_CANDIDATES = 100
 # Evenly spaced fractions of the quantiles that thin a node's thresholds.
 _QUANTILE_FRACTIONS = np.arange(1, MAX_NUMERIC_CANDIDATES + 1) / (MAX_NUMERIC_CANDIDATES + 1)
 
+# Rows per bincount of a node's histogram. bincount copies its keys to
+# int64, so a longer node is counted a block at a time.
+HISTOGRAM_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -344,14 +348,17 @@ def _candidates(table: CaseTable, treat_idx, ctrl_idx, feature_names):
 
 def _attribute_candidates(table: CaseTable, attribute: str, rows, group):
     """One attribute's block of _candidates, or None when the node's rows
-    hold fewer than two of its values. The keys are int32, and every
-    array as long as the node or the attribute's values dies on return."""
+    hold fewer than two of its values. Its int32 keys go HISTOGRAM_BLOCK rows
+    at a time, and every array as long as the attribute's values dies."""
     values, ranks = table.ranked(attribute)
     size = len(values) + 1  # the last bucket holds missing rows
-    key = group * size
-    key += ranks[rows]
-    hist = np.bincount(key, minlength=4 * size).reshape(4, size)
-    del key
+    hist = None
+    for start in range(0, max(len(rows), 1), HISTOGRAM_BLOCK):  # a node without rows too
+        key = group[start : start + HISTOGRAM_BLOCK] * size
+        key += ranks[rows[start : start + HISTOGRAM_BLOCK]]
+        part = np.bincount(key, minlength=4 * size)
+        hist = part if hist is None else np.add(hist, part, out=hist)
+    hist = hist.reshape(4, size)
     present = np.flatnonzero(hist[0, :-1] + hist[2, :-1])
     if present.size < 2:
         return None

@@ -18,7 +18,7 @@ from upliftmine.casetable import (
 from helpers import csv_log, decoded
 from oracles import reference_bin_labels, reference_encode, reference_fold
 from upliftmine.errors import ConfigError, SchemaError
-from upliftmine.logparse import CaseLog, parse_csv
+from upliftmine.logparse import CaseLog, Coded, parse_csv
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -346,6 +346,68 @@ def test_every_array_of_a_table_is_read_only():
             array[0] = array[1]
     assert binned.column("x") == [3.0, 1.0, None, 9.5]
     assert binned.ranked("color")[1].tolist() == [1, 2, 0, 1]
+
+
+def test_encode_cases_hands_the_log_its_own_ids_and_ordered_codes():
+    # No case drops, so the table keeps the log's id list; a column whose
+    # codes already follow its sorted labels keeps its codes, another one is
+    # recoded.
+    ordered = Coded(np.array([1, 0, -1, 1], np.int32), ("Car", "Home"))
+    unordered = Coded(np.array([1, 0, -1, 1], np.int32), ("b", "a"))
+    case_log = CaseLog(
+        ["c0", "c1", "c2", "c3"],
+        last={"goal": ordered, "kind": unordered, "Y": ["1", "0", "1", "0"]},
+    )
+    schema = [
+        AttributeSchema("goal", "categorical"),
+        AttributeSchema("kind", "categorical"),
+        AttributeSchema("Y", "categorical"),
+    ]
+    table = encode_cases(case_log, schema, "Y")
+    assert table.case_ids is case_log.case_ids
+    assert np.shares_memory(table.coded("goal").codes, ordered.codes)
+    assert decoded(table.coded("goal")) == ["Home", "Car", None, "Home"]
+    assert not np.shares_memory(table.coded("kind").codes, unordered.codes)
+    assert decoded(table.coded("kind")) == ["a", "b", None, "a"]
+    assert discretize(table, {}).case_ids is case_log.case_ids
+
+    last = {"goal": ["Car", "Home"], "kind": ["a", "b"], "Y": ["1", None]}
+    assert encode_cases(CaseLog(["c0", "c1"], last=last), schema, "Y").case_ids == ["c0"]
+
+
+def test_ranked_categorical_without_missing_cases_shares_its_codes():
+    schema = [AttributeSchema("full", "categorical"), AttributeSchema("gaps", "categorical")]
+    columns = {"full": ["b", "a", "b"], "gaps": ["b", None, "a"]}
+    table = CaseTable(schema, "Y", ["c0", "c1", "c2"], [0, 1, 0], columns)
+    values, ranks = table.ranked("full")
+    assert values.tolist() == ["a", "b"] and ranks.tolist() == [1, 0, 1]
+    assert np.shares_memory(ranks, table.coded("full").codes)
+    values, ranks = table.ranked("gaps")
+    assert values.tolist() == ["a", "b"] and ranks.tolist() == [1, 2, 0]
+    assert ranks.dtype == np.int32
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([math.nan, -0.0, 0.0, math.inf, -math.inf, 2.5]) | st.floats(), max_size=30
+    )
+)
+@example([])
+@example([math.nan, math.nan])
+@example([0.0, -0.0, math.nan, -0.0, 0.0])
+@example([math.inf, -math.inf, 1.0, math.inf, 1.0, -math.inf])
+def test_ranked_distinct_values_match_np_unique(values):
+    table = CaseTable(
+        [AttributeSchema("x", "numeric")], "Y", [f"c{i}" for i in range(len(values))],
+        [0] * len(values), {"x": values},
+    )
+    distinct, ranks = table.ranked("x")
+    floats = np.array(values, dtype=np.float64)
+    want = np.unique(floats[~np.isnan(floats)])
+    np.testing.assert_array_equal(distinct, want)
+    np.testing.assert_array_equal(ranks, np.searchsorted(want, floats))  # NaN ranks last
+    assert ranks.dtype == np.int32
 
 
 def test_discretize_preserves_rows_and_case_ids():

@@ -141,7 +141,7 @@ def _bins_on_v(how):
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda raw: raw.pop("input"),
+        lambda raw: raw.update(input=""),  # input may be left out, not empty
         lambda raw: raw.pop("outcome"),
         lambda raw: raw.update(outcome="Missing"),
         lambda raw: raw.update(format="parquet"),
@@ -848,6 +848,51 @@ def test_bpic2017_config_declares_the_offer_as_the_treatment():
     assert config.cost == CostModel(1.0, 0.0) and not config.cost_overrides
 
 
+def _bpic_shaped_xes(path: Path, n_cases: int) -> None:
+    """One event per case with the BPIC 2017 config's attributes; a low
+    MonthlyCost lifts Selected."""
+    rng = np.random.default_rng(17)
+    stamp = datetime(2017, 1, 1, tzinfo=timezone.utc)
+    traces = []
+    for i in range(n_cases):
+        cost = float(rng.integers(50, 500))
+        attrs = {
+            "LoanGoal": str(rng.choice(["Car", "Home", "Other"])),
+            "ApplicationType": str(rng.choice(["New credit", "Limit raise"])),
+            "RequestedAmount": float(rng.integers(1, 50) * 1000),
+            "CreditScore": float(rng.integers(0, 1200)),
+            "FirstWithdrawalAmount": float(rng.integers(0, 20) * 500),
+            "MonthlyCost": cost,
+            "NumberOfTerms": float(rng.integers(12, 120)),
+            "OfferedAmount": float(rng.integers(1, 50) * 1000),
+            "Selected": bool(rng.random() < (0.7 if cost < 200 else 0.3)),
+        }
+        traces.append((f"Application_{i}", {}, [("O_Create Offer", stamp, attrs)], False))
+    path.write_bytes(xes_log(traces))
+
+
+def test_bpic2017_config_runs_stage_by_stage(tmp_path):
+    # The committed config names no log: ingest takes it from --input, and
+    # mine, uplift and rank read out_dir alone, keep the input that ingest
+    # recorded and write what run writes.
+    log = tmp_path / "bpic.xes"
+    _bpic_shaped_xes(log, 800)
+    config = str(CONFIGS / "bpic2017.yaml")
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    assert main(["run", "--config", config, "--input", str(log), "--out", str(whole)]) == 0
+    assert main(["ingest", "--config", config, "--input", str(log), "--out", str(staged)]) == 0
+    for stage in ("mine", "uplift", "rank"):
+        assert main([stage, "--config", config, "--out", str(staged)]) == 0, stage
+        assert _read_json(staged / MANIFEST_FILE)["config"]["input"] == str(log), stage
+    want, got = snapshot(whole), snapshot(staged)
+    assert any(path.startswith(TREES_DIR) for path in want)
+    manifests = [json.loads(files.pop(MANIFEST_FILE)) for files in (want, got)]
+    assert got == want
+    for manifest, out in zip(manifests, (whole, staged)):
+        assert manifest["config"].pop("out_dir") == str(out)
+    assert manifests[0] == manifests[1]
+
+
 def test_each_stage_pins_the_mmap_threshold_once(eight_row_config, tmp_path, monkeypatch):
     pins = []
     monkeypatch.setattr(pipeline, "pin_mmap_threshold", lambda: pins.append(1))
@@ -910,6 +955,7 @@ def test_cli_input_stands_in_for_a_config_without_one(tmp_path, caplog, monkeypa
     nested.mkdir()
     raw = {**minimal_raw(tmp_path), "out_dir": "out"}
     del raw["input"]
+    assert config_from_dict(raw).input is None
     config = nested / "pipeline.yaml"
     config.write_text(yaml.safe_dump(raw), encoding="utf-8")
     monkeypatch.chdir(tmp_path)

@@ -2,6 +2,7 @@ import math
 import warnings
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     oracle_score,
     reference_numeric_candidates,
 )
+from upliftmine import uplift
 from upliftmine.actionrules import AtomicActionTerm, Treatment
 from upliftmine.casetable import discretize
 from upliftmine.errors import ConfigError, PositivityError
@@ -593,6 +595,35 @@ def test_ranked_numeric_candidates_match_the_per_node_reference(node):
     np.testing.assert_array_equal(thresholds.view(np.int64), want[0].view(np.int64))
     for got, expected in zip(counts, want[1:]):
         np.testing.assert_array_equal(got, expected)
+
+
+NO_ROWS = np.array([], dtype=int)
+EMPTY_NODE = (np.array([]), NO_ROWS, NO_ROWS, NO_ROWS)
+
+
+@settings(max_examples=100, deadline=None)
+@example(EMPTY_NODE)
+@example(INF_NODE)
+@given(numeric_nodes())
+def test_histogram_blocks_leave_every_candidate_as_one_bincount_gives_it(node):
+    values, outcome, treat, ctrl = node
+    labels = ["a", "b", None, "b"]
+    rows = zip(values.tolist(), outcome.tolist())
+    table = make_table(
+        [("x", "numeric", False), ("c", "categorical", False)],
+        [({"x": v, "c": labels[i % 4]}, y) for i, (v, y) in enumerate(rows)],
+    )
+    whole = list(_candidates(table, treat, ctrl, ["x", "c"]))
+    with mock.patch.object(uplift, "HISTOGRAM_BLOCK", 3):
+        blocked = list(_candidates(table, treat, ctrl, ["x", "c"]))
+    assert len(blocked) == len(whole)
+    for (attribute, numeric, tests, counts), want in zip(blocked, whole):
+        assert (attribute, numeric) == want[:2]
+        if numeric:
+            np.testing.assert_array_equal(tests.view(np.int64), want[2].view(np.int64))
+        else:
+            assert tests.tolist() == want[2].tolist()
+        np.testing.assert_array_equal(counts, want[3])
 
 
 @pytest.mark.parametrize("node", [OVERFLOW_NODE, NAN_QUANTILE_NODE], ids=["overflow", "nan"])
