@@ -167,7 +167,8 @@ def mine_classification_rules(
                 last_a, last_b = cond_a[-1], cond_b[-1]
                 if last_a[0] == last_b[0]:
                     continue
-                merged = cond_a + (last_b,) if last_a < last_b else cond_b + (last_a,)
+                # Level 1 is sorted and each level appends in (i, j) order, so last_a < last_b.
+                merged = cond_a + (last_b,)
                 if any(
                     merged[:k] + merged[k + 1:] not in survivors
                     for k in range(len(merged) - 1)
@@ -243,13 +244,7 @@ def extract_treatments(rules: Iterable[ActionRule]) -> list[Treatment]:
         prev = best.get(changes)
         if prev is None or rule.support > prev:
             best[changes] = rule.support
-    ordered = sorted(
-        best.items(),
-        key=lambda kv: (
-            -kv[1],
-            tuple((t.attribute, t.from_value, t.to_value) for t in kv[0]),
-        ),
-    )
+    ordered = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
     return [Treatment(changes) for changes, _ in ordered]
 
 

@@ -42,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline config YAML")
-    common.add_argument("--out", help="override the configured output directory")
+    common.add_argument(
+        "--out", dest="out_dir", metavar="OUT", help="override the configured output directory"
+    )
 
     parser = _Parser(
         prog="upliftmine",
@@ -64,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
             stage.add_argument("--input", help="override the configured input path")
             stage.add_argument(
                 "--format",
+                dest="input_format",
                 choices=INPUT_FORMATS,
                 help="override the configured input format",
             )
@@ -94,13 +97,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         stage_simulate(scenario, args.out)
         return EXIT_OK
 
-    config = load_config(args.config, getattr(args, "input", None) or None)
+    # A flag that is given replaces its key, so it passes the key's checks.
+    flags = {key: getattr(args, key, None) for key in ("input", "input_format", "out_dir")}
+    given = {key: flag for key, flag in flags.items() if flag is not None}
+    config = dataclasses.replace(load_config(args.config), **given)
     if args.command in ("run", "ingest") and config.input is None:
         raise ConfigError(f"config {args.config} names no input log: set its input key or give --input")
-    if args.out:
-        config.out_dir = args.out
-    if getattr(args, "format", None):
-        config.input_format = args.format
 
     if args.command == "run":
         run(config)

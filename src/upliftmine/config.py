@@ -196,19 +196,15 @@ def _resolve(path: str, base: str) -> str:
     return path if os.path.isabs(path) else os.path.normpath(os.path.join(base, path))
 
 
-def load_config(path, input: str | None = None) -> PipelineConfig:
-    """Read a YAML config; relative input/out_dir resolve against the file.
-    input, as the CLI's --input gives it, replaces the config's input key
-    and is taken as it is. A config without either has no input."""
+def load_config(path) -> PipelineConfig:
+    """Read a YAML config; relative input/out_dir resolve against the file."""
     try:
         raw = yaml.safe_load(read_text(path, "config"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
-    if isinstance(raw, dict) and input is not None:
-        raw = {**raw, "input": input}
     config = config_from_dict(raw)
     base = os.path.dirname(os.path.abspath(path))
-    if input is None and config.input is not None:
+    if config.input is not None:
         config.input = _resolve(config.input, base)
     config.out_dir = _resolve(config.out_dir, base)
     return config

@@ -25,9 +25,9 @@ from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import compress, islice, repeat
-from operator import attrgetter, itemgetter, sub
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -483,7 +483,7 @@ _CSV_CHUNK = 256
 # Below every stamp: the stamp of an attribute no row of the case has set.
 _NO_STAMP = np.iinfo(np.int64).min
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_DELTA_PARTS = (attrgetter("days"), attrgetter("seconds"), attrgetter("microseconds"))
+_MICROSECOND = timedelta(microseconds=1)
 # ISO stamps in UTC that numpy reads as fromisoformat does, one per line;
 # fromisoformat reads no year 0.
 _ISO_UTC_RE = re.compile(r"(?:\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d{1,6})?\+00:00\n)*", re.ASCII)
@@ -535,15 +535,6 @@ def _invalid_utf8_offset(stream) -> int:
     return offset
 
 
-def _epoch_micros(stamps: list[datetime]) -> np.ndarray:
-    """Each aware datetime as int64 microseconds since the epoch."""
-    deltas = list(map(sub, stamps, repeat(_EPOCH)))
-    days, seconds, micros = (
-        np.fromiter(map(part, deltas), np.int64, len(deltas)) for part in _DELTA_PARTS
-    )
-    return (days * 86400 + seconds) * 1_000_000 + micros
-
-
 def _csv_stamps(texts, fmt: str | None, numbers) -> np.ndarray:
     """The rows' stamps as int64 microseconds since the epoch. ISO stamps
     that all read YYYY-MM-DDTHH:MM:SS[.ffffff]+00:00 go through numpy in one
@@ -555,7 +546,8 @@ def _csv_stamps(texts, fmt: str | None, numbers) -> np.ndarray:
             stamps = np.array([text[:-6] for text in texts], "datetime64[us]").view(np.int64)
             if not stamps.size or stamps.min() >= _YEAR_1:
                 return stamps
-    return _epoch_micros(list(map(_csv_timestamp, texts, repeat(fmt), numbers)))
+    stamps = map(_csv_timestamp, texts, repeat(fmt), numbers)
+    return np.fromiter([(stamp - _EPOCH) // _MICROSECOND for stamp in stamps], np.int64, len(texts))
 
 
 def _codes(index: dict, keys) -> np.ndarray:

@@ -468,8 +468,8 @@ def _segment_from_dict(entry: dict) -> Segment:
         conditions.append((attribute, op, value))
     segment = Segment(**{**entry, "conditions": tuple(conditions)})
     counts = (segment.n_treat, segment.n_ctrl, segment.n_reachable)
-    if not all(type(n) is int for n in counts) or type(segment.uplift) not in (int, float):
-        raise ValueError(f"segment counts must be integers and uplift a number: {entry!r}")
+    if not all(type(n) is int and n >= 0 for n in counts) or type(segment.uplift) not in (int, float):
+        raise ValueError(f"segment counts must be integers >= 0 and uplift a number: {entry!r}")
     return segment
 
 

@@ -147,10 +147,7 @@ def true_cate(scenario: SyntheticScenario, cell: int) -> float:
     if cell not in (0, 1):
         raise ConfigError(f"unknown subgroup cell: {cell!r}")
     weights = (1.0 - scenario.p_confounder, scenario.p_confounder)
-    return sum(
-        w * (scenario.p_outcome_treated[l][cell] - scenario.p_outcome_control[l][cell])
-        for l, w in enumerate(weights)
-    )
+    return sum(w * true_cell_effect(scenario, l, cell) for l, w in enumerate(weights))
 
 
 def true_cell_effect(scenario: SyntheticScenario, confounder: int, cell: int) -> float:

@@ -73,17 +73,16 @@ class TreeParams:
 class TreatmentAssignment:
     """One treatment's row indices; treated, control and excluded partition the table."""
 
-    treatment: Optional[Treatment]
+    treatment: Treatment
     treated: np.ndarray
     control: np.ndarray
     excluded: np.ndarray
 
     def __post_init__(self):
         if len(self.treated) == 0 or len(self.control) == 0:
-            name = self.treatment.key if self.treatment else "<unnamed>"
             empty = "treated" if len(self.treated) == 0 else "control"
             raise PositivityError(
-                f"treatment {name}: {empty} group is empty (positivity violated)"
+                f"treatment {self.treatment.key}: {empty} group is empty (positivity violated)"
             )
 
 
@@ -250,9 +249,6 @@ class Split:
         if self.threshold is not None:
             return (self.attribute, "<=" if left else ">", self.threshold)
         return (self.attribute, "==" if left else "!=", self.category)
-
-    def describe(self) -> str:
-        return _condition_text(*self.condition(left=True))
 
 
 def _condition_text(attribute: str, op: str, value) -> str:
@@ -469,11 +465,7 @@ def build_tree(
     table: CaseTable, assignment: TreatmentAssignment, params: TreeParams
 ) -> UpliftTree:
     """Greedy recursive growth; deterministic for identical inputs."""
-    excluded_attrs = (
-        {t.attribute for t in assignment.treatment.changes}
-        if assignment.treatment
-        else set()
-    )
+    excluded_attrs = {t.attribute for t in assignment.treatment.changes}
     feature_names = [a.name for a in table.schema if a.name not in excluded_attrs]
     outcome = table.outcome
 
@@ -551,7 +543,7 @@ def to_dot(tree: UpliftTree, title: str = "uplift_tree") -> str:
             f"uplift={s.uplift:+.6f}"
         )
         if not node.is_leaf:
-            label = f"{_dot_escape(node.split.describe())}\\n" + label
+            label = f"{_dot_escape(_condition_text(*node.split.condition(left=True)))}\\n" + label
         lines.append(f'  n{node_id} [label="{label}"];')
         if not node.is_leaf:
             left_id = emit(node.left)

@@ -4,6 +4,7 @@ Each test prints exactly one "[criterion N] PASS/FAIL" line (visible with
 pytest -s, and always attached to the assertion message on failure).
 """
 
+import dataclasses
 import functools
 import math
 import os
@@ -417,7 +418,7 @@ def test_criterion_8_bpic2017_smoke():
             urllib.request.urlretrieve(url, cache)
         path = str(cache)
 
-    config = load_config(BPIC_CONFIG, path)
+    config = dataclasses.replace(load_config(BPIC_CONFIG), input=path)
     rules_params = config.rules
     failures = []
     event_log = parse_xes(path)

@@ -241,6 +241,10 @@ def test_extract_treatments_ordered_by_best_support():
     )
     treatments = extract_treatments([low, high])
     assert [t.key for t in treatments] == ["G:u->v", "F:a->b"]
+    # Equal supports fall back to the terms' own order, not the rules' order.
+    terms = [("G", "v", "u"), ("F", "a", "b"), ("G", "a", "b")]
+    tied = [ActionRule((), (AtomicActionTerm(*term),), "Y", 0.4, 0.6) for term in terms]
+    assert [t.key for t in extract_treatments([low, *tied])] == ["F:a->b", "G:a->b", "G:v->u"]
 
 
 def test_treatment_validation():
@@ -283,6 +287,9 @@ def test_rule_file_round_trip_is_byte_exact(tmp_path):
 def test_parse_rule_rejects_garbage():
     with pytest.raises(SchemaError, match="unparseable rule line"):
         parse_rule("not a rule")
+    line = "[(A: x → x)] ⟹ [Y: 0 → 1], with support 0.5 and confidence 0.5"
+    with pytest.raises(SchemaError, match="flexible term does not change value"):
+        parse_rule(line)
 
 
 _F_TO = AtomicActionTerm("F", "a", "b")

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -258,6 +259,42 @@ def _numeric_table(values, extra_attr=False):
     case_ids = [f"c{i}" for i in range(len(values))]
     outcomes = [i % 2 for i in range(len(values))]
     return CaseTable(schema, "Selected", case_ids, outcomes, columns)
+
+
+_ONE_CASE_LOG = reference_fold([make_trace("c1", ["A"], [{"Selected": True}])])
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (lambda: AttributeSchema("n", "numeric", controllable="yes"), SchemaError,
+         "attribute 'n': controllable must be true or false"),
+        (lambda: _numeric_table([1.0], extra_attr=True).numeric("color"), SchemaError,
+         "attribute 'color' is not numeric"),
+        (lambda: encode_cases(_ONE_CASE_LOG, BASE_SCHEMA + BASE_SCHEMA[:1], "Selected"),
+         SchemaError, "duplicate attribute names in schema"),
+        (lambda: encode_cases(_ONE_CASE_LOG, BASE_SCHEMA, "Nope"), SchemaError,
+         "outcome attribute 'Nope' not in schema"),
+        (lambda: encode_cases(
+            _ONE_CASE_LOG, [AttributeSchema("Selected", "categorical", True)], "Selected"
+        ), SchemaError, "outcome attribute 'Selected' must not be controllable"),
+        (lambda: discretize(discretize(_numeric_table([1.0, 2.0]), {"x": 2}), {"x": 2}),
+         ConfigError, "attribute 'x' is already discretized"),
+    ],
+    ids=["non-bool-controllable", "numeric-of-categorical", "duplicate-names",
+         "outcome-not-in-schema", "controllable-outcome", "already-discretized"],
+)
+def test_case_table_input_checks(check, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        check()
+
+
+def test_discretize_all_missing_column_warns_and_keeps_one_label():
+    table = _numeric_table([None, None, None])
+    with pytest.warns(UserWarning, match="attribute 'x': no observed values, single bin"):
+        out = discretize(table, {"x": 3})
+    assert decoded(out.coded("x")) == [MISSING_LABEL] * 3
+    assert out.bins == {"x": []}
 
 
 def test_equal_frequency_quartiles_split_evenly():

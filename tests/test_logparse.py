@@ -744,6 +744,32 @@ def test_iso_utc_fast_path_matches_parse_timestamp_stamp_by_stamp(moments, odd, 
     assert _micros_per_chunk(texts, 7) == _micros_one_by_one(texts, 7)
 
 
+_OFFSETS = st.integers(1 - 24 * 60, 24 * 60 - 1).map(lambda m: timezone(timedelta(minutes=m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31), timezones=_OFFSETS),
+        min_size=1,
+        max_size=20,
+    ),
+    st.sampled_from([None, "%Y-%m-%d %H:%M:%S.%f%z"]),
+)
+@example([datetime(1969, 12, 31, 23, 59, 59, 999999, timezone.utc)], None)
+@example([datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5)))], "%Y-%m-%d %H:%M:%S.%f%z")
+def test_per_stamp_micros_match_the_timedelta_parts(moments, fmt):
+    # Pre-1970 stamps, non-UTC offsets and a timestamp_format all take the
+    # stamp-by-stamp path; a regex that matches nothing keeps ISO-UTC
+    # stamps on it too.
+    texts = [f"{m.year:04d}{m:-%m-%d %H:%M:%S.%f%z}" if fmt else m.isoformat() for m in moments]
+    deltas = [moment - datetime(1970, 1, 1, tzinfo=timezone.utc) for moment in moments]
+    want = [(d.days * 86400 + d.seconds) * 10**6 + d.microseconds for d in deltas]
+    with mock.patch.object(logparse, "_ISO_UTC_RE", re.compile("(?!)")):
+        stamps = _csv_stamps(texts, fmt, range(len(texts)))
+    assert stamps.dtype == np.int64 and stamps.tolist() == want
+
+
 class _Unseekable(io.RawIOBase):
     """A binary stream that reads forward only, as a pipe does."""
 

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import threading
 from datetime import datetime, timezone
@@ -216,12 +217,18 @@ def test_config_validation(tmp_path, mutate):
         ("cost", "impression_cost", float("inf"), "cost.impression_cost must be finite"),
         ("csv", "timestamp_format", 5, "csv.timestamp_format must be a string"),
         ("csv", "case_id", [1], "csv.case_id must be a string"),
+        ("rules", "min_confidence", 0.0, "rules.min_confidence must be in (0, 1]"),
+        ("rules", "max_antecedent_len", 0, "rules.max_antecedent_len must be >= 1"),
+        ("tree", "max_depth", -1, "tree.max_depth must be >= 0"),
+        ("tree", "min_samples_split", 1, "tree.min_samples_split must be >= 2"),
+        ("tree", "min_samples_treatment", -1, "tree.min_samples_treatment must be >= 0"),
+        ("tree", "n_reg", 0, "tree.n_reg must be > 0"),
     ],
 )
 def test_config_type_error_names_the_field(tmp_path, section, field, value, message):
     raw = minimal_raw(tmp_path)
     raw[section] = {field: value}
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(raw)
 
 
@@ -836,7 +843,8 @@ def test_quick_start_recommends_the_planted_subgroup(tmp_path):
 
 
 def test_bpic2017_config_declares_the_offer_as_the_treatment():
-    config = load_config(CONFIGS / "bpic2017.yaml", "BPI_Challenge_2017.xes.gz")
+    config = load_config(CONFIGS / "bpic2017.yaml")
+    config = dataclasses.replace(config, input="BPI_Challenge_2017.xes.gz")
     assert config.input == "BPI_Challenge_2017.xes.gz"
     assert (config.input_format, config.outcome) == ("xes", "Selected")
     assert len(config.attributes) == 9
@@ -1132,8 +1140,14 @@ def test_cli_unordered_bins_are_a_config_error_before_the_input_is_read(tmp_path
             lambda raw: raw["attributes"].append({"name": "V", "kind": "numeric"}),
             "numeric attribute 'V' has no bins entry",
         ),
+        ("ingest", lambda raw: raw.update(outcome=""), "outcome attribute name is required"),
+        (
+            "ingest",
+            lambda raw: raw["attributes"].append({"name": "S", "kind": "numeric"}),
+            "duplicate attribute names in config",
+        ),
     ],
-    ids=["controllable-outcome", "run-unbinned-numeric"],
+    ids=["controllable-outcome", "run-unbinned-numeric", "empty-outcome", "duplicate-attribute"],
 )
 def test_cli_config_fault_is_reported_before_the_input_is_read(
     tmp_path, caplog, command, mutate, message
@@ -1181,6 +1195,7 @@ SCENARIO = {
         ("n_cases", True, "n_cases must be an integer"),
         ("seed", 1.5, "seed must be an integer"),
         ("p_confounder", "0.5", "p_confounder must be a number"),
+        ("n_case", 200, "unknown scenario keys: n_case"),
     ],
 )
 def test_cli_mistyped_scenario_is_a_config_error(tmp_path, caplog, key, value, message):
@@ -1191,6 +1206,28 @@ def test_cli_mistyped_scenario_is_a_config_error(tmp_path, caplog, key, value, m
     assert message in caplog.text
     assert "unexpected failure" not in caplog.text
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", "- input: log.csv\n", "config must be a mapping"),
+        ("run", "input: [log.csv\n", "cannot parse config"),
+        ("simulate", "- seed: 1\n", "scenario must be a mapping"),
+        ("simulate", "seed: [1\n", "cannot parse scenario"),
+    ],
+    ids=["config-list", "config-yaml", "scenario-list", "scenario-yaml"],
+)
+def test_cli_config_or_scenario_not_a_yaml_mapping_is_a_config_error(
+    tmp_path, caplog, command, text, message
+):
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_negative_seed_override_is_a_config_error(tmp_path, caplog):
@@ -1245,6 +1282,29 @@ def test_cli_ingest_input_and_format_override_the_config(tmp_path):
     assert (out / CASE_TABLE_FILE).read_bytes() == from_csv
     recorded = _read_json(out / MANIFEST_FILE)["config"]
     assert (recorded["input"], recorded["format"]) == (str(xes), "xes")
+
+
+@pytest.mark.parametrize(
+    "key, argv, message",
+    [
+        ("log.csv", ["--input", ""], "input path must not be empty"),
+        ("log.csv", ["--out", ""], "cannot create output directory"),
+        ("", ["--input", "log.csv"], "input path must not be empty"),
+    ],
+    ids=["empty-input-flag", "empty-out-flag", "empty-input-key"],
+)
+def test_cli_flags_pass_the_checks_of_their_keys(tmp_path, caplog, monkeypatch, key, argv, message):
+    # ingest --input "" fails as input: "" does, and --input does not hide a
+    # bad input key; neither writes anything.
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    raw = {**minimal_raw(tmp_path), "input": key, "out_dir": str(tmp_path / "out")}
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with caplog.at_level(logging.ERROR):
+        assert main(["ingest", "--config", str(config), *argv]) == 1
+    assert message in caplog.text
+    assert sorted(os.listdir(tmp_path)) == ["log.csv", "pipeline.yaml"]
 
 
 def test_cli_run_mines_an_empty_xes_label(tmp_path):
@@ -1424,13 +1484,15 @@ def _edit_segments(edit):
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "conditions": [["S", "<=", "nan"]]})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "uplift": "high"})),
         (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "n_treat": "3"})),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "n_reachable": -5})),
+        (SEGMENTS_FILE, _edit_segments(lambda s: {**s, "n_treat": -1})),
         (MANIFEST_FILE, lambda payload: []),
         (MANIFEST_FILE, lambda payload: {**payload, "stages": []}),
     ],
     ids=[
         "segments-object", "segments-list", "no-changes", "number-from", "no-conditions",
         "condition-arity", "number-attribute", "text-threshold", "bool-threshold",
-        "nan-threshold", "text-uplift", "text-count",
+        "nan-threshold", "text-uplift", "text-count", "negative-reachable", "negative-treat",
         "manifest-list", "manifest-stages-list",
     ],
 )

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from oracles import (
 from upliftmine import uplift
 from upliftmine.actionrules import AtomicActionTerm, Treatment
 from upliftmine.casetable import discretize
-from upliftmine.errors import ConfigError, PositivityError
+from upliftmine.errors import ConfigError, PositivityError, SchemaError
 from upliftmine.uplift import (
     DIVERGENCE_KINDS,
     MAX_NUMERIC_CANDIDATES,
@@ -116,10 +117,27 @@ def test_divergence_rejects_bad_inputs():
         divergence((0.6, 0.6), (0.5, 0.5), "KL")
     with pytest.raises(ConfigError):
         divergence((0.5, 0.5), (0.5, 0.5), "Hellinger")
+    with pytest.raises(ConfigError, match="p must be a probability pair"):
+        divergence((0.5,), (0.5, 0.5), "KL")
 
 
 def _stats(n_t, pos_t, n_c, pos_c, parent=None, n_reg=100.0):
     return node_stats(n_t, pos_t, n_c, pos_c, parent, n_reg)
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (lambda: assign_groups(make_table([("F", "categorical", True)], []), F_A_TO_B),
+         SchemaError, "empty case table"),
+        (lambda: normalization_from_counts(1, 1, 2, 2, "Hellinger"), ConfigError,
+         "unknown divergence kind 'Hellinger'"),
+    ],
+    ids=["assign-empty-table", "normalization-unknown-kind"],
+)
+def test_uplift_input_checks(check, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        check()
 
 
 def test_gain_zero_when_split_changes_nothing():
@@ -635,7 +653,9 @@ def test_tree_on_infinite_or_near_overflow_values_warns_nothing(node):
         [({"x": v}, y) for v, y in zip(values.tolist(), outcome.tolist())],
     )
     excluded = np.setdiff1d(np.arange(len(values)), np.concatenate([treat, ctrl]))
-    assignment = TreatmentAssignment(None, treat, ctrl, excluded)
+    # The treatment's attribute is not in the table, so x stays a feature.
+    treatment = Treatment((AtomicActionTerm("T", "0", "1"),))
+    assignment = TreatmentAssignment(treatment, treat, ctrl, excluded)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tree = build_tree(table, assignment, SMALL_PARAMS)
