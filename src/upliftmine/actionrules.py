@@ -355,9 +355,21 @@ def save_rules(rules: Iterable[ActionRule], path) -> None:
         fh.writelines(format_rule(rule) + "\n" for rule in rules)
 
 
+def _parse_lines(path, what: str, parse) -> list:
+    """parse of each non-blank line of a text file; an error keeps its class
+    and names the file and the line."""
+    parsed = []
+    for number, line in enumerate(read_text(path, what).split("\n"), 1):
+        if line.strip():
+            try:
+                parsed.append(parse(line))
+            except (ConfigError, SchemaError) as exc:
+                raise type(exc)(f"{what} {path}, line {number}: {exc}") from None
+    return parsed
+
+
 def load_rules(path) -> list[ActionRule]:
-    lines = read_text(path, "rules file").split("\n")
-    return [parse_rule(line) for line in lines if line.strip()]
+    return _parse_lines(path, "rules file", parse_rule)
 
 
 # treatments.txt holds one Treatment.key per line; each field escapes ":",
@@ -388,5 +400,4 @@ def save_treatments(treatments: Iterable[Treatment], path) -> None:
 
 
 def load_treatments(path) -> list[Treatment]:
-    lines = read_text(path, "treatments file").split("\n")
-    return [parse_treatment_key(line) for line in lines if line.strip()]
+    return _parse_lines(path, "treatments file", parse_treatment_key)

@@ -12,7 +12,7 @@ can still split at raw thresholds.
 from __future__ import annotations
 
 import logging
-import warnings
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from math import floor, nan
@@ -310,6 +310,19 @@ def _label(value) -> str:
     return str(value)
 
 
+def check_schema(schema: list[AttributeSchema], outcome_name: str) -> AttributeSchema:
+    """The outcome's declaration; SchemaError unless the attribute names are
+    distinct and the outcome is among them and not controllable."""
+    by_name = {a.name: a for a in schema}
+    if len(by_name) != len(schema):
+        raise SchemaError("duplicate attribute names in schema")
+    if outcome_name not in by_name:
+        raise SchemaError(f"outcome attribute {outcome_name!r} not in schema")
+    if by_name[outcome_name].controllable:
+        raise SchemaError(f"outcome attribute {outcome_name!r} must not be controllable")
+    return by_name[outcome_name]
+
+
 def encode_cases(
     case_log: CaseLog,
     schema: list[AttributeSchema],
@@ -322,14 +335,7 @@ def encode_cases(
     which converts them. No column is decoded on the way."""
     positive_labels = positive_labels or DEFAULT_POSITIVE_LABELS
     positive_labels = frozenset(s.lower() for s in positive_labels)
-    by_name = {a.name: a for a in schema}
-    if len(by_name) != len(schema):
-        raise SchemaError("duplicate attribute names in schema")
-    if outcome_name not in by_name:
-        raise SchemaError(f"outcome attribute {outcome_name!r} not in schema")
-    outcome_attr = by_name[outcome_name]
-    if outcome_attr.controllable:
-        raise SchemaError(f"outcome attribute {outcome_name!r} must not be controllable")
+    outcome_attr = check_schema(schema, outcome_name)
     feature_schema = [a for a in schema if a.name != outcome_name]
 
     n = len(case_log)
@@ -433,12 +439,33 @@ def equal_frequency_bounds(values: list[float], k: int) -> list[float]:
     return bounds
 
 
+def check_bins(name: str, how) -> int | list[float]:
+    """A bins entry, in a config or given to discretize: an equal-frequency
+    bin count (an int >= 2) as it is, or interior boundaries (finite numbers,
+    strictly increasing as floats) as floats; ConfigError naming the
+    attribute for anything else."""
+    if isinstance(how, int) and not isinstance(how, bool) and how >= 2:
+        return how
+    # Compared, not converted: an int too large for a float is not finite.
+    if isinstance(how, list) and all(
+        isinstance(b, (int, float)) and not isinstance(b, bool) and abs(b) <= sys.float_info.max
+        for b in how
+    ):
+        bounds = [float(b) for b in how]
+        if all(b1 < b2 for b1, b2 in zip(bounds, bounds[1:])):
+            return bounds
+    raise ConfigError(
+        f"bins for {name!r} must be a bin count >= 2 or a list of strictly "
+        f"increasing finite boundaries, got {how!r}"
+    )
+
+
 def discretize(table: CaseTable, spec: dict[str, int | list[float]]) -> CaseTable:
     """Bin numeric attributes; returns a new table with the same columns and
     the bounds added to its bins, from which it derives the interval labels.
 
-    spec maps attribute name to either an equal-frequency bin count or an
-    explicit strictly increasing list of interior boundaries. Bin i is the
+    spec maps attribute name to an entry that check_bins accepts: an
+    equal-frequency bin count or a list of interior boundaries. Bin i is the
     right-closed interval (b[i-1], b[i]]. Missing values map to the dedicated
     "missing" label.
     """
@@ -449,27 +476,21 @@ def discretize(table: CaseTable, spec: dict[str, int | list[float]]) -> CaseTabl
             raise ConfigError(f"attribute {attr_name!r} is not numeric")
         if attr_name in table.bins:
             raise ConfigError(f"attribute {attr_name!r} is already discretized")
-        values = table.numeric(attr_name)
-        present = values[~np.isnan(values)].tolist()
-        if isinstance(how, int):
+        bounds = check_bins(attr_name, how)
+        if isinstance(bounds, int):
+            values = table.numeric(attr_name)
+            present = values[~np.isnan(values)].tolist()
             if not present:
-                warnings.warn(
-                    f"attribute {attr_name!r}: no observed values, single bin"
-                )
+                log.warning("attribute %r: no observed values, single bin", attr_name)
                 bounds = []
             else:
                 bounds = equal_frequency_bounds(present, how)
                 got = len(bounds) + 1
                 if got < how:
-                    warnings.warn(
-                        f"attribute {attr_name!r}: only {got} bin(s) possible "
-                        f"for {how} requested (too few distinct values)"
+                    log.warning(
+                        "attribute %r: only %d bin(s) possible for %d requested "
+                        "(too few distinct values)", attr_name, got, how
                     )
-        else:
-            try:
-                bounds = _checked_bounds(attr_name, how)
-            except SchemaError as exc:
-                raise ConfigError(str(exc)) from None
         bins[attr_name] = bounds
 
     columns = {name: table._columns[name] for name in table.attribute_names}

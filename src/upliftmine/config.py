@@ -1,16 +1,16 @@
 """Pipeline configuration: one dataclass, loaded from YAML, dumped verbatim
-into the run manifest so a run can be reproduced from its artifacts."""
+into the run manifest so a run can be reproduced from its artifacts. The
+config types own every default and check, wherever a config comes from."""
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
 from .actionrules import parse_treatment_key
-from .casetable import DEFAULT_POSITIVE_LABELS, NUMERIC, AttributeSchema
+from .casetable import DEFAULT_POSITIVE_LABELS, NUMERIC, AttributeSchema, check_bins, check_schema
 from .errors import ConfigError, SchemaError, read_text, require
 from .logparse import CsvColumns
 from .ranking import CostModel
@@ -39,9 +39,9 @@ class RuleParams:
 
 @dataclass
 class PipelineConfig:
-    input: str | None  # the log that ingest reads; mine, uplift and rank need none
     outcome: str
     attributes: list[AttributeSchema]
+    input: str | None = None  # the log that ingest reads; mine, uplift and rank need none
     input_format: str = "csv"
     out_dir: str = "out"
     positive_labels: tuple[str, ...] = tuple(sorted(DEFAULT_POSITIVE_LABELS))
@@ -50,7 +50,7 @@ class PipelineConfig:
     rules: RuleParams = field(default_factory=RuleParams)
     tree: TreeParams = field(default_factory=TreeParams)
     min_uplift: float = 0.0
-    cost: CostModel = field(default_factory=lambda: CostModel(1.0, 0.0))
+    cost: CostModel = field(default_factory=CostModel)
     cost_overrides: dict[str, CostModel] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -58,19 +58,25 @@ class PipelineConfig:
             raise ConfigError(
                 f"format must be one of {INPUT_FORMATS}, got {self.input_format!r}"
             )
-        if self.input == "":
-            raise ConfigError("input path must not be empty")
+        if self.input is not None:
+            require(self.input, str, "input")
+            if not self.input:
+                raise ConfigError("input path must not be empty")
+        require(self.outcome, str, "outcome")
         if not self.outcome:
             raise ConfigError("outcome attribute name is required")
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate attribute names in config")
-        if self.outcome not in names:
-            raise ConfigError(
-                f"outcome {self.outcome!r} is not among the declared attributes"
-            )
-        if any(a.controllable for a in self.attributes if a.name == self.outcome):
-            raise ConfigError(f"outcome {self.outcome!r} must not be controllable")
+        require(self.out_dir, str, "out_dir")
+        require(self.min_uplift, float, "min_uplift")
+        self.min_uplift = float(self.min_uplift)
+        # An empty list stays empty: encode_cases reads it as DEFAULT_POSITIVE_LABELS.
+        self.positive_labels = tuple(_list_of(self.positive_labels, str, "positive_labels", "strings"))
+        _list_of(self.attributes, AttributeSchema, "attributes", "attribute declarations")
+        try:
+            check_schema(self.attributes, self.outcome)
+        except SchemaError as exc:
+            raise ConfigError(str(exc)) from None
+        if not isinstance(self.bins, dict):
+            raise ConfigError("bins must be a mapping")
         numeric = {a.name for a in self.attributes if a.kind == NUMERIC} - {self.outcome}
         for attr, how in self.bins.items():
             if attr not in numeric:
@@ -78,41 +84,55 @@ class PipelineConfig:
                     f"bins configured for {attr!r}, which is not a declared "
                     "numeric feature"
                 )
-            if not _is_bin_spec(how):
-                raise ConfigError(
-                    f"bins for {attr!r} must be a bin count >= 2 or a list of "
-                    f"strictly increasing finite boundaries, got {how!r}"
-                )
+            check_bins(attr, how)
 
 
-def _is_bin_spec(how) -> bool:
-    """An equal-frequency bin count (an int >= 2) or a list of strictly
-    increasing finite boundaries."""
-    if isinstance(how, list):
-        return all(
-            isinstance(b, (int, float)) and not isinstance(b, bool) and math.isfinite(b)
-            for b in how
-        ) and all(b1 < b2 for b1, b2 in zip(how, how[1:]))
-    return isinstance(how, int) and not isinstance(how, bool) and how >= 2
+def _list_of(values, kind: type, name: str, what: str):
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, kind) for v in values):
+        raise ConfigError(f"{name} must be a list of {what}")
+    return values
 
 
-def _section(raw, name: str) -> dict:
-    if raw is None:
-        return {}
+def _section(raw, what: str) -> dict:
     if not isinstance(raw, dict):
-        raise ConfigError(f"config section {name!r} must give a mapping")
+        raise ConfigError(f"{what} must be a mapping")
     return raw
 
 
 def _build(cls, raw, name: str):
     """cls from one config section; a field's ConfigError comes back named
     with the section, as in tree.n_reg."""
+    kwargs = _section(raw, f"config section {name!r}")
     try:
-        return cls(**_section(raw, name))
+        return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"config section {name!r}: {exc}") from None
     except ConfigError as exc:
         raise ConfigError(f"{name}.{exc}") from None
+
+
+def _attribute(entry) -> AttributeSchema:
+    kwargs = _section(entry, "config section 'attributes[]'")
+    try:
+        return AttributeSchema(**kwargs)
+    except (TypeError, SchemaError) as exc:
+        raise ConfigError(f"bad attribute declaration {entry!r}: {exc}") from None
+
+
+# Overrides are keyed as Treatment.key, so that a key whose terms come in
+# another order, or escape what needs no escape, still finds its treatment.
+def _priced(overrides) -> dict[str, CostModel]:
+    priced = {}
+    for key, entry in _section(overrides, "config section 'cost.overrides'").items():
+        where = f"cost.overrides[{key}]"
+        try:
+            treatment_key = parse_treatment_key(str(key)).key
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if treatment_key in priced:
+            raise ConfigError(f"{where}: treatment {treatment_key} is priced twice")
+        priced[treatment_key] = _build(CostModel, entry, where)
+    return priced
 
 
 # PipelineConfig's fields, input_format read as format and cost_overrides as cost.overrides.
@@ -120,67 +140,28 @@ _TOP_KEYS = {f.name for f in fields(PipelineConfig)} - {"input_format", "cost_ov
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a mapping")
+    """The PipelineConfig of a parsed YAML config: its keys map onto fields,
+    but a key set to null is left out, so that it takes its default."""
+    kwargs = {key: value for key, value in _section(raw, "config").items() if value is not None}
     unknown = sorted(set(raw) - _TOP_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key in ("outcome", "attributes"):
-        if key not in raw:
+        if key not in kwargs:
             raise ConfigError(f"config key {key!r} is required")
-
-    attr_entries = raw["attributes"]
-    if not isinstance(attr_entries, list) or not attr_entries:
-        raise ConfigError("attributes must be a non-empty list")
-    attributes = []
-    for entry in attr_entries:
-        try:
-            attributes.append(AttributeSchema(**_section(entry, "attributes[]")))
-        except (TypeError, SchemaError) as exc:
-            raise ConfigError(f"bad attribute declaration {entry!r}: {exc}") from None
-
-    cost_raw = dict(_section(raw.get("cost"), "cost"))
-    overrides_raw = _section(cost_raw.pop("overrides", None), "cost.overrides")
-    cost_raw.setdefault("outcome_value", 1.0)
-    cost_raw.setdefault("impression_cost", 0.0)
-    cost = _build(CostModel, cost_raw, "cost")
-    # Overrides are keyed as Treatment.key, so that a key whose terms come in
-    # another order, or escape what needs no escape, still finds its treatment.
-    cost_overrides = {}
-    for key, entry in overrides_raw.items():
-        where = f"cost.overrides[{key}]"
-        try:
-            treatment_key = parse_treatment_key(str(key)).key
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        if treatment_key in cost_overrides:
-            raise ConfigError(f"{where}: treatment {treatment_key} is priced twice")
-        cost_overrides[treatment_key] = _build(CostModel, entry, where)
-
-    labels = raw.get("positive_labels")
-    if labels is not None and (
-        not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
-    ):
-        raise ConfigError("positive_labels must be a list of strings")
-
-    min_uplift = raw.get("min_uplift", 0.0)
-    require(min_uplift, float, "min_uplift")
-
-    return PipelineConfig(
-        input=None if raw.get("input") is None else str(raw["input"]),
-        outcome=str(raw["outcome"]),
-        attributes=attributes,
-        input_format=raw.get("format", "csv"),
-        out_dir=str(raw.get("out_dir", "out")),
-        positive_labels=tuple(labels) if labels else tuple(sorted(DEFAULT_POSITIVE_LABELS)),
-        csv=_build(CsvColumns, raw.get("csv"), "csv"),
-        bins=_section(raw.get("bins"), "bins"),
-        rules=_build(RuleParams, raw.get("rules"), "rules"),
-        tree=_build(TreeParams, raw.get("tree"), "tree"),
-        min_uplift=float(min_uplift),
-        cost=cost,
-        cost_overrides=cost_overrides,
-    )
+    if "format" in kwargs:
+        kwargs["input_format"] = kwargs.pop("format")
+    if isinstance(kwargs["attributes"], list):
+        kwargs["attributes"] = list(map(_attribute, kwargs["attributes"]))
+    for name, cls in (("csv", CsvColumns), ("rules", RuleParams), ("tree", TreeParams)):
+        if name in kwargs:
+            kwargs[name] = _build(cls, kwargs[name], name)
+    if "cost" in kwargs:
+        cost = dict(_section(kwargs["cost"], "config section 'cost'"))
+        if "overrides" in cost:
+            kwargs["cost_overrides"] = _priced(cost.pop("overrides"))
+        kwargs["cost"] = _build(CostModel, cost, "cost")
+    return PipelineConfig(**kwargs)
 
 
 def config_to_dict(config: PipelineConfig) -> dict:

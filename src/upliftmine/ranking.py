@@ -19,8 +19,8 @@ from .uplift import Segment
 
 @dataclass(frozen=True)
 class CostModel:
-    outcome_value: float
-    impression_cost: float
+    outcome_value: float = 1.0
+    impression_cost: float = 0.0
 
     def __post_init__(self):
         require(self.outcome_value, float, "outcome_value")

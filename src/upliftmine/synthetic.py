@@ -35,10 +35,23 @@ _T0 = np.datetime64("2020-01-01T00:00:00", "s")
 ProbTable = tuple[tuple[float, float], tuple[float, float]]
 
 
-def _check_prob(value: float, name: str) -> float:
+def _check_prob(value, name: str) -> float:
+    require(value, float, name)
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must be in [0, 1], got {value}")
     return float(value)
+
+
+def _pair(raw, name: str) -> tuple[float, float]:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ConfigError(f"{name} must be a pair [value at 0, value at 1]")
+    return (_check_prob(raw[0], f"{name}[0]"), _check_prob(raw[1], f"{name}[1]"))
+
+
+def _table(raw, name: str) -> ProbTable:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ConfigError(f"{name} must be a 2x2 table, one row per confounder value")
+    return (_pair(raw[0], f"{name}[0]"), _pair(raw[1], f"{name}[1]"))
 
 
 @dataclass(frozen=True)
@@ -48,6 +61,8 @@ class SyntheticScenario:
     p_treat_given_confounder[l] is the treatment probability when the
     confounder equals l; p_outcome_treated[l][x] and p_outcome_control[l][x]
     are the potential-outcome probabilities for confounder l and subgroup x.
+    Probabilities are stored as float tuples, however they were given, as
+    ground_truth.json and pipeline.yaml print them.
     """
 
     n_cases: int
@@ -59,21 +74,20 @@ class SyntheticScenario:
     p_outcome_control: ProbTable
 
     def __post_init__(self):
+        require(self.n_cases, int, "n_cases")
+        require(self.seed, int, "seed")
         if self.n_cases <= 0:
             raise ConfigError("n_cases must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        _check_prob(self.p_confounder, "p_confounder")
-        _check_prob(self.p_subgroup, "p_subgroup")
-        for l, p in enumerate(self.p_treat_given_confounder):
-            _check_prob(p, f"p_treat_given_confounder[{l}]")
-        for name, tbl in (
-            ("p_outcome_treated", self.p_outcome_treated),
-            ("p_outcome_control", self.p_outcome_control),
+        for name, check in (
+            ("p_confounder", _check_prob),
+            ("p_subgroup", _check_prob),
+            ("p_treat_given_confounder", _pair),
+            ("p_outcome_treated", _table),
+            ("p_outcome_control", _table),
         ):
-            for l in (0, 1):
-                for x in (0, 1):
-                    _check_prob(tbl[l][x], f"{name}[{l}][{x}]")
+            object.__setattr__(self, name, check(getattr(self, name), name))
 
     def check_positivity(self) -> None:
         for l, p in enumerate(self.p_treat_given_confounder):
@@ -92,21 +106,8 @@ class SyntheticScenario:
         ]
 
 
-def _pair(raw, name: str) -> tuple[float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ConfigError(f"{name} must be a pair [value at 0, value at 1]")
-    for i, value in enumerate(raw):
-        require(value, float, f"{name}[{i}]")
-    return (float(raw[0]), float(raw[1]))
-
-
-def _table(raw, name: str) -> ProbTable:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ConfigError(f"{name} must be a 2x2 table, one row per confounder value")
-    return (_pair(raw[0], f"{name}[0]"), _pair(raw[1], f"{name}[1]"))
-
-
 def scenario_from_dict(raw: dict) -> SyntheticScenario:
+    """The SyntheticScenario of a parsed YAML scenario; it checks the values."""
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a mapping")
     known = {f.name for f in fields(SyntheticScenario)}
@@ -116,21 +117,7 @@ def scenario_from_dict(raw: dict) -> SyntheticScenario:
     missing = sorted(known - set(raw))
     if missing:
         raise ConfigError(f"scenario keys required: {', '.join(missing)}")
-    for key in ("n_cases", "seed"):
-        require(raw[key], int, key)
-    for key in ("p_confounder", "p_subgroup"):
-        require(raw[key], float, key)
-    return SyntheticScenario(
-        n_cases=raw["n_cases"],
-        seed=raw["seed"],
-        p_confounder=float(raw["p_confounder"]),
-        p_subgroup=float(raw["p_subgroup"]),
-        p_treat_given_confounder=_pair(
-            raw["p_treat_given_confounder"], "p_treat_given_confounder"
-        ),
-        p_outcome_treated=_table(raw["p_outcome_treated"], "p_outcome_treated"),
-        p_outcome_control=_table(raw["p_outcome_control"], "p_outcome_control"),
-    )
+    return SyntheticScenario(**raw)
 
 
 def load_scenario(path) -> SyntheticScenario:

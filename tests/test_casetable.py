@@ -1,4 +1,5 @@
 import copy
+import logging
 import math
 import re
 from datetime import datetime, timedelta, timezone
@@ -289,10 +290,11 @@ def test_case_table_input_checks(check, error, message):
         check()
 
 
-def test_discretize_all_missing_column_warns_and_keeps_one_label():
+def test_discretize_all_missing_column_warns_and_keeps_one_label(caplog):
     table = _numeric_table([None, None, None])
-    with pytest.warns(UserWarning, match="attribute 'x': no observed values, single bin"):
+    with caplog.at_level(logging.WARNING, logger="upliftmine"):
         out = discretize(table, {"x": 3})
+    assert "attribute 'x': no observed values, single bin" in caplog.text
     assert decoded(out.coded("x")) == [MISSING_LABEL] * 3
     assert out.bins == {"x": []}
 
@@ -320,10 +322,11 @@ def test_explicit_boundaries_reproduce_term_intervals():
     assert out.bins["x"] == [48.5, 96.5, 120.5]
 
 
-def test_all_identical_values_give_single_bin_with_warning():
+def test_all_identical_values_give_single_bin_with_warning(caplog):
     table = _numeric_table([7.0] * 12)
-    with pytest.warns(UserWarning, match="bin"):
+    with caplog.at_level(logging.WARNING, logger="upliftmine"):
         out = discretize(table, {"x": 4})
+    assert "attribute 'x': only 1 bin(s) possible for 4 requested" in caplog.text
     assert set(decoded(out.coded("x"))) == {"[7-7]"}
     assert out.bins["x"] == []
 
@@ -346,8 +349,16 @@ def test_discretize_non_increasing_boundaries_rejected():
     # not a bare ValueError or TypeError.
     table = _numeric_table([1.0, 2.0])
     for bounds in ([5.0, 5.0], ["a"], [None], [1.0, math.nan]):
-        with pytest.raises(ConfigError, match="must be strictly increasing numbers"):
+        with pytest.raises(ConfigError, match="bins for 'x' must be .* strictly increasing finite"):
             discretize(table, {"x": bounds})
+
+
+@pytest.mark.parametrize("bounds", [[math.inf], [-math.inf, 0.0], [0.0, 10**400], [2**60, 2**60 + 1]])
+def test_discretize_takes_only_finite_boundaries_that_stay_increasing_as_floats(bounds):
+    # The one bins rule that configs pass as well: what no config may give,
+    # discretize does not take either.
+    with pytest.raises(ConfigError, match="bins for 'x' must be"):
+        discretize(_numeric_table([1.0, 2.0]), {"x": bounds})
 
 
 def test_discretize_non_numeric_attribute_rejected():

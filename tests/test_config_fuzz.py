@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from upliftmine import cli
-from upliftmine.config import config_to_dict, load_config
+from upliftmine.config import config_from_dict, config_to_dict, load_config
 from upliftmine.errors import UpliftMineError
 from upliftmine.pipeline import stage_simulate
 from upliftmine.synthetic import load_scenario
@@ -204,6 +204,22 @@ def test_load_config_raises_only_upliftmine_errors(raw):
     assert all(isinstance(v, str) for v in (csv.case_id, csv.activity, csv.timestamp))
     assert csv.timestamp_format is None or isinstance(csv.timestamp_format, str)
     assert csv.attributes is None or all(isinstance(a, str) for a in csv.attributes)
+
+
+def _loaded(raw):
+    """The config that raw loads as, or the class and text of its error."""
+    try:
+        return config_from_dict(raw)
+    except UpliftMineError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated(README_CONFIG), st.data())
+def test_a_key_set_to_null_loads_as_the_key_left_out(raw, data):
+    key = data.draw(st.sampled_from(sorted(raw)))
+    without = {k: v for k, v in raw.items() if k != key}
+    assert _loaded({**raw, key: None}) == _loaded(without)
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,6 +7,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import decoded, make_table, tricky_text, xes_log
+import upliftmine
 from upliftmine import pipeline
 from upliftmine.actionrules import (
     AtomicActionTerm,
@@ -61,6 +64,7 @@ from upliftmine.pipeline import (
 )
 from upliftmine.pipeline import _encode_compact, _read_json, _Staging, _write_json
 from upliftmine.ranking import CostModel
+from upliftmine.synthetic import SyntheticScenario, scenario_from_dict
 from upliftmine.uplift import TreeParams
 
 EIGHT_ROW_CSV = "case_id,activity,timestamp,S,F,Y\n" + "".join(
@@ -195,6 +199,7 @@ def _bins_on_v(how):
         lambda raw: raw.update(csv={"attributes": ["S", 2]}),
         _bins_on_v([2.0, 1.0]),
         _bins_on_v([1.0, 1.0]),
+        _bins_on_v([1.0, 10**400]),  # too large for a float: not finite
     ],
 )
 def test_config_validation(tmp_path, mutate):
@@ -230,6 +235,49 @@ def test_config_type_error_names_the_field(tmp_path, section, field, value, mess
     raw[section] = {field: value}
     with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("min_uplift", float("nan"), "min_uplift must be finite"),
+        ("min_uplift", "lots", "min_uplift must be a number"),
+        ("out_dir", 5, "out_dir must be a string"),
+        ("out_dir", ["out"], "out_dir must be a string"),
+        ("outcome", 5, "outcome must be a string"),
+        ("outcome", True, "outcome must be a string"),
+        ("positive_labels", ["yes", 1], "positive_labels must be a list of strings"),
+        ("positive_labels", "yes", "positive_labels must be a list of strings"),
+    ],
+)
+def test_a_value_the_yaml_reader_rejects_is_rejected_in_python_and_by_replace(
+    tmp_path, key, value, message
+):
+    # PipelineConfig owns the checks, so a config built in Python, or changed
+    # with dataclasses.replace as the CLI's flags are, cannot skip them.
+    raw = minimal_raw(tmp_path)
+    config = config_from_dict(raw)
+    given = {"input": config.input, "outcome": config.outcome, "attributes": config.attributes}
+    errors = []
+    for build in (
+        lambda: config_from_dict({**raw, key: value}),
+        lambda: PipelineConfig(**{**given, key: value}),
+        lambda: dataclasses.replace(config, **{key: value}),
+    ):
+        with pytest.raises(ConfigError) as caught:
+            build()
+        errors.append(str(caught.value))
+    assert errors == [message] * 3
+
+
+def test_cli_null_out_dir_writes_into_the_default_out_dir(tmp_path):
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    raw = {**minimal_raw(tmp_path), "out_dir": None, "format": None, "min_uplift": None}
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert (tmp_path / "out" / CASE_TABLE_FILE).exists()
+    assert sorted(os.listdir(tmp_path)) == ["log.csv", "out", "pipeline.yaml"]
 
 
 @pytest.mark.parametrize("tree", [{"n_reg": 100}, {"max_depth": 0, "n_reg": 0.5}])
@@ -1127,13 +1175,40 @@ def test_cli_unordered_bins_are_a_config_error_before_the_input_is_read(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_log_level_error_keeps_discretize_quiet(tmp_path):
+    # discretize reports an attribute it cannot bin through the upliftmine
+    # logger, so --log-level error hides it like every other warning.
+    rows = "".join(f"c{i},apply,2020-01-01T00:00:0{i}Z,,{i % 2}\n" for i in range(4))
+    (tmp_path / "log.csv").write_text("case_id,activity,timestamp,V,Y\n" + rows, encoding="utf-8")
+    raw = {
+        "input": "log.csv",
+        "outcome": "Y",
+        "attributes": [{"name": "V", "kind": "numeric"}, {"name": "Y", "kind": "categorical"}],
+        "bins": {"V": 2},
+    }
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    argv = ["ingest", "--config", str(config), "--log-level", "error"]
+    main_of_cli = "import sys; from upliftmine.cli import main; sys.exit(main())"
+    src = str(Path(upliftmine.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", main_of_cli, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=tmp_path,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert (tmp_path / "out" / CASE_TABLE_FILE).exists()
+
+
 @pytest.mark.parametrize(
     "command, mutate, message",
     [
         (
             "ingest",
             lambda raw: raw["attributes"][2].update(controllable=True),
-            "outcome 'Y' must not be controllable",
+            "outcome attribute 'Y' must not be controllable",
         ),
         (
             "run",
@@ -1144,7 +1219,7 @@ def test_cli_unordered_bins_are_a_config_error_before_the_input_is_read(tmp_path
         (
             "ingest",
             lambda raw: raw["attributes"].append({"name": "S", "kind": "numeric"}),
-            "duplicate attribute names in config",
+            "duplicate attribute names in schema",
         ),
     ],
     ids=["controllable-outcome", "run-unbinned-numeric", "empty-outcome", "duplicate-attribute"],
@@ -1206,6 +1281,42 @@ def test_cli_mistyped_scenario_is_a_config_error(tmp_path, caplog, key, value, m
     assert message in caplog.text
     assert "unexpected failure" not in caplog.text
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n_cases", 2.5, "n_cases must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("p_confounder", "0.5", "p_confounder must be a number"),
+        ("p_subgroup", float("nan"), "p_subgroup must be finite"),
+        ("p_treat_given_confounder", [0.5, "0.5"], "p_treat_given_confounder[1] must be a number"),
+        ("p_treat_given_confounder", [0.5], "p_treat_given_confounder must be a pair"),
+        ("p_outcome_treated", [[0.1, 0.8], [0.1, True]], "p_outcome_treated[1][1] must be a"),
+        ("p_outcome_control", [[0.1, 0.1], [0.1, 1.5]], "p_outcome_control[1][1] must be in"),
+    ],
+)
+def test_a_scenario_value_the_reader_rejects_is_rejected_in_python_and_by_replace(
+    key, value, message
+):
+    scenario = scenario_from_dict(SCENARIO)
+    errors = []
+    for build in (
+        lambda: scenario_from_dict({**SCENARIO, key: value}),
+        lambda: SyntheticScenario(**{**SCENARIO, key: value}),
+        lambda: dataclasses.replace(scenario, **{key: value}),
+    ):
+        with pytest.raises(ConfigError) as caught:
+            build()
+        errors.append(str(caught.value))
+    assert len(set(errors)) == 1 and errors[0].startswith(message)
+
+
+def test_scenario_stores_its_probabilities_as_float_tuples():
+    scenario = SyntheticScenario(**{**SCENARIO, "p_outcome_treated": [[0, 1], [0, 1]]})
+    assert scenario.p_outcome_treated == ((0.0, 1.0), (0.0, 1.0))
+    assert scenario.p_treat_given_confounder == (0.5, 0.5)
+    assert all(type(p) is float for row in scenario.p_outcome_treated for p in row)
 
 
 @pytest.mark.parametrize(
@@ -1736,6 +1847,34 @@ def test_cli_unreadable_treatments_file_is_a_config_error(tmp_path, caplog, how)
         assert main(["uplift", "--config", str(config), "--treatments", str(path)]) == 1
     assert f"cannot read treatments file {path}" in caplog.text
     assert "unexpected failure" not in caplog.text
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["mine-artifact", "treatments-flag"])
+def test_cli_malformed_treatment_names_the_file_and_the_line(tmp_path, caplog, flag):
+    (tmp_path / "log.csv").write_text(EIGHT_ROW_CSV, encoding="utf-8")
+    raw = minimal_raw(tmp_path)
+    raw["out_dir"] = str(tmp_path / "out")
+    raw["rules"] = {"min_support": 0.25, "min_confidence": 0.75}
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["mine", "--config", str(config)]) == 0
+    path = tmp_path / "my_treatments.txt" if flag else tmp_path / "out" / TREATMENTS_FILE
+    path.write_text("F:a->b\nbroken line\n", encoding="utf-8")
+    argv = ["uplift", "--config", str(config)] + (["--treatments", str(path)] if flag else [])
+    with caplog.at_level(logging.ERROR):
+        assert main(argv) == 1
+    expected = f"treatments file {path}, line 2: malformed treatment 'broken line'"
+    assert expected in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+def test_load_rules_names_the_file_and_the_line(tmp_path):
+    path = tmp_path / RULES_FILE
+    path.write_text(RULE_LINE + "\n\nnot a rule\n", encoding="utf-8")
+    message = f"rules file {path}, line 3: unparseable rule line: 'not a rule'"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_rules(path)
 
 
 @pytest.mark.parametrize("command", ["ingest", "run", "simulate"])
